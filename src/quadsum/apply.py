@@ -179,7 +179,11 @@ def spectral_reference(
     family: FamilySpec, f: Callable[[float], float], size: int = 200
 ) -> float:
     """Reference value [f(J)]_{0,0} on a large truncation; the exact value of
-    the mixed integral-plus-sum functional in the squared spectral variable."""
+    the mixed integral-plus-sum functional in the squared spectral variable.
+
+    It is the fsum of L_{0,k} f(eps_k) L_{0,k} over the eigenpairs, read
+    from the first eigenvector row alone (no O(size^3) eigenvector matrix).
+    """
     if size < 1:
         raise ValidationError(f"size must be >= 1, got {size}")
     return matrix_function_element(build(recurrence(family), size), f, 0, 0)

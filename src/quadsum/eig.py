@@ -6,6 +6,12 @@ Golub-Welsch weights need), or the full orthonormal eigenvector matrix.
 Rotations applied to the first-row vector are scalar products, which keeps
 far-tail components relatively accurate well below the underflow threshold
 of squared weights.
+
+The sweep is a scalar loop, so it runs on Python floats (lists) rather than
+numpy arrays: reading and writing numpy elements one at a time boxes every
+value into a numpy scalar, which makes the loop about 4x slower, while the
+same IEEE double operations on Python floats return the same bits.  Only the
+full-eigenvector mode rotates numpy columns.
 """
 
 from __future__ import annotations
@@ -55,7 +61,10 @@ class EigenDecomposition:
 
 
 def _ql_implicit(
-    d: np.ndarray, e: np.ndarray, row: np.ndarray | None, full: np.ndarray | None
+    d: list[float],
+    e: list[float],
+    row: list[float] | None,
+    full: np.ndarray | None,
 ) -> None:
     """In-place implicit-shift QL on diagonal d and off-diagonal e.
 
@@ -63,7 +72,7 @@ def _ql_implicit(
     ``full`` (columns) when given.  Deflation splits the matrix where
     |e_i| <= eps (|d_i| + |d_{i+1}|).
     """
-    n = d.size
+    n = len(d)
     for l in range(n):
         sweeps = 0
         while True:
@@ -125,22 +134,21 @@ def decompose(j: JacobiMatrix, mode: str = "values") -> EigenDecomposition:
     if mode not in ("values", "first_row", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     n = j.dimension
-    d = j.diag.copy()
-    e = np.zeros(n)
-    e[: n - 1] = j.offdiag
+    d = j.diag.tolist()
+    e = j.offdiag.tolist() + [0.0]
     row = None
     full = None
     if mode == "first_row":
-        row = np.zeros(n)
-        row[0] = 1.0
+        row = [1.0] + [0.0] * (n - 1)
     elif mode == "full":
         full = np.eye(n)
     _ql_implicit(d, e, row, full)
+    d = np.array(d)
     order = np.argsort(d, kind="stable")
     d = d[order]
     first = None
     if row is not None:
-        first = row[order]
+        first = np.array(row)[order]
     if full is not None:
         full = full[:, order]
         first = full[0].copy()

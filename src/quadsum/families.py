@@ -295,8 +295,16 @@ def recurrence(spec: FamilySpec) -> RecurrenceStream:
     if isinstance(spec, Wilson):
         mu, nu, al, be = spec.mu, spec.nu, spec.alpha, spec.beta
         s = mu + nu + al + be
+        # s > 0 for every valid parameter set, so 2n+s-1 and 2n+s-2 vanish
+        # only at n = 0 (s = 1 and s = 2).  Both singularities are
+        # removable: t2 carries a factor n, and at s = 1 the factor
+        # (n+s-1)/(2n+s-1) in a_0 and b_0 is 1.  The cancelled forms are
+        # used only there, so regular parameters keep their bits.
+        degenerate = s == 1.0
 
         def a(n: int) -> float:
+            if n == 0 and degenerate:
+                return (mu + nu) * (mu + al) * (mu + be) / s - mu * mu
             t1 = (
                 (n + mu + nu)
                 * (n + mu + al)
@@ -304,6 +312,8 @@ def recurrence(spec: FamilySpec) -> RecurrenceStream:
                 * (n + s - 1.0)
                 / ((2.0 * n + s) * (2.0 * n + s - 1.0))
             )
+            if n == 0:
+                return t1 - mu * mu
             t2 = (
                 n
                 * (n + nu + al - 1.0)
@@ -314,6 +324,16 @@ def recurrence(spec: FamilySpec) -> RecurrenceStream:
             return t1 + t2 - mu * mu
 
         def b(n: int) -> float:
+            if n == 0 and degenerate:
+                num = (
+                    (mu + nu)
+                    * (al + be)
+                    * (mu + al)
+                    * (mu + be)
+                    * (nu + al)
+                    * (nu + be)
+                )
+                return -math.sqrt(num / (s + 1.0)) / s
             num = (
                 (n + 1)
                 * (n + mu + nu)

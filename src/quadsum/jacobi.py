@@ -91,19 +91,28 @@ def power_element(stream: RecurrenceStream, k: int, n: int, m: int) -> float:
 def matrix_function_element(
     j: JacobiMatrix, f: Callable[[float], float], n: int, m: int
 ) -> float:
-    """Element [f(J)]_{n,m} via the full eigendecomposition
-    sum_k L_{n,k} f(eps_k) L_{m,k}."""
+    """Element [f(J)]_{n,m} = sum_k L_{n,k} f(eps_k) L_{m,k}.
+
+    The (0, 0) element needs only the first eigenvector row, which the
+    first-row eigensolver mode returns bit for bit equal to row 0 of the
+    full eigenvector matrix; any other element uses the full matrix.
+    """
     from .eig import decompose  # deferred to avoid an import cycle
 
     if not (0 <= n < j.dimension and 0 <= m < j.dimension):
         raise ValidationError(
             f"indices ({n}, {m}) out of range for dimension {j.dimension}"
         )
-    dec = decompose(j, mode="full")
+    if n == m == 0:
+        dec = decompose(j, mode="first_row")
+        row_n = row_m = dec.first_components
+    else:
+        dec = decompose(j, mode="full")
+        row_n, row_m = dec.full_matrix[n], dec.full_matrix[m]
     values = []
-    for eps, row_n, row_m in zip(dec.eigenvalues, dec.full_matrix[n], dec.full_matrix[m]):
+    for eps, l_n, l_m in zip(dec.eigenvalues, row_n, row_m):
         fe = f(float(eps))
         if not math.isfinite(fe):
             raise ValidationError(f"f is not finite at eigenvalue {eps!r}")
-        values.append(row_n * fe * row_m)
+        values.append(l_n * fe * l_m)
     return math.fsum(values)

@@ -16,6 +16,7 @@ from quadsum.apply import (
     relative_error,
     spectral_reference,
 )
+from quadsum.eig import decompose
 from quadsum.errors import NumericalError, ValidationError
 from quadsum.families import (
     Charlier,
@@ -27,6 +28,7 @@ from quadsum.families import (
     measure,
     recurrence,
 )
+from quadsum.jacobi import build
 from quadsum.special import ln_gamma
 
 
@@ -234,6 +236,16 @@ class TestOracles:
             for k in range(m + 1)
         )
         assert exact_shifted_power_sum(r, m) == pytest.approx(brute, rel=1e-14)
+
+    def test_spectral_reference_equals_full_row_zero_sum(self):
+        # the first-row route must give the bits of the full-matrix route
+        spec = ContinuousDualHahn(-3.5, 5.5, 5.5)
+        dec = decompose(build(recurrence(spec), 60), mode="full")
+        full_sum = math.fsum(
+            l * _t3_f(float(eps)) * l
+            for eps, l in zip(dec.eigenvalues, dec.full_matrix[0])
+        )
+        assert spectral_reference(spec, _t3_f, 60) == full_sum
 
     def test_spectral_reference_trivials(self):
         assert spectral_reference(CDH, lambda t: 1.0, 40) == pytest.approx(1.0, abs=1e-12)

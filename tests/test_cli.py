@@ -66,6 +66,15 @@ class TestRuleCommand:
         assert code == 2
         assert "exceeds" in err
 
+    def test_wilson_parameter_sum_two(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "rule", "--family", "wilson", "--mu", "0.5", "--nu", "0.5",
+            "--alpha", "0.5", "--beta", "0.5", "--n", "5",
+        )
+        assert code == 0
+        weights = json.loads(out)["weights"]
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+
     def test_invalid_params_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "rule", "--family", "charlier", "--mu", "-1", "--n", "3")
         assert code == 2

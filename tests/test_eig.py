@@ -9,9 +9,16 @@ import math
 import numpy as np
 import pytest
 
-from quadsum.eig import decompose, deleted_submatrix_eigenvalues, eigenvalues
+from quadsum.eig import _ql_implicit, decompose, deleted_submatrix_eigenvalues, eigenvalues
 from quadsum.errors import NumericalError
-from quadsum.families import Charlier, ContinuousDualHahn, Krawtchouk, Meixner, recurrence
+from quadsum.families import (
+    Charlier,
+    ContinuousDualHahn,
+    Krawtchouk,
+    Meixner,
+    Wilson,
+    recurrence,
+)
 from quadsum.jacobi import JacobiMatrix, build
 
 
@@ -152,3 +159,63 @@ class TestDecompositionProperties:
                 ratio = dec.full_matrix[n, k] / dec.full_matrix[0, k]
                 p = eval_poly(st, n, float(dec.eigenvalues[k]))
                 assert abs(p - ratio) <= 1e-10 * max(abs(p), abs(ratio), 1.0)
+
+
+class TestModeBitIdentity:
+    """first_row and full mode apply the same rotations elementwise, so the
+    eigenvalues and first components agree bit for bit; the spectral
+    reference relies on this."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Charlier(2.0),
+            Meixner(2.0, 0.4),
+            Krawtchouk(100, 0.3),
+            ContinuousDualHahn(1.5, 2.0, 3.0),
+            ContinuousDualHahn(-3.5, 4.5, 4.5),
+            Wilson(1.0, 1.2, 1.5, 2.0),
+            Wilson(-3.5, 4.5, 5.5, 6.5),
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    def test_first_row_equals_full_row_zero(self, spec, n):
+        j = build(recurrence(spec), n)
+        first = decompose(j, mode="first_row")
+        full = decompose(j, mode="full")
+        values = decompose(j, mode="values")
+        assert np.array_equal(first.eigenvalues, full.eigenvalues)
+        assert np.array_equal(values.eigenvalues, full.eigenvalues)
+        assert np.array_equal(first.first_components, full.full_matrix[0])
+
+    def test_python_floats_match_numpy_scalars(self):
+        # the sweep on numpy arrays (numpy-scalar arithmetic) is the reference
+        # for the sweep on lists of Python floats: same operations, same bits
+        j = build(recurrence(ContinuousDualHahn(-3.5, 4.5, 4.5)), 40)
+        d, e = j.diag.tolist(), j.offdiag.tolist() + [0.0]
+        row = [1.0] + [0.0] * 39
+        d_ref, e_ref = j.diag.copy(), np.append(j.offdiag, 0.0)
+        row_ref = np.eye(40)[0]
+        _ql_implicit(d, e, row, None)
+        _ql_implicit(d_ref, e_ref, row_ref, None)
+        assert np.array_equal(np.array(d), d_ref)
+        assert np.array_equal(np.array(e), e_ref)
+        assert np.array_equal(np.array(row), row_ref)
+
+    @pytest.mark.parametrize("mode", ["values", "first_row", "full"])
+    def test_inputs_untouched_and_outputs_float_arrays(self, mode):
+        j = build(recurrence(Meixner(2.0, 0.4)), 25)
+        diag, offdiag = j.diag.copy(), j.offdiag.copy()
+        dec = decompose(j, mode=mode)
+        assert np.array_equal(j.diag, diag)
+        assert np.array_equal(j.offdiag, offdiag)
+        arrays = [dec.eigenvalues]
+        if mode != "values":
+            arrays.append(dec.first_components)
+        for a in arrays:
+            assert isinstance(a, np.ndarray)
+            assert a.dtype == np.float64
+            assert a.shape == (25,)
+        if mode == "full":
+            assert dec.full_matrix.dtype == np.float64
+            assert dec.full_matrix.shape == (25, 25)

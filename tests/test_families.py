@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from quadsum.errors import NumericalError, ValidationError
@@ -21,6 +22,8 @@ from quadsum.families import (
     measure,
     recurrence,
 )
+from quadsum.jacobi import build
+from quadsum.rule import gauss_rule
 
 
 class TestValidation:
@@ -83,6 +86,22 @@ class TestRecurrence:
         st = recurrence(Meixner(2.0, 0.4))
         for n in range(20):
             assert st.b(n) < 0.0
+
+    @pytest.mark.parametrize("param", [0.25, 0.5])  # s = 1 and s = 2
+    def test_wilson_removable_singularities(self, param):
+        st = recurrence(Wilson(param, param, param, param))
+        nearby = recurrence(Wilson(param + 1e-7, param, param, param))
+        for coef, near in ((st.a(0), nearby.a(0)), (st.b(0), nearby.b(0))):
+            assert math.isfinite(coef)
+            assert coef == pytest.approx(near, rel=1e-6)
+        rule = gauss_rule(build(st, 20))
+        assert abs(math.fsum(rule.weights.tolist()) - 1.0) <= 1e-12
+        assert np.all(rule.weights > 0.0)
+        assert np.all(np.diff(rule.nodes) > 0.0)
+
+    def test_wilson_regular_a0_keeps_generic_formula(self):
+        # the cancelled s = 1 form would round to 1.8947368421052633 here
+        assert recurrence(Wilson(1.0, 1.2, 1.5, 2.0)).a(0) == 1.8947368421052628
 
     def test_require_order(self):
         st = recurrence(Krawtchouk(2, 0.5))
