@@ -13,7 +13,6 @@ from .apply import (
     continuous_part_estimate,
     exact_exponential_sum,
     exact_shifted_power_sum,
-    matrix_element,
     relative_error,
     spectral_reference,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "exact_shifted_power_sum",
     "gauss_rule",
     "gauss_rule_eigenvalue_only",
-    "matrix_element",
     "matrix_function_element",
     "measure",
     "power_element",

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .families import FamilySpec, MeasureSpec, measure, recurrence
+from .families import FamilySpec, measure, recurrence
 from .jacobi import build, matrix_function_element
 from .rule import QuadratureRule, derivative_weights, gauss_rule
 from .special import ln_gamma
@@ -27,7 +27,6 @@ __all__ = [
     "Functional",
     "approximate",
     "continuous_part_estimate",
-    "matrix_element",
     "relative_error",
     "exact_exponential_sum",
     "exact_shifted_power_sum",
@@ -35,19 +34,23 @@ __all__ = [
     "adaptive_integral",
 ]
 
-FUNCTIONAL_KINDS = (
-    "weighted_integral",
-    "plain_integral",
-    "weighted_sum",
-    "plain_sum",
-    "mixed",
-    "continuous_part",
-    "mixed_squared_arg",
-)
-
-_CONTINUOUS_ONLY = ("weighted_integral", "plain_integral")
-_DISCRETE_ONLY = ("weighted_sum", "plain_sum")
-_MIXED = ("mixed", "continuous_part", "mixed_squared_arg")
+# kind -> (whether the measure has (continuous, discrete) components, and
+# the component whose density turns the weights into derivative weights).
+_KINDS = {
+    "weighted_integral": ((True, False), None),
+    "plain_integral": ((True, False), "continuous"),
+    "weighted_sum": ((False, True), None),
+    "plain_sum": ((False, True), "discrete"),
+    "mixed": ((True, True), None),
+    "continuous_part": ((True, True), None),
+    "mixed_squared_arg": ((True, True), None),
+}
+_REQUIRES = {
+    (True, False): "a purely continuous measure",
+    (False, True): "a purely discrete measure",
+    (True, True): "both continuous and discrete components",
+}
+FUNCTIONAL_KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -66,21 +69,6 @@ class Functional:
             )
         if self.order < 1:
             raise ValidationError(f"order must be >= 1, got {self.order}")
-
-
-def _check_compatible(kind: str, spec: MeasureSpec) -> None:
-    has_c = spec.continuous is not None
-    has_d = spec.discrete is not None
-    if kind in _CONTINUOUS_ONLY and not (has_c and not has_d):
-        raise ValidationError(
-            f"kind {kind!r} requires a purely continuous measure"
-        )
-    if kind in _DISCRETE_ONLY and not (has_d and not has_c):
-        raise ValidationError(f"kind {kind!r} requires a purely discrete measure")
-    if kind in _MIXED and not (has_c and has_d):
-        raise ValidationError(
-            f"kind {kind!r} requires both continuous and discrete components"
-        )
 
 
 def _node_sum(
@@ -103,49 +91,34 @@ def approximate(fn: Functional) -> float:
     continuous_part kind subtracts the exact discrete sum, per
     continuous_part_estimate.
     """
-    if fn.kind == "continuous_part":
-        return continuous_part_estimate(fn)
     spec = measure(fn.family)
-    _check_compatible(fn.kind, spec)
+    components, density_of = _KINDS[fn.kind]
+    if (spec.continuous is not None, spec.discrete is not None) != components:
+        raise ValidationError(f"kind {fn.kind!r} requires {_REQUIRES[components]}")
+    subtract_discrete = fn.kind == "continuous_part"
+    if subtract_discrete and not spec.discrete.finite:
+        raise ValidationError(
+            "continuous-part estimate requires a finite discrete component"
+        )
     rule = gauss_rule(build(recurrence(fn.family), fn.order))
-    if fn.kind == "plain_integral":
-        weights = derivative_weights(rule, spec.continuous.density)
-    elif fn.kind == "plain_sum":
-        if spec.discrete.density is None:
+    weights = rule.weights
+    if density_of is not None:
+        density = getattr(spec, density_of).density
+        if density is None:
             raise ValidationError(
-                "plain_sum needs a discrete measure with a smooth mass continuation"
+                f"{fn.kind} needs a discrete measure with a smooth mass continuation"
             )
-        weights = derivative_weights(rule, spec.discrete.density)
-    else:
-        weights = rule.weights
-    return _node_sum(rule, weights, fn.f)
+        weights = derivative_weights(rule, density)
+    value = _node_sum(rule, weights, fn.f)
+    if subtract_discrete:
+        value -= spec.discrete.weighted_sum(fn.f)
+    return value
 
 
 def continuous_part_estimate(fn: Functional) -> float:
     """Estimate of the continuous component alone: the quadrature sum minus
     the exact finite discrete sum."""
-    spec = measure(fn.family)
-    if spec.continuous is None or spec.discrete is None:
-        raise ValidationError(
-            "continuous-part estimate requires both measure components"
-        )
-    if not spec.discrete.finite:
-        raise ValidationError(
-            "continuous-part estimate requires a finite discrete component"
-        )
-    rule = gauss_rule(build(recurrence(fn.family), fn.order))
-    quad = _node_sum(rule, rule.weights, fn.f)
-    disc = spec.discrete.weighted_sum(fn.f)
-    return quad - disc
-
-
-def matrix_element(
-    family: FamilySpec, order: int, f: Callable[[float], float], n: int, m: int
-) -> float:
-    """Matrix element f_{n,m} approximated spectrally on the N-dim truncation."""
-    if not (0 <= n < order and 0 <= m < order):
-        raise ValidationError(f"indices ({n}, {m}) must be < order {order}")
-    return matrix_function_element(build(recurrence(family), order), f, n, m)
+    return approximate(Functional("continuous_part", fn.f, fn.family, fn.order))
 
 
 def relative_error(exact: float, approx: float) -> float:

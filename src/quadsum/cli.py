@@ -14,22 +14,15 @@ digits, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 from typing import Sequence
 
 from .apply import Functional, approximate
 from .errors import NumericalError, ValidationError
-from .exprlang import ParseError, evaluate, parse
-from .families import (
-    Charlier,
-    ContinuousDualHahn,
-    FamilySpec,
-    Krawtchouk,
-    Meixner,
-    Wilson,
-    recurrence,
-)
+from .exprlang import NUMBER_RE, ParseError, evaluate, parse
+from .families import FAMILIES, FamilySpec, recurrence
 from .jacobi import build
 from .rule import gauss_rule
 from .tables import TableReport, run_table
@@ -64,44 +57,30 @@ def _fmt_json(value) -> str:
     raise TypeError(f"cannot serialize {value!r}")
 
 
-_FAMILY_PARAMS = {
-    "charlier": ("mu",),
-    "meixner": ("mu", "beta"),
-    "krawtchouk": ("M", "gamma"),
-    "cdh": ("mu", "alpha", "beta"),
-    "wilson": ("mu", "nu", "alpha", "beta"),
+# The command-line name and constructor field of each family parameter.
+_FAMILY_FLAGS = {
+    kind: [(f.metadata.get("flag", f.name), f) for f in dataclasses.fields(cls)]
+    for kind, cls in FAMILIES.items()
 }
+_FLAG_TYPES = {flag: int if f.type in (int, "int") else float
+               for flags in _FAMILY_FLAGS.values() for flag, f in flags}
 
 
 def _family_from_args(args: argparse.Namespace) -> tuple[FamilySpec, dict]:
-    needed = _FAMILY_PARAMS[args.family]
     params = {}
-    for name in needed:
-        value = getattr(args, "m_points" if name == "M" else name)
+    kwargs = {}
+    for flag, f in _FAMILY_FLAGS[args.family]:
+        value = getattr(args, flag)
         if value is None:
-            flag = "--M" if name == "M" else f"--{name}"
-            raise ValidationError(f"family {args.family!r} requires {flag}")
-        params[name] = value
-    if args.family == "charlier":
-        return Charlier(params["mu"]), params
-    if args.family == "meixner":
-        return Meixner(params["mu"], params["beta"]), params
-    if args.family == "krawtchouk":
-        return Krawtchouk(params["M"], params["gamma"]), params
-    if args.family == "cdh":
-        return ContinuousDualHahn(params["mu"], params["alpha"], params["beta"]), params
-    return Wilson(params["mu"], params["nu"], params["alpha"], params["beta"]), params
+            raise ValidationError(f"family {args.family!r} requires --{flag}")
+        params[flag] = kwargs[f.name] = value
+    return FAMILIES[args.family](**kwargs), params
 
 
 def _add_family_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", required=True, choices=sorted(_FAMILY_PARAMS))
-    sub.add_argument("--mu", type=float, help="family parameter mu")
-    sub.add_argument("--beta", type=float, help="family parameter beta")
-    sub.add_argument("--gamma", type=float, help="family parameter gamma")
-    sub.add_argument("--M", dest="m_points", type=int,
-                     help="spectrum size parameter M (krawtchouk)")
-    sub.add_argument("--alpha", type=float, help="family parameter alpha")
-    sub.add_argument("--nu", type=float, help="family parameter nu")
+    sub.add_argument("--family", required=True, choices=sorted(FAMILIES))
+    for flag, type_ in _FLAG_TYPES.items():
+        sub.add_argument(f"--{flag}", type=type_, help=f"family parameter {flag}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,6 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A --define value is a number of the expression language, optionally negated.
+_DEFINE_VALUE_RE = re.compile(rf"\s*-?{NUMBER_RE.pattern}\s*")
+
+
 def _substitute_defines(text: str, defines: Sequence[str]) -> str:
     for item in defines:
         name, sep, value = item.partition("=")
@@ -141,9 +124,7 @@ def _substitute_defines(text: str, defines: Sequence[str]) -> str:
             raise ValidationError(
                 f"--define takes NAME=VALUE with an identifier name other than 'x', got {item!r}"
             )
-        try:
-            float(value)
-        except ValueError:
+        if not _DEFINE_VALUE_RE.fullmatch(value):
             raise ValidationError(f"--define value must be numeric, got {item!r}")
         text = re.sub(rf"\b{re.escape(name)}\b", f"({value})", text)
     return text

@@ -87,7 +87,7 @@ Expr = Union[Number, Variable, Negate, BinaryOp, Call]
 
 _ARITY = {"exp": 1, "ln": 1, "sqrt": 1, "gamma": 1, "abs": 1, "pow": 2}
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
@@ -105,7 +105,7 @@ class _Lexer:
                 self.tokens.append((ch, ch, i))
                 i += 1
                 continue
-            m = _NUMBER_RE.match(text, i)
+            m = NUMBER_RE.match(text, i)
             if m:
                 self.tokens.append(("number", m.group(), i))
                 i = m.end()

@@ -6,13 +6,16 @@ discrete measures on the nonnegative integers, Krawtchouk a finite one on
 0..M.  The continuous dual Hahn and Wilson families live in a squared
 spectral variable y = x^2: their measure has a continuous density on
 x in [0, inf) and, for mu < 0, finitely many point masses at y = -(k+mu)^2.
-A Custom family wraps an explicit recurrence stream and measure.
+A Custom family wraps an explicit recurrence stream and measure.  Each
+family class owns its ``recurrence()`` and ``measure()``, and ``FAMILIES``,
+which maps each built-in family's command-line name to its class, is the
+list the CLI builds its family options from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import NumericalError, ValidationError
@@ -31,6 +34,7 @@ __all__ = [
     "ContinuousDualHahn",
     "Wilson",
     "Custom",
+    "FAMILIES",
     "recurrence",
     "measure",
     "eval_poly",
@@ -81,6 +85,12 @@ class ContinuousPart:
     support: tuple[float, float]
 
 
+def _finite_term(term: float, x: float) -> float:
+    if not math.isfinite(term):
+        raise NumericalError(f"weighted sum term is not finite at point {x!r}")
+    return term
+
+
 class DiscretePart:
     """Point masses {(x_k, xi_k)}, finite or lazily-generated infinite.
 
@@ -119,15 +129,19 @@ class DiscretePart:
     def weighted_sum(
         self, f: Callable[[float], float], policy: TruncationPolicy | None = None
     ) -> float:
-        """Sum of xi_k f(x_k) over the support, truncated per policy if infinite."""
+        """Sum of xi_k f(x_k) over the support, truncated per policy if infinite;
+        a non-finite term raises NumericalError naming its point."""
         if self.finite:
-            return math.fsum(xi * f(x) for x, xi in zip(self.points, self.masses))
+            return math.fsum(
+                _finite_term(xi * f(x), x) for x, xi in zip(self.points, self.masses)
+            )
         policy = policy or TruncationPolicy()
         total = 0.0
         abs_total = 0.0
         small_run = 0
         for k in range(policy.max_terms):
-            term = self.mass_at(k) * f(self.point_at(k))
+            x = self.point_at(k)
+            term = _finite_term(self.mass_at(k) * f(x), x)
             total += term
             abs_total += abs(term)
             if abs(term) < policy.rel_tail * abs_total:
@@ -152,256 +166,26 @@ class MeasureSpec:
 
 
 class FamilySpec:
-    """Base class for polynomial family specifications."""
+    """Base class for polynomial family specifications: a family is its
+    recurrence and its measure.  ``kind`` is its command-line name."""
 
     kind: str = "custom"
 
+    def recurrence(self) -> RecurrenceStream:
+        raise NotImplementedError
 
-@dataclass(frozen=True)
-class Charlier(FamilySpec):
-    mu: float
-    kind = "charlier"
-
-    def __post_init__(self):
-        if not self.mu > 0.0:
-            raise ValidationError(f"charlier requires mu > 0, got mu={self.mu!r}")
+    def measure(self) -> MeasureSpec:
+        raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Meixner(FamilySpec):
-    mu: float
-    beta: float
-    kind = "meixner"
-
-    def __post_init__(self):
-        if not self.mu > 0.0:
-            raise ValidationError(f"meixner requires mu > 0, got mu={self.mu!r}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValidationError(
-                f"meixner requires 0 < beta < 1, got beta={self.beta!r}"
-            )
-
-
-@dataclass(frozen=True)
-class Krawtchouk(FamilySpec):
-    m: int
-    gamma: float
-    kind = "krawtchouk"
-
-    def __post_init__(self):
-        if not (isinstance(self.m, int) and self.m >= 1):
-            raise ValidationError(f"krawtchouk requires integer M >= 1, got M={self.m!r}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValidationError(
-                f"krawtchouk requires 0 < gamma < 1, got gamma={self.gamma!r}"
-            )
-
-
-@dataclass(frozen=True)
-class ContinuousDualHahn(FamilySpec):
-    mu: float
-    alpha: float
-    beta: float
-    kind = "cdh"
-
-    def __post_init__(self):
-        if self.mu == 0.0:
-            raise ValidationError("continuous dual Hahn requires mu != 0")
-        if self.mu > 0.0:
-            if not (self.alpha > 0.0 and self.beta > 0.0):
-                raise ValidationError(
-                    "continuous dual Hahn with mu > 0 requires alpha > 0 and "
-                    f"beta > 0, got alpha={self.alpha!r}, beta={self.beta!r}"
-                )
-        else:
-            if not (self.alpha + self.mu > 0.0 and self.beta + self.mu > 0.0):
-                raise ValidationError(
-                    "continuous dual Hahn with mu < 0 requires alpha + mu > 0 "
-                    f"and beta + mu > 0, got alpha={self.alpha!r}, "
-                    f"beta={self.beta!r}, mu={self.mu!r}"
-                )
-
-
-@dataclass(frozen=True)
-class Wilson(FamilySpec):
-    mu: float
-    nu: float
-    alpha: float
-    beta: float
-    kind = "wilson"
-
-    def __post_init__(self):
-        others = {"nu": self.nu, "alpha": self.alpha, "beta": self.beta}
-        if self.mu == 0.0:
-            raise ValidationError("wilson requires mu != 0")
-        if self.mu > 0.0:
-            bad = {k: v for k, v in others.items() if not v > 0.0}
-            if bad:
-                raise ValidationError(
-                    f"wilson with mu > 0 requires nu, alpha, beta > 0; violated by {bad!r}"
-                )
-        else:
-            bad = {k: v for k, v in others.items() if not v + self.mu > 0.0}
-            if bad:
-                raise ValidationError(
-                    f"wilson with mu < 0 requires nu + mu, alpha + mu, beta + mu > 0; "
-                    f"violated by {bad!r} with mu={self.mu!r}"
-                )
-
-
-@dataclass(frozen=True)
-class Custom(FamilySpec):
-    stream: RecurrenceStream
-    spec_measure: MeasureSpec
-    kind = "custom"
-
-
-def recurrence(spec: FamilySpec) -> RecurrenceStream:
-    """Closed-form recurrence coefficient stream for a family.
-
-    For ContinuousDualHahn and Wilson the recurrence variable is y = x^2;
-    nodes and matrix elements downstream live in that squared variable.
-    """
-    if isinstance(spec, Charlier):
-        mu = spec.mu
-        return RecurrenceStream(
-            a=lambda n: n + mu,
-            b=lambda n: -math.sqrt(mu * (n + 1)),
-        )
-    if isinstance(spec, Meixner):
-        mu, beta = spec.mu, spec.beta
-        sq = math.sqrt(beta) / (1.0 - beta)
-        return RecurrenceStream(
-            a=lambda n: (n * (1.0 + beta) + 2.0 * mu * beta) / (1.0 - beta),
-            b=lambda n: -sq * math.sqrt((n + 1) * (n + 2.0 * mu)),
-        )
-    if isinstance(spec, Krawtchouk):
-        m, g = spec.m, spec.gamma
-        return RecurrenceStream(
-            a=lambda n: m * g + n * (1.0 - 2.0 * g),
-            b=lambda n: -math.sqrt((n + 1) * (m - n) * g * (1.0 - g)),
-            size=m + 1,
-        )
-    if isinstance(spec, ContinuousDualHahn):
-        mu, al, be = spec.mu, spec.alpha, spec.beta
-        return RecurrenceStream(
-            a=lambda n: (n + mu + al) * (n + mu + be)
-            + n * (n + al + be - 1.0)
-            - mu * mu,
-            b=lambda n: -math.sqrt(
-                (n + 1) * (n + al + be) * (n + mu + al) * (n + mu + be)
-            ),
-        )
-    if isinstance(spec, Wilson):
-        mu, nu, al, be = spec.mu, spec.nu, spec.alpha, spec.beta
-        s = mu + nu + al + be
-        # s > 0 for every valid parameter set, so 2n+s-1 and 2n+s-2 vanish
-        # only at n = 0 (s = 1 and s = 2).  Both singularities are
-        # removable: t2 carries a factor n, and at s = 1 the factor
-        # (n+s-1)/(2n+s-1) in a_0 and b_0 is 1.  The cancelled forms are
-        # used only there, so regular parameters keep their bits.
-        degenerate = s == 1.0
-
-        def a(n: int) -> float:
-            if n == 0 and degenerate:
-                return (mu + nu) * (mu + al) * (mu + be) / s - mu * mu
-            t1 = (
-                (n + mu + nu)
-                * (n + mu + al)
-                * (n + mu + be)
-                * (n + s - 1.0)
-                / ((2.0 * n + s) * (2.0 * n + s - 1.0))
-            )
-            if n == 0:
-                return t1 - mu * mu
-            t2 = (
-                n
-                * (n + nu + al - 1.0)
-                * (n + nu + be - 1.0)
-                * (n + al + be - 1.0)
-                / ((2.0 * n + s - 1.0) * (2.0 * n + s - 2.0))
-            )
-            return t1 + t2 - mu * mu
-
-        def b(n: int) -> float:
-            if n == 0 and degenerate:
-                num = (
-                    (mu + nu)
-                    * (al + be)
-                    * (mu + al)
-                    * (mu + be)
-                    * (nu + al)
-                    * (nu + be)
-                )
-                return -math.sqrt(num / (s + 1.0)) / s
-            num = (
-                (n + 1)
-                * (n + mu + nu)
-                * (n + al + be)
-                * (n + mu + al)
-                * (n + mu + be)
-                * (n + nu + al)
-                * (n + nu + be)
-                * (n + s - 1.0)
-            )
-            den = (2.0 * n + s - 1.0) * (2.0 * n + s + 1.0)
-            return -math.sqrt(num / den) / (2.0 * n + s)
-
-        return RecurrenceStream(a=a, b=b)
-    if isinstance(spec, Custom):
-        return spec.stream
-    raise ValidationError(f"unknown family spec {spec!r}")
-
-
-def _charlier_measure(mu: float) -> MeasureSpec:
-    def ln_mass(x: float) -> float:
-        return x * math.log(mu) - mu - ln_gamma(x + 1.0)
-
+def _lattice_measure(ln_mass: Callable[[float], float], size: int | None) -> MeasureSpec:
+    """Masses exp(ln_mass(k)) at the points k = 0, 1, ... (``size`` of them,
+    or infinitely many), continued off the lattice by exp(ln_mass(x))."""
     return MeasureSpec(
         discrete=DiscretePart(
             point_at=float,
             mass_at=lambda k: math.exp(ln_mass(float(k))),
-            size=None,
-            density=lambda x: math.exp(ln_mass(x)),
-        )
-    )
-
-
-def _meixner_measure(mu: float, beta: float) -> MeasureSpec:
-    c = 2.0 * mu * math.log1p(-beta) - ln_gamma(2.0 * mu)
-
-    def ln_mass(x: float) -> float:
-        return c + ln_gamma(2.0 * mu + x) + x * math.log(beta) - ln_gamma(x + 1.0)
-
-    return MeasureSpec(
-        discrete=DiscretePart(
-            point_at=float,
-            mass_at=lambda k: math.exp(ln_mass(float(k))),
-            size=None,
-            density=lambda x: math.exp(ln_mass(x)),
-        )
-    )
-
-
-def _krawtchouk_measure(m: int, g: float) -> MeasureSpec:
-    # Binomial masses C(M,k) g^k (1-g)^{M-k}; the exponent on (1-g) uses the
-    # spectrum size M, which is what makes the masses sum to one.
-    c = ln_gamma(m + 1.0)
-
-    def ln_mass(x: float) -> float:
-        return (
-            c
-            - ln_gamma(m - x + 1.0)
-            - ln_gamma(x + 1.0)
-            + x * math.log(g)
-            + (m - x) * math.log1p(-g)
-        )
-
-    return MeasureSpec(
-        discrete=DiscretePart(
-            point_at=float,
-            mass_at=lambda k: math.exp(ln_mass(float(k))),
-            size=m + 1,
+            size=size,
             density=lambda x: math.exp(ln_mass(x)),
         )
     )
@@ -456,97 +240,332 @@ def _squared_variable_masses(
     )
 
 
-def _cdh_measure(mu: float, al: float, be: float) -> MeasureSpec:
-    ln_c = (
-        -math.log(2.0 * math.pi)
-        - ln_gamma(mu + al)
-        - ln_gamma(mu + be)
-        - ln_gamma(al + be)
-    )
+def _squared_variable_measure(
+    ln_c: float, params: tuple[float, ...], discrete: DiscretePart | None
+) -> MeasureSpec:
+    """Density exp(ln_c) prod_p |Gamma(p+ix)|^2 / |Gamma(2ix)|^2 on x in
+    [0, inf), over the parameters p, together with the given point masses."""
 
     def sigma(x: float) -> float:
         if x == 0.0:
             return 0.0
-        ln = (
-            ln_c
-            + ln_abs_gamma_sq(mu, x)
-            + ln_abs_gamma_sq(al, x)
-            + ln_abs_gamma_sq(be, x)
-            - ln_abs_gamma_sq(0.0, 2.0 * x)
-        )
-        return math.exp(ln)
+        ln = ln_c
+        for p in params:
+            ln += ln_abs_gamma_sq(p, x)
+        return math.exp(ln - ln_abs_gamma_sq(0.0, 2.0 * x))
 
-    discrete = None
-    if mu < 0.0:
-        ln_front = (
-            math.log(2.0)
-            + ln_gamma(al - mu)
-            + ln_gamma(be - mu)
-            - ln_gamma(al + be)
-            - ln_gamma(1.0 - 2.0 * mu)
-        )
-        discrete = _squared_variable_masses(
-            mu,
-            ln_front,
-            poch_up=(mu + al, mu + be, 2.0 * mu),
-            poch_down=(mu - al + 1.0, mu - be + 1.0),
-            alternating_sign=True,  # the (-1)^k k! denominator
-        )
     return MeasureSpec(
         continuous=ContinuousPart(density=sigma, support=(0.0, math.inf)),
         discrete=discrete,
     )
 
 
-def _wilson_measure(mu: float, nu: float, al: float, be: float) -> MeasureSpec:
-    ln_c = (
-        -math.log(2.0 * math.pi)
-        + ln_gamma(mu + nu + al + be)
-        - ln_gamma(mu + nu)
-        - ln_gamma(al + be)
-        - ln_gamma(mu + al)
-        - ln_gamma(mu + be)
-        - ln_gamma(nu + al)
-        - ln_gamma(nu + be)
-    )
+@dataclass(frozen=True)
+class Charlier(FamilySpec):
+    mu: float
+    kind = "charlier"
 
-    def sigma(x: float) -> float:
-        if x == 0.0:
-            return 0.0
-        ln = (
-            ln_c
-            + ln_abs_gamma_sq(mu, x)
-            + ln_abs_gamma_sq(nu, x)
-            + ln_abs_gamma_sq(al, x)
-            + ln_abs_gamma_sq(be, x)
-            - ln_abs_gamma_sq(0.0, 2.0 * x)
+    def __post_init__(self):
+        if not self.mu > 0.0:
+            raise ValidationError(f"charlier requires mu > 0, got mu={self.mu!r}")
+
+    def recurrence(self) -> RecurrenceStream:
+        mu = self.mu
+        return RecurrenceStream(
+            a=lambda n: n + mu,
+            b=lambda n: -math.sqrt(mu * (n + 1)),
         )
-        return math.exp(ln)
 
-    discrete = None
-    if mu < 0.0:
-        ln_front = (
-            math.log(2.0)
+    def measure(self) -> MeasureSpec:
+        mu = self.mu
+
+        def ln_mass(x: float) -> float:
+            return x * math.log(mu) - mu - ln_gamma(x + 1.0)
+
+        return _lattice_measure(ln_mass, size=None)
+
+
+@dataclass(frozen=True)
+class Meixner(FamilySpec):
+    mu: float
+    beta: float
+    kind = "meixner"
+
+    def __post_init__(self):
+        if not self.mu > 0.0:
+            raise ValidationError(f"meixner requires mu > 0, got mu={self.mu!r}")
+        if not 0.0 < self.beta < 1.0:
+            raise ValidationError(
+                f"meixner requires 0 < beta < 1, got beta={self.beta!r}"
+            )
+
+    def recurrence(self) -> RecurrenceStream:
+        mu, beta = self.mu, self.beta
+        sq = math.sqrt(beta) / (1.0 - beta)
+        return RecurrenceStream(
+            a=lambda n: (n * (1.0 + beta) + 2.0 * mu * beta) / (1.0 - beta),
+            b=lambda n: -sq * math.sqrt((n + 1) * (n + 2.0 * mu)),
+        )
+
+    def measure(self) -> MeasureSpec:
+        mu, beta = self.mu, self.beta
+        c = 2.0 * mu * math.log1p(-beta) - ln_gamma(2.0 * mu)
+
+        def ln_mass(x: float) -> float:
+            return c + ln_gamma(2.0 * mu + x) + x * math.log(beta) - ln_gamma(x + 1.0)
+
+        return _lattice_measure(ln_mass, size=None)
+
+
+@dataclass(frozen=True)
+class Krawtchouk(FamilySpec):
+    # The spectrum size is spelled M on the command line and in its output.
+    m: int = field(metadata={"flag": "M"})
+    gamma: float
+    kind = "krawtchouk"
+
+    def __post_init__(self):
+        if not (isinstance(self.m, int) and self.m >= 1):
+            raise ValidationError(f"krawtchouk requires integer M >= 1, got M={self.m!r}")
+        if not 0.0 < self.gamma < 1.0:
+            raise ValidationError(
+                f"krawtchouk requires 0 < gamma < 1, got gamma={self.gamma!r}"
+            )
+
+    def recurrence(self) -> RecurrenceStream:
+        m, g = self.m, self.gamma
+        return RecurrenceStream(
+            a=lambda n: m * g + n * (1.0 - 2.0 * g),
+            b=lambda n: -math.sqrt((n + 1) * (m - n) * g * (1.0 - g)),
+            size=m + 1,
+        )
+
+    def measure(self) -> MeasureSpec:
+        # Binomial masses C(M,k) g^k (1-g)^{M-k}; the exponent on (1-g) uses
+        # the spectrum size M, which is what makes the masses sum to one.
+        m, g = self.m, self.gamma
+        c = ln_gamma(m + 1.0)
+
+        def ln_mass(x: float) -> float:
+            return (
+                c
+                - ln_gamma(m - x + 1.0)
+                - ln_gamma(x + 1.0)
+                + x * math.log(g)
+                + (m - x) * math.log1p(-g)
+            )
+
+        return _lattice_measure(ln_mass, size=m + 1)
+
+
+@dataclass(frozen=True)
+class ContinuousDualHahn(FamilySpec):
+    mu: float
+    alpha: float
+    beta: float
+    kind = "cdh"
+
+    def __post_init__(self):
+        if self.mu == 0.0:
+            raise ValidationError("continuous dual Hahn requires mu != 0")
+        if self.mu > 0.0:
+            if not (self.alpha > 0.0 and self.beta > 0.0):
+                raise ValidationError(
+                    "continuous dual Hahn with mu > 0 requires alpha > 0 and "
+                    f"beta > 0, got alpha={self.alpha!r}, beta={self.beta!r}"
+                )
+        else:
+            if not (self.alpha + self.mu > 0.0 and self.beta + self.mu > 0.0):
+                raise ValidationError(
+                    "continuous dual Hahn with mu < 0 requires alpha + mu > 0 "
+                    f"and beta + mu > 0, got alpha={self.alpha!r}, "
+                    f"beta={self.beta!r}, mu={self.mu!r}"
+                )
+
+    def recurrence(self) -> RecurrenceStream:
+        mu, al, be = self.mu, self.alpha, self.beta
+        return RecurrenceStream(
+            a=lambda n: (n + mu + al) * (n + mu + be)
+            + n * (n + al + be - 1.0)
+            - mu * mu,
+            b=lambda n: -math.sqrt(
+                (n + 1) * (n + al + be) * (n + mu + al) * (n + mu + be)
+            ),
+        )
+
+    def measure(self) -> MeasureSpec:
+        mu, al, be = self.mu, self.alpha, self.beta
+        ln_c = (
+            -math.log(2.0 * math.pi)
+            - ln_gamma(mu + al)
+            - ln_gamma(mu + be)
+            - ln_gamma(al + be)
+        )
+        discrete = None
+        if mu < 0.0:
+            ln_front = (
+                math.log(2.0)
+                + ln_gamma(al - mu)
+                + ln_gamma(be - mu)
+                - ln_gamma(al + be)
+                - ln_gamma(1.0 - 2.0 * mu)
+            )
+            discrete = _squared_variable_masses(
+                mu,
+                ln_front,
+                poch_up=(mu + al, mu + be, 2.0 * mu),
+                poch_down=(mu - al + 1.0, mu - be + 1.0),
+                alternating_sign=True,  # the (-1)^k k! denominator
+            )
+        return _squared_variable_measure(ln_c, (mu, al, be), discrete)
+
+
+@dataclass(frozen=True)
+class Wilson(FamilySpec):
+    mu: float
+    nu: float
+    alpha: float
+    beta: float
+    kind = "wilson"
+
+    def __post_init__(self):
+        others = {"nu": self.nu, "alpha": self.alpha, "beta": self.beta}
+        if self.mu == 0.0:
+            raise ValidationError("wilson requires mu != 0")
+        if self.mu > 0.0:
+            bad = {k: v for k, v in others.items() if not v > 0.0}
+            if bad:
+                raise ValidationError(
+                    f"wilson with mu > 0 requires nu, alpha, beta > 0; violated by {bad!r}"
+                )
+        else:
+            bad = {k: v for k, v in others.items() if not v + self.mu > 0.0}
+            if bad:
+                raise ValidationError(
+                    f"wilson with mu < 0 requires nu + mu, alpha + mu, beta + mu > 0; "
+                    f"violated by {bad!r} with mu={self.mu!r}"
+                )
+
+    def recurrence(self) -> RecurrenceStream:
+        mu, nu, al, be = self.mu, self.nu, self.alpha, self.beta
+        s = mu + nu + al + be
+        # s > 0 for every valid parameter set, so 2n+s-1 and 2n+s-2 vanish
+        # only at n = 0 (s = 1 and s = 2).  Both singularities are
+        # removable: t2 carries a factor n, and at s = 1 the factor
+        # (n+s-1)/(2n+s-1) in a_0 and b_0 is 1.  The cancelled forms are
+        # used only there, so regular parameters keep their bits.
+        degenerate = s == 1.0
+
+        def a(n: int) -> float:
+            if n == 0 and degenerate:
+                return (mu + nu) * (mu + al) * (mu + be) / s - mu * mu
+            t1 = (
+                (n + mu + nu)
+                * (n + mu + al)
+                * (n + mu + be)
+                * (n + s - 1.0)
+                / ((2.0 * n + s) * (2.0 * n + s - 1.0))
+            )
+            if n == 0:
+                return t1 - mu * mu
+            t2 = (
+                n
+                * (n + nu + al - 1.0)
+                * (n + nu + be - 1.0)
+                * (n + al + be - 1.0)
+                / ((2.0 * n + s - 1.0) * (2.0 * n + s - 2.0))
+            )
+            return t1 + t2 - mu * mu
+
+        def b(n: int) -> float:
+            if n == 0 and degenerate:
+                num = (
+                    (mu + nu)
+                    * (al + be)
+                    * (mu + al)
+                    * (mu + be)
+                    * (nu + al)
+                    * (nu + be)
+                )
+                return -math.sqrt(num / (s + 1.0)) / s
+            num = (
+                (n + 1)
+                * (n + mu + nu)
+                * (n + al + be)
+                * (n + mu + al)
+                * (n + mu + be)
+                * (n + nu + al)
+                * (n + nu + be)
+                * (n + s - 1.0)
+            )
+            den = (2.0 * n + s - 1.0) * (2.0 * n + s + 1.0)
+            return -math.sqrt(num / den) / (2.0 * n + s)
+
+        return RecurrenceStream(a=a, b=b)
+
+    def measure(self) -> MeasureSpec:
+        mu, nu, al, be = self.mu, self.nu, self.alpha, self.beta
+        ln_c = (
+            -math.log(2.0 * math.pi)
             + ln_gamma(mu + nu + al + be)
-            + ln_gamma(nu - mu)
-            + ln_gamma(al - mu)
-            + ln_gamma(be - mu)
-            - ln_gamma(-2.0 * mu + 1.0)
+            - ln_gamma(mu + nu)
             - ln_gamma(al + be)
-            - ln_gamma(al + nu)
-            - ln_gamma(be + nu)
+            - ln_gamma(mu + al)
+            - ln_gamma(mu + be)
+            - ln_gamma(nu + al)
+            - ln_gamma(nu + be)
         )
-        discrete = _squared_variable_masses(
-            mu,
-            ln_front,
-            poch_up=(2.0 * mu, mu + nu, mu + al, mu + be),
-            poch_down=(mu - nu + 1.0, mu - al + 1.0, mu - be + 1.0),
-            alternating_sign=False,  # plain k! denominator here
-        )
-    return MeasureSpec(
-        continuous=ContinuousPart(density=sigma, support=(0.0, math.inf)),
-        discrete=discrete,
-    )
+        discrete = None
+        if mu < 0.0:
+            ln_front = (
+                math.log(2.0)
+                + ln_gamma(mu + nu + al + be)
+                + ln_gamma(nu - mu)
+                + ln_gamma(al - mu)
+                + ln_gamma(be - mu)
+                - ln_gamma(-2.0 * mu + 1.0)
+                - ln_gamma(al + be)
+                - ln_gamma(al + nu)
+                - ln_gamma(be + nu)
+            )
+            discrete = _squared_variable_masses(
+                mu,
+                ln_front,
+                poch_up=(2.0 * mu, mu + nu, mu + al, mu + be),
+                poch_down=(mu - nu + 1.0, mu - al + 1.0, mu - be + 1.0),
+                alternating_sign=False,  # plain k! denominator here
+            )
+        return _squared_variable_measure(ln_c, (mu, nu, al, be), discrete)
+
+
+@dataclass(frozen=True)
+class Custom(FamilySpec):
+    stream: RecurrenceStream
+    spec_measure: MeasureSpec
+    kind = "custom"
+
+    def recurrence(self) -> RecurrenceStream:
+        return self.stream
+
+    def measure(self) -> MeasureSpec:
+        return self.spec_measure
+
+
+# The built-in families by command-line name: the only list of them.
+FAMILIES: dict[str, type[FamilySpec]] = {
+    cls.kind: cls for cls in (Charlier, Meixner, Krawtchouk, ContinuousDualHahn, Wilson)
+}
+
+
+def recurrence(spec: FamilySpec) -> RecurrenceStream:
+    """Closed-form recurrence coefficient stream for a family.
+
+    For ContinuousDualHahn and Wilson the recurrence variable is y = x^2;
+    nodes and matrix elements downstream live in that squared variable.
+    """
+    if not isinstance(spec, FamilySpec):
+        raise ValidationError(f"unknown family spec {spec!r}")
+    return spec.recurrence()
 
 
 def measure(spec: FamilySpec) -> MeasureSpec:
@@ -557,19 +576,9 @@ def measure(spec: FamilySpec) -> MeasureSpec:
     y = x^2 (every k >= 0 with k + mu < 0 contributes y_k = -(k+mu)^2, which
     is exactly the index range with positive masses).
     """
-    if isinstance(spec, Charlier):
-        return _charlier_measure(spec.mu)
-    if isinstance(spec, Meixner):
-        return _meixner_measure(spec.mu, spec.beta)
-    if isinstance(spec, Krawtchouk):
-        return _krawtchouk_measure(spec.m, spec.gamma)
-    if isinstance(spec, ContinuousDualHahn):
-        return _cdh_measure(spec.mu, spec.alpha, spec.beta)
-    if isinstance(spec, Wilson):
-        return _wilson_measure(spec.mu, spec.nu, spec.alpha, spec.beta)
-    if isinstance(spec, Custom):
-        return spec.spec_measure
-    raise ValidationError(f"unknown family spec {spec!r}")
+    if not isinstance(spec, FamilySpec):
+        raise ValidationError(f"unknown family spec {spec!r}")
+    return spec.measure()
 
 
 def eval_poly(stream: RecurrenceStream, n: int, x: float) -> float:

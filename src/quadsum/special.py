@@ -122,10 +122,18 @@ def ln_pochhammer_signed(a: float, n: int) -> tuple[float, float]:
 
 
 def gamma(x: float) -> float:
-    """Gamma(x) for real non-pole x (sign included for x < 0)."""
+    """Gamma(x) for real non-pole x (sign included for x < 0); inf where it
+    overflows, and a signed zero where |Gamma(x)| underflows for x < 0."""
     if x > 0.0:
-        return math.exp(ln_gamma(x))
+        try:
+            return math.exp(ln_gamma(x))
+        except OverflowError:
+            return math.inf
     if x == math.floor(x):
         raise ValidationError(f"Gamma pole at {x!r}")
     # Reflection: Gamma(x) = pi / (sin(pi x) Gamma(1 - x)).
-    return math.pi / (math.sin(math.pi * x) * math.exp(ln_gamma(1.0 - x)))
+    sin = math.sin(math.pi * x)
+    try:
+        return math.pi / (sin * math.exp(ln_gamma(1.0 - x)))
+    except OverflowError:
+        return math.copysign(0.0, sin)

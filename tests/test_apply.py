@@ -12,7 +12,6 @@ from quadsum.apply import (
     continuous_part_estimate,
     exact_exponential_sum,
     exact_shifted_power_sum,
-    matrix_element,
     relative_error,
     spectral_reference,
 )
@@ -28,7 +27,7 @@ from quadsum.families import (
     measure,
     recurrence,
 )
-from quadsum.jacobi import build
+from quadsum.jacobi import build, matrix_function_element
 from quadsum.special import ln_gamma
 
 
@@ -173,26 +172,22 @@ class TestContinuousPartEstimate:
 
 class TestMatrixElement:
     def test_constant_function(self):
-        assert matrix_element(Charlier(2.0), 6, lambda t: 1.0, 1, 1) == pytest.approx(
-            1.0, abs=1e-13
-        )
-        assert matrix_element(Charlier(2.0), 6, lambda t: 1.0, 0, 2) == pytest.approx(
-            0.0, abs=1e-13
-        )
+        j = build(recurrence(Charlier(2.0)), 6)
+        assert matrix_function_element(j, lambda t: 1.0, 1, 1) == pytest.approx(1.0, abs=1e-13)
+        assert matrix_function_element(j, lambda t: 1.0, 0, 2) == pytest.approx(0.0, abs=1e-13)
 
     def test_linear_function(self):
         st = recurrence(Charlier(2.0))
-        got = matrix_element(Charlier(2.0), 6, lambda t: t, 0, 1)
+        got = matrix_function_element(build(recurrence(Charlier(2.0)), 6), lambda t: t, 0, 1)
         assert got == pytest.approx(st.b(0), rel=1e-13)
 
     def test_square(self):
-        assert matrix_element(Charlier(2.0), 5, lambda t: t * t, 0, 0) == pytest.approx(
-            6.0, rel=1e-12
-        )
+        j = build(recurrence(Charlier(2.0)), 5)
+        assert matrix_function_element(j, lambda t: t * t, 0, 0) == pytest.approx(6.0, rel=1e-12)
 
     def test_index_validation(self):
         with pytest.raises(ValidationError):
-            matrix_element(Charlier(2.0), 3, lambda t: t, 3, 0)
+            matrix_function_element(build(recurrence(Charlier(2.0)), 3), lambda t: t, 3, 0)
 
 
 class TestRelativeError:

@@ -133,6 +133,24 @@ class TestSumCommand:
         assert code == 2
         assert "syntax" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "1_0"])
+    def test_define_outside_number_grammar_exit_2(self, capsys, value):
+        code, _, err = run_cli(
+            capsys, "sum", "--family", "charlier", "--mu", "2", "--n", "3",
+            "--f", "r^x", "--define", f"r={value}",
+        )
+        assert code == 2
+        assert "define" in err
+
+    def test_gamma_overflow_is_numerical_failure(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sum", "--family", "charlier", "--mu", "2", "--n", "40",
+            "--f", "gamma(x+200)",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure")
+        assert "Traceback" not in err
+
     def test_domain_error_exit_3(self, capsys):
         # ln is undefined at the low nodes of this rule
         code, _, err = run_cli(
@@ -180,3 +198,89 @@ class TestTableCommand:
         doc = json.loads(out)
         assert doc["pass"] is False
         assert any(not c["pass"] for c in doc["cells"])
+
+
+# Every built-in family once, with its CLI flags in declaration order.
+_FAMILY_ARGV = {
+    "charlier": ("--mu", "2"),
+    "meixner": ("--mu", "2", "--beta", "0.4"),
+    "krawtchouk": ("--M", "6", "--gamma", "0.3"),
+    "cdh": ("--mu", "-1.5", "--alpha", "2.5", "--beta", "3"),
+    "wilson": ("--mu", "1", "--nu", "1.2", "--alpha", "1.5", "--beta", "2"),
+}
+
+# Three-point rules, byte for byte.
+_RULE_JSON = {
+    "charlier": '{"family": "charlier", "params": {"mu": 2}, "n": 3, '
+    '"nodes": [0.51071142818992077, 2.7108314535516902, 5.7784571182583884], '
+    '"weights": [0.40431220570283499, 0.53743299196932282, 0.058254802327842234]}\n',
+    "meixner": '{"family": "meixner", "params": {"mu": 2, "beta": 0.40000000000000002}, "n": 3, '
+    '"nodes": [0.84605849948141665, 4.2382073737690877, 9.9157341267494985], '
+    '"weights": [0.51475032942068666, 0.4545022957141, 0.030747374865213895]}\n',
+    "krawtchouk": '{"family": "krawtchouk", "params": {"M": 6, "gamma": 0.29999999999999999}, "n": 3, '
+    '"nodes": [0.37351707089785868, 2.1042964302336173, 4.1221864988685244], '
+    '"weights": [0.30311294515136367, 0.58770112732638757, 0.10918592752224805]}\n',
+    "cdh": '{"family": "cdh", "params": {"mu": -1.5, "alpha": 2.5, "beta": 3}, "n": 3, '
+    '"nodes": [-1.8775105297388903, 5.4613379577796195, 25.166172571959272], '
+    '"weights": [0.85264543182654162, 0.14501515853756131, 0.0023394096358967864]}\n',
+    "wilson": '{"family": "wilson", "params": {"mu": 1, "nu": 1.2, "alpha": 1.5, "beta": 2}, "n": 3, '
+    '"nodes": [0.9534247023783381, 3.7939798895246599, 10.479399531808346], '
+    '"weights": [0.68725607054748594, 0.30482434451917789, 0.00791958493333649]}\n',
+}
+
+_RULE_CSV = {
+    "charlier": "node,weight\n0.51071142818992077,0.40431220570283499\n"
+    "2.7108314535516902,0.53743299196932282\n5.7784571182583884,0.058254802327842234\n",
+    "meixner": "node,weight\n0.84605849948141665,0.51475032942068666\n"
+    "4.2382073737690877,0.4545022957141\n9.9157341267494985,0.030747374865213895\n",
+    "krawtchouk": "node,weight\n0.37351707089785868,0.30311294515136367\n"
+    "2.1042964302336173,0.58770112732638757\n4.1221864988685244,0.10918592752224805\n",
+    "cdh": "node,weight\n-1.8775105297388903,0.85264543182654162\n"
+    "5.4613379577796195,0.14501515853756131\n25.166172571959272,0.0023394096358967864\n",
+    "wilson": "node,weight\n0.9534247023783381,0.68725607054748594\n"
+    "3.7939798895246599,0.30482434451917789\n10.479399531808346,0.00791958493333649\n",
+}
+
+_PARAM_KEYS = {
+    "charlier": ["mu"],
+    "meixner": ["mu", "beta"],
+    "krawtchouk": ["M", "gamma"],
+    "cdh": ["mu", "alpha", "beta"],
+    "wilson": ["mu", "nu", "alpha", "beta"],
+}
+
+
+class TestFamilyContract:
+    """The per-family CLI surface: output bytes, params keys, flag errors."""
+
+    @pytest.mark.parametrize("family", sorted(_FAMILY_ARGV))
+    def test_rule_json_bytes(self, capsys, family):
+        code, out, err = run_cli(capsys, "rule", "--family", family, *_FAMILY_ARGV[family], "--n", "3")
+        assert (code, out, err) == (0, _RULE_JSON[family], "")
+
+    @pytest.mark.parametrize("family", sorted(_FAMILY_ARGV))
+    def test_rule_csv_bytes(self, capsys, family):
+        code, out, err = run_cli(
+            capsys, "rule", "--family", family, *_FAMILY_ARGV[family], "--n", "3", "--format", "csv"
+        )
+        assert (code, out, err) == (0, _RULE_CSV[family], "")
+
+    @pytest.mark.parametrize("family", sorted(_FAMILY_ARGV))
+    def test_params_key_order(self, capsys, family):
+        _, out, _ = run_cli(capsys, "rule", "--family", family, *_FAMILY_ARGV[family], "--n", "2")
+        assert list(json.loads(out)["params"]) == _PARAM_KEYS[family]
+
+    @pytest.mark.parametrize("family", sorted(_FAMILY_ARGV))
+    def test_each_missing_flag_is_named(self, capsys, family):
+        argv = _FAMILY_ARGV[family]
+        for i in range(0, len(argv), 2):
+            rest = argv[:i] + argv[i + 2:]
+            code, out, err = run_cli(capsys, "rule", "--family", family, *rest, "--n", "3")
+            assert (code, out) == (2, "")
+            assert err == f"error: family {family!r} requires {argv[i]}\n"
+
+    def test_unknown_family_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rule", "--family", "bogus", "--mu", "2", "--n", "3"])
+        assert exc.value.code == 2
+        assert "bogus" in capsys.readouterr().err

@@ -104,6 +104,14 @@ class TestEvaluation:
         assert ev("exp(10000)") == math.inf
         assert ev("10^1000") == math.inf
 
+    def test_gamma_overflow_saturates(self):
+        assert ev("gamma(x+200)", 2.0) == math.inf
+        # |Gamma| underflows for large negative non-integers; the sign is kept
+        value = ev("gamma(-x-180.5)", 0.0)
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+        value = ev("gamma(-x-181.5)", 0.0)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
 
 class TestEvalErrors:
     def test_ln_domain(self):

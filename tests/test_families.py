@@ -1,6 +1,7 @@
 """Tests for the polynomial family catalog."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -185,6 +186,19 @@ class TestTruncationPolicy:
         # first three masses only
         expected = math.fsum(d.mass_at(k) for k in range(3))
         assert short == pytest.approx(expected, rel=1e-15)
+
+    def test_nan_integrand_fails_at_first_point(self):
+        d = measure(Charlier(2.0)).discrete
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="point 0.0"):
+            d.weighted_sum(lambda x: math.nan)
+        assert time.perf_counter() - start < 0.5
+
+    def test_infinite_terms_on_finite_measure(self):
+        d = measure(Krawtchouk(5, 0.3)).discrete
+        f = lambda x: math.inf if x == 2.0 else (-math.inf if x == 4.0 else 1.0)
+        with pytest.raises(NumericalError, match="point 2.0"):
+            d.weighted_sum(f)
 
     def test_zero_hits_do_not_stop_early(self):
         # an integrand vanishing at isolated points must not trigger the cutoff

@@ -122,3 +122,10 @@ class TestGamma:
         for x in (0.0, -3.0):
             with pytest.raises(ValidationError):
                 gamma(x)
+
+    def test_overflow_matches_stdlib_limits(self):
+        assert gamma(171.0) == pytest.approx(math.gamma(171.0), rel=1e-12)
+        assert gamma(172.0) == math.inf
+        for x in (-180.5, -181.5, -1000.25):
+            assert gamma(x) == 0.0
+            assert math.copysign(1.0, gamma(x)) == math.copysign(1.0, math.gamma(x))
