@@ -78,7 +78,7 @@ def _node_sum(
     for x, w in zip(rule.nodes, weights):
         fx = f(float(x))
         if not math.isfinite(fx):
-            raise NumericalError(f"integrand is not finite at node {x!r}")
+            raise NumericalError(f"integrand is not finite at node {float(x)!r}")
         terms.append(w * fx)
     return math.fsum(terms)
 

@@ -9,6 +9,12 @@ Subcommands:
 Exit codes: 0 ok, 1 tolerance failure in table mode, 2 usage or validation
 error, 3 numerical failure.  All reals are printed with 17 significant
 digits, so identical invocations produce byte-identical output.
+
+The parser is built once, at import, and ``main`` reuses it for every call:
+``parse_args`` leaves the parser unchanged (the ``--define`` list is copied
+before it is appended to, and usage errors go to the ``sys.stderr`` current
+at the time), so a call's output does not depend on the calls before it.
+``python -m quadsum`` runs ``main`` from a source checkout.
 """
 
 from __future__ import annotations
@@ -112,6 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 # A --define value is a number of the expression language, optionally negated.
 _DEFINE_VALUE_RE = re.compile(rf"\s*-?{NUMBER_RE.pattern}\s*")
 
@@ -205,8 +214,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "rule":
             return _cmd_rule(args)

@@ -113,6 +113,6 @@ def matrix_function_element(
     for eps, l_n, l_m in zip(dec.eigenvalues, row_n, row_m):
         fe = f(float(eps))
         if not math.isfinite(fe):
-            raise ValidationError(f"f is not finite at eigenvalue {eps!r}")
+            raise ValidationError(f"f is not finite at eigenvalue {float(eps)!r}")
         values.append(l_n * fe * l_m)
     return math.fsum(values)

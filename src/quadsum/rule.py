@@ -90,7 +90,8 @@ def gauss_rule_eigenvalue_only(j: JacobiMatrix) -> QuadratureRule:
         if not (eps[i] < hat[i] < eps[i + 1]):
             raise InterlacingError(
                 f"interlacing violated near index {i}: "
-                f"eps={eps[i]!r}, hat={hat[i]!r}, next eps={eps[i + 1]!r}"
+                f"eps={float(eps[i])!r}, hat={float(hat[i])!r}, "
+                f"next eps={float(eps[i + 1])!r}"
             )
     n = j.dimension
     weights = np.empty(n)
@@ -116,8 +117,8 @@ def derivative_weights(
         rho = weight_fn(float(x))
         if not (math.isfinite(rho) and rho > 0.0):
             raise ValidationError(
-                f"weight function must be positive and finite at node {x!r}, "
-                f"got {rho!r}"
+                f"weight function must be positive and finite at node {float(x)!r}, "
+                f"got {float(rho)!r}"
             )
         out[i] = w / rho
     return out

@@ -167,8 +167,10 @@ def run_table(which: int, oracle_size: int = 200) -> TableReport:
     """Recompute one of the bundled reference tables.
 
     ``oracle_size`` is the truncation used for the spectral reference of
-    table 3 (ignored by tables 1 and 2).
+    table 3 (ignored by tables 1 and 2); table 3 requires it to be >= 1.
     """
+    if which == 3 and oracle_size < 1:
+        raise ValidationError(f"table 3 requires oracle_size >= 1, got {oracle_size}")
     if which == 1:
         return _grid(
             1,

@@ -4,9 +4,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quadsum
+import quadsum.cli
 from quadsum.cli import main
 
 
@@ -150,6 +156,7 @@ class TestSumCommand:
         assert (code, out) == (3, "")
         assert err.startswith("numerical failure")
         assert "Traceback" not in err
+        assert err == "numerical failure: integrand is not finite at node -7.577858357427962e-16\n"
 
     def test_domain_error_exit_3(self, capsys):
         # ln is undefined at the low nodes of this rule
@@ -198,6 +205,12 @@ class TestTableCommand:
         doc = json.loads(out)
         assert doc["pass"] is False
         assert any(not c["pass"] for c in doc["cells"])
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_oracle_size_below_one_exits_2(self, capsys, k):
+        code, out, err = run_cli(capsys, "table", "3", "--oracle-k", k)
+        assert (code, out) == (2, "")
+        assert err == f"error: table 3 requires oracle_size >= 1, got {k}\n"
 
 
 # Every built-in family once, with its CLI flags in declaration order.
@@ -284,3 +297,85 @@ class TestFamilyContract:
             main(["rule", "--family", "bogus", "--mu", "2", "--n", "3"])
         assert exc.value.code == 2
         assert "bogus" in capsys.readouterr().err
+
+
+_EXP_SUM = ("sum", "--family", "meixner", "--mu", "2", "--beta", "0.2", "--n", "10",
+            "--f", "r^x/gamma(x+1)")
+
+
+class TestParserReuse:
+    """main parses every call with the one parser built at import."""
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        build_parser = quadsum.cli.build_parser
+        calls = []
+
+        def counting_build_parser():
+            calls.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(quadsum.cli, "build_parser", counting_build_parser)
+        for i in range(50):
+            assert main(["rule", "--family", "charlier", "--mu", "2", "--n", str(1 + i % 5)]) == 0
+        capsys.readouterr()
+        assert calls == []
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert quadsum.cli.build_parser() is not quadsum.cli.build_parser()
+
+    def test_define_does_not_leak_into_the_next_call(self, capsys):
+        code, out, _ = run_cli(capsys, *_EXP_SUM, "--define", "r=3")
+        assert code == 0 and out
+        code, out, err = run_cli(capsys, *_EXP_SUM)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert "unknown name 'r'" in err
+
+    def test_usage_error_does_not_affect_the_next_call(self, capsys):
+        argv = ("rule", "--family", "wilson", "--mu", "1", "--nu", "1.2",
+                "--alpha", "1.5", "--beta", "2", "--n", "4")
+        alone = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["rule", "--family", "bogus", "--mu", "2", "--n", "3"])
+        assert exc.value.code == 2
+        assert "bogus" in capsys.readouterr().err
+        assert run_cli(capsys, *argv) == alone
+
+
+# One invocation per output path: rule JSON and CSV, a sum with --define,
+# a table, a validation error (exit 2) and a numerical failure (exit 3).
+_FRESH_PROCESS_CASES = (
+    ("rule", "--family", "cdh", "--mu", "-1.5", "--alpha", "2.5", "--beta", "3", "--n", "6"),
+    ("rule", "--family", "krawtchouk", "--M", "8", "--gamma", "0.3", "--n", "5",
+     "--format", "csv"),
+    (*_EXP_SUM, "--define", "r=2.5"),
+    ("table", "1"),
+    ("table", "3", "--oracle-k", "0"),
+    ("sum", "--family", "charlier", "--mu", "2", "--n", "40", "--f", "gamma(x+200)"),
+)
+
+
+def test_in_process_output_equals_fresh_process_output(capsys):
+    """Each case prints the same bytes and exit code in a fresh
+    ``python -m quadsum`` process as in-process after other calls."""
+    src = str(Path(quadsum.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    procs = [subprocess.Popen([sys.executable, "-m", "quadsum", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for argv in _FRESH_PROCESS_CASES]
+    try:
+        outputs = [proc.communicate(timeout=120) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    fresh = [(proc.returncode, out, err) for proc, (out, err) in zip(procs, outputs)]
+
+    run_cli(capsys, *_EXP_SUM, "--define", "r=3")
+    with pytest.raises(SystemExit):
+        main(["table", "4"])
+    capsys.readouterr()
+    for argv, expected in zip(_FRESH_PROCESS_CASES, fresh):
+        code, out, err = run_cli(capsys, *argv)
+        assert (argv, code, out.encode(), err.encode()) == (argv, *expected)
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 3]

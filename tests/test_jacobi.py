@@ -122,5 +122,6 @@ class TestMatrixFunction:
 
     def test_nonfinite_function_value(self):
         j = build(recurrence(Charlier(2.0)), 3)
-        with pytest.raises(ValidationError, match="not finite"):
+        with pytest.raises(ValidationError, match="not finite") as exc:
             matrix_function_element(j, lambda t: math.inf, 0, 0)
+        assert str(exc.value) == "f is not finite at eigenvalue 0.5107114281899208"

@@ -64,8 +64,11 @@ class TestEigenvalueOnlyRule:
         # eigenvalues of this matrix coincide to machine precision, so the
         # submatrix spectrum cannot strictly separate them
         j = JacobiMatrix(np.array([1.0, 1.0]), np.array([1e-300]))
-        with pytest.raises(InterlacingError):
+        with pytest.raises(InterlacingError) as exc:
             gauss_rule_eigenvalue_only(j)
+        assert str(exc.value) == (
+            "interlacing violated near index 0: eps=1.0, hat=1.0, next eps=1.0"
+        )
 
     def test_log_space_survives_product_overflow(self):
         # a power-of-two rescaling leaves the weights unchanged (exactly, in
@@ -123,8 +126,11 @@ class TestDerivativeWeights:
 
     def test_rejects_nonpositive_weight_function(self):
         r = gauss_rule(build(recurrence(Charlier(2.0)), 3))
-        with pytest.raises(ValidationError, match="positive"):
+        with pytest.raises(ValidationError, match="positive") as exc:
             derivative_weights(r, lambda x: 0.0)
+        assert str(exc.value) == (
+            "weight function must be positive and finite at node 0.5107114281899208, got 0.0"
+        )
         with pytest.raises(ValidationError, match="positive"):
             derivative_weights(r, lambda x: -1.0)
         with pytest.raises(ValidationError, match="positive"):

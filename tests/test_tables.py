@@ -52,3 +52,12 @@ class TestRunTable:
     def test_unknown_table(self):
         with pytest.raises(ValidationError):
             run_table(4)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_table_three_rejects_oracle_size_below_one(self, size):
+        with pytest.raises(ValidationError, match=f"oracle_size >= 1, got {size}"):
+            run_table(3, oracle_size=size)
+
+    def test_oracle_size_ignored_by_tables_one_and_two(self):
+        assert run_table(1, oracle_size=0).passed
+        assert run_table(2, oracle_size=0).passed
