@@ -31,6 +31,7 @@ __all__ = [
     "exact_exponential_sum",
     "exact_shifted_power_sum",
     "spectral_reference",
+    "SPECTRAL_REFERENCE_SIZE",
     "adaptive_integral",
 ]
 
@@ -148,8 +149,11 @@ def exact_shifted_power_sum(r: float, m_max: int) -> float:
     return lead - tail
 
 
+SPECTRAL_REFERENCE_SIZE = 200  # default truncation, table 3's oracle size
+
+
 def spectral_reference(
-    family: FamilySpec, f: Callable[[float], float], size: int = 200
+    family: FamilySpec, f: Callable[[float], float], size: int = SPECTRAL_REFERENCE_SIZE
 ) -> float:
     """Reference value [f(J)]_{0,0} on a large truncation; the exact value of
     the mixed integral-plus-sum functional in the squared spectral variable.

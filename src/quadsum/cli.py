@@ -25,13 +25,13 @@ import re
 import sys
 from typing import Sequence
 
-from .apply import Functional, approximate
+from .apply import SPECTRAL_REFERENCE_SIZE, Functional, approximate
 from .errors import NumericalError, ValidationError
 from .exprlang import NUMBER_RE, ParseError, evaluate, parse
 from .families import FAMILIES, FamilySpec, recurrence
 from .jacobi import build
 from .rule import gauss_rule
-from .tables import TableReport, run_table
+from .tables import TABLE_NUMBERS, TableReport, run_table
 
 __all__ = ["main", "build_parser"]
 
@@ -83,37 +83,44 @@ def _family_from_args(args: argparse.Namespace) -> tuple[FamilySpec, dict]:
     return FAMILIES[args.family](**kwargs), params
 
 
-def _add_family_options(sub: argparse.ArgumentParser) -> None:
+def _formatter(prog: str) -> argparse.HelpFormatter:
+    # A fixed width, so usage errors and --help wrap the same way on every
+    # terminal; 78 is argparse's own width when COLUMNS is unset.
+    return argparse.HelpFormatter(prog, width=78)
+
+
+def _add_family_command(commands, name: str, summary: str) -> argparse.ArgumentParser:
+    sub = commands.add_parser(name, help=summary, formatter_class=_formatter)
     sub.add_argument("--family", required=True, choices=sorted(FAMILIES))
     for flag, type_ in _FLAG_TYPES.items():
         sub.add_argument(f"--{flag}", type=type_, help=f"family parameter {flag}")
+    sub.add_argument("--n", type=int, required=True, help="number of nodes")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadsum",
         description="Gauss quadrature rules for integrals, sums, and mixed measures.",
+        formatter_class=_formatter,
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    rule_cmd = commands.add_parser("rule", help="emit an N-point rule")
-    _add_family_options(rule_cmd)
-    rule_cmd.add_argument("--n", type=int, required=True, help="number of nodes")
+    rule_cmd = _add_family_command(commands, "rule", "emit an N-point rule")
     rule_cmd.add_argument("--format", choices=("json", "csv"), default="json")
 
-    sum_cmd = commands.add_parser("sum", help="approximate a sum of f over the support")
-    _add_family_options(sum_cmd)
-    sum_cmd.add_argument("--n", type=int, required=True, help="number of nodes")
+    sum_cmd = _add_family_command(commands, "sum", "approximate a sum of f over the support")
     sum_cmd.add_argument("--f", required=True, help="integrand expression in x")
     sum_cmd.add_argument("--mode", choices=("plain", "weighted"), default="plain",
                          help="plain sum of f, or sum weighted by the masses")
     sum_cmd.add_argument("--define", action="append", default=[], metavar="NAME=VALUE",
                          help="substitute NAME by (VALUE) in the expression before parsing")
 
-    table_cmd = commands.add_parser("table", help="regenerate a bundled reference table")
-    table_cmd.add_argument("which", type=int, choices=(1, 2, 3))
+    table_cmd = commands.add_parser("table", help="regenerate a bundled reference table",
+                                    formatter_class=_formatter)
+    table_cmd.add_argument("which", type=int, choices=TABLE_NUMBERS)
     table_cmd.add_argument("--format", choices=("json", "csv"), default="json")
-    table_cmd.add_argument("--oracle-k", type=int, default=200,
+    table_cmd.add_argument("--oracle-k", type=int, default=SPECTRAL_REFERENCE_SIZE,
                            help="truncation size of the spectral reference (table 3)")
     return parser
 

@@ -10,8 +10,9 @@ of squared weights.
 The sweep is a scalar loop, so it runs on Python floats (lists) rather than
 numpy arrays: reading and writing numpy elements one at a time boxes every
 value into a numpy scalar, which makes the loop about 4x slower, while the
-same IEEE double operations on Python floats return the same bits.  Only the
-full-eigenvector mode rotates numpy columns.
+same IEEE double operations on Python floats return the same bits.  Full
+mode runs the same sweep on numpy vectors, the columns of the eigenvector
+matrix, doing on each element what first-row mode does on its float.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 from .jacobi import JacobiMatrix
 
 __all__ = [
@@ -60,17 +61,12 @@ class EigenDecomposition:
     full_matrix: np.ndarray | None = None
 
 
-def _ql_implicit(
-    d: list[float],
-    e: list[float],
-    row: list[float] | None,
-    full: np.ndarray | None,
-) -> None:
+def _ql_implicit(d: list[float], e: list[float], row: list | None) -> None:
     """In-place implicit-shift QL on diagonal d and off-diagonal e.
 
-    Rotations are accumulated on ``row`` (a single row vector) and/or
-    ``full`` (columns) when given.  Deflation splits the matrix where
-    |e_i| <= eps (|d_i| + |d_{i+1}|).
+    Rotations are accumulated on ``row`` when given: floats (a row of the
+    eigenvector matrix) or numpy vectors (its columns).  Deflation splits the
+    matrix where |e_i| <= eps (|d_i| + |d_{i+1}|).
     """
     n = len(d)
     for l in range(n):
@@ -114,10 +110,6 @@ def _ql_implicit(
                     f = row[i + 1]
                     row[i + 1] = s * row[i] + c * f
                     row[i] = c * row[i] - s * f
-                if full is not None:
-                    f_col = full[:, i + 1].copy()
-                    full[:, i + 1] = s * full[:, i] + c * f_col
-                    full[:, i] = c * full[:, i] - s * f_col
             if not underflowed:
                 d[l] -= p
                 e[l] = g
@@ -132,39 +124,31 @@ def decompose(j: JacobiMatrix, mode: str = "values") -> EigenDecomposition:
     every first component is nonnegative.
     """
     if mode not in ("values", "first_row", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValidationError(f"unknown mode {mode!r}")
     n = j.dimension
     d = j.diag.tolist()
     e = j.offdiag.tolist() + [0.0]
     row = None
-    full = None
     if mode == "first_row":
         row = [1.0] + [0.0] * (n - 1)
     elif mode == "full":
-        full = np.eye(n)
-    _ql_implicit(d, e, row, full)
+        row = list(np.eye(n))
+    _ql_implicit(d, e, row)
     d = np.array(d)
     order = np.argsort(d, kind="stable")
     d = d[order]
-    first = None
-    if row is not None:
-        first = np.array(row)[order]
-    if full is not None:
-        full = full[:, order]
-        first = full[0].copy()
-    if first is not None:
-        zero = first == 0.0
-        if np.any(zero):
-            raise NumericalError(
-                "eigenvector with exactly zero first component at index "
-                f"{int(np.nonzero(zero)[0][0])}; matrix is numerically reducible"
-            )
-        if full is not None:
-            full = full * np.sign(first)
-            first = full[0].copy()
-        else:
-            first = np.abs(first)
-    return EigenDecomposition(eigenvalues=d, first_components=first, full_matrix=full)
+    if row is None:
+        return EigenDecomposition(eigenvalues=d)
+    # the first row itself, or the eigenvector matrix with columns in order
+    vectors = np.array(row)[order].T
+    first = np.atleast_2d(vectors)[0]
+    if not first.all():
+        raise NumericalError(
+            "eigenvector with exactly zero first component at index "
+            f"{int(np.flatnonzero(first == 0.0)[0])}; matrix is numerically reducible"
+        )
+    full = vectors * np.sign(first) if mode == "full" else None
+    return EigenDecomposition(d, np.abs(first), full)
 
 
 def eigenvalues(j: JacobiMatrix) -> np.ndarray:
@@ -176,6 +160,5 @@ def deleted_submatrix_eigenvalues(j: JacobiMatrix) -> np.ndarray:
     """Eigenvalues of the trailing principal submatrix (first row and
     column deleted), ascending."""
     if j.dimension < 2:
-        raise ValueError("deleted submatrix requires dimension >= 2")
-    sub = JacobiMatrix(j.diag[1:].copy(), j.offdiag[1:].copy())
-    return eigenvalues(sub)
+        raise ValidationError("deleted submatrix requires dimension >= 2")
+    return eigenvalues(JacobiMatrix(j.diag[1:].copy(), j.offdiag[1:].copy()))

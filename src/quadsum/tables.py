@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .apply import (
+    SPECTRAL_REFERENCE_SIZE,
     Functional,
     approximate,
     exact_exponential_sum,
@@ -163,7 +164,7 @@ def _grid(
     return TableReport(table, title, n_values, tuple(cells))
 
 
-def run_table(which: int, oracle_size: int = 200) -> TableReport:
+def run_table(which: int, oracle_size: int = SPECTRAL_REFERENCE_SIZE) -> TableReport:
     """Recompute one of the bundled reference tables.
 
     ``oracle_size`` is the truncation used for the spectral reference of

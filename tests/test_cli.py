@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -379,3 +380,53 @@ def test_in_process_output_equals_fresh_process_output(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (argv, code, out.encode(), err.encode()) == (argv, *expected)
     assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 3]
+
+
+# Usage errors (exit 2) and --help (exit 0) at both parser levels.
+_USAGE_CASES = (
+    ("rule", "--family", "bogus", "--n", "2"),
+    ("table", "9"),
+    ("sum", "--help"),
+    ("--help",),
+)
+
+
+def _exit_output(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestFixedWidthUsage:
+    """Usage errors and --help wrap at 78 columns whatever the terminal."""
+
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    @pytest.mark.parametrize("argv", _USAGE_CASES, ids=" ".join)
+    def test_output_ignores_columns(self, capsys, monkeypatch, argv, columns):
+        monkeypatch.delenv("COLUMNS", raising=False)
+        unset = _exit_output(capsys, argv)
+        monkeypatch.setenv("COLUMNS", columns)
+        assert _exit_output(capsys, argv) == unset
+
+    def test_usage_error_bytes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "40")
+        assert _exit_output(capsys, ("rule", "--family", "bogus", "--n", "2")) == (
+            2,
+            "",
+            "usage: quadsum rule [-h] --family {cdh,charlier,krawtchouk,meixner,wilson}\n"
+            "                    [--mu MU] [--beta BETA] [--M M] [--gamma GAMMA]\n"
+            "                    [--alpha ALPHA] [--nu NU] --n N [--format {json,csv}]\n"
+            "quadsum rule: error: argument --family: invalid choice: 'bogus' (choose from "
+            "'cdh', 'charlier', 'krawtchouk', 'meixner', 'wilson')\n",
+        )
+
+
+def test_readme_cli_examples_exit_0(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("quadsum ")]
+    assert lines
+    for line in lines:
+        assert (line, main(shlex.split(line)[1:])) == (line, 0)
+    capsys.readouterr()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from quadsum.eig import _ql_implicit, decompose, deleted_submatrix_eigenvalues, eigenvalues
-from quadsum.errors import NumericalError
+from quadsum.errors import NumericalError, ValidationError
 from quadsum.families import (
     Charlier,
     ContinuousDualHahn,
@@ -106,6 +106,12 @@ class TestDecompositionProperties:
         with pytest.raises(ValueError):
             decompose(j, mode="rows")
 
+    def test_argument_checks_raise_validation_error(self):
+        with pytest.raises(ValidationError, match="unknown mode 'rows'"):
+            decompose(build(recurrence(Charlier(2.0)), 3), mode="rows")
+        with pytest.raises(ValidationError, match="dimension >= 2"):
+            deleted_submatrix_eigenvalues(build(recurrence(Charlier(2.0)), 1))
+
     def test_first_components_nonnegative_and_normalized(self):
         j = build(recurrence(Meixner(2.0, 0.4)), 20)
         dec = decompose(j, mode="first_row")
@@ -188,6 +194,37 @@ class TestModeBitIdentity:
         assert np.array_equal(values.eigenvalues, full.eigenvalues)
         assert np.array_equal(first.first_components, full.full_matrix[0])
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Charlier(2.0),
+            Meixner(2.0, 0.4),
+            Krawtchouk(100, 0.3),
+            ContinuousDualHahn(1.5, 2.0, 3.0),
+            ContinuousDualHahn(-3.5, 4.5, 4.5),
+            Wilson(1.0, 1.2, 1.5, 2.0),
+            Wilson(-3.5, 4.5, 5.5, 6.5),
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    def test_full_rows_are_first_row_sweeps_from_unit_vectors(self, spec, n):
+        # full mode is the first-row sweep run on every row at once: row k of
+        # the eigenvector matrix is the sweep started from e_k, put in
+        # eigenvalue order and signed like row 0
+        j = build(recurrence(spec), n)
+        full = decompose(j, mode="full").full_matrix
+        rows = []
+        for k in range(n):
+            d, e = j.diag.tolist(), j.offdiag.tolist() + [0.0]
+            row = [0.0] * n
+            row[k] = 1.0
+            _ql_implicit(d, e, row)
+            rows.append(row)
+        order = np.argsort(d, kind="stable")
+        signs = np.sign(np.array(rows[0])[order])
+        for k in range(n):
+            assert np.array_equal(np.array(rows[k])[order] * signs, full[k])
+
     def test_python_floats_match_numpy_scalars(self):
         # the sweep on numpy arrays (numpy-scalar arithmetic) is the reference
         # for the sweep on lists of Python floats: same operations, same bits
@@ -196,8 +233,8 @@ class TestModeBitIdentity:
         row = [1.0] + [0.0] * 39
         d_ref, e_ref = j.diag.copy(), np.append(j.offdiag, 0.0)
         row_ref = np.eye(40)[0]
-        _ql_implicit(d, e, row, None)
-        _ql_implicit(d_ref, e_ref, row_ref, None)
+        _ql_implicit(d, e, row)
+        _ql_implicit(d_ref, e_ref, row_ref)
         assert np.array_equal(np.array(d), d_ref)
         assert np.array_equal(np.array(e), e_ref)
         assert np.array_equal(np.array(row), row_ref)
