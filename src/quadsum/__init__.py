@@ -8,15 +8,13 @@ sums, and mixed integral-plus-sum functionals.
 
 from .apply import (
     Functional,
-    adaptive_integral,
     approximate,
-    continuous_part_estimate,
     exact_exponential_sum,
     exact_shifted_power_sum,
     relative_error,
     spectral_reference,
 )
-from .eig import ConvergenceError, EigenDecomposition, decompose, deleted_submatrix_eigenvalues, eigenvalues
+from .eig import ConvergenceError, EigenDecomposition, decompose, eigenvalues
 from .errors import NumericalError, ValidationError
 from .families import (
     Charlier,
@@ -27,20 +25,12 @@ from .families import (
     MeasureSpec,
     Meixner,
     RecurrenceStream,
-    TruncationPolicy,
     Wilson,
-    eval_poly,
     measure,
     recurrence,
 )
-from .jacobi import JacobiMatrix, build, matrix_function_element, power_element
-from .rule import (
-    InterlacingError,
-    QuadratureRule,
-    derivative_weights,
-    gauss_rule,
-    gauss_rule_eigenvalue_only,
-)
+from .jacobi import JacobiMatrix, build, matrix_function_element
+from .rule import QuadratureRule, derivative_weights, gauss_rule
 from .tables import TableReport, run_table
 
 __all__ = [
@@ -51,7 +41,6 @@ __all__ = [
     "EigenDecomposition",
     "FamilySpec",
     "Functional",
-    "InterlacingError",
     "JacobiMatrix",
     "Krawtchouk",
     "MeasureSpec",
@@ -60,25 +49,18 @@ __all__ = [
     "QuadratureRule",
     "RecurrenceStream",
     "TableReport",
-    "TruncationPolicy",
     "ValidationError",
     "Wilson",
-    "adaptive_integral",
     "approximate",
     "build",
-    "continuous_part_estimate",
     "decompose",
-    "deleted_submatrix_eigenvalues",
     "derivative_weights",
     "eigenvalues",
-    "eval_poly",
     "exact_exponential_sum",
     "exact_shifted_power_sum",
     "gauss_rule",
-    "gauss_rule_eigenvalue_only",
     "matrix_function_element",
     "measure",
-    "power_element",
     "recurrence",
     "relative_error",
     "run_table",

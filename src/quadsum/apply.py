@@ -4,8 +4,8 @@ A Functional pairs an integrand with a family, an order, and a kind saying
 what is being approximated: a weighted or plain integral, a weighted or
 plain (possibly infinite) sum, or a mixed integral-plus-sum, including the
 squared-argument variant used by the families whose recurrence runs in
-y = x^2.  Reference oracles and the relative-error metric used by the
-report tables live here too.
+y = x^2.  The reference values (closed forms and the spectral element) and
+the relative-error metric used by the report tables live here too.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ __all__ = [
     "FUNCTIONAL_KINDS",
     "Functional",
     "approximate",
-    "continuous_part_estimate",
     "relative_error",
     "exact_exponential_sum",
     "exact_shifted_power_sum",
     "spectral_reference",
     "SPECTRAL_REFERENCE_SIZE",
-    "adaptive_integral",
 ]
 
 # kind -> (whether the measure has (continuous, discrete) components, and
@@ -89,8 +87,8 @@ def approximate(fn: Functional) -> float:
 
     Weighted and mixed kinds return sum_n w_n f(eps_n); plain kinds divide
     the weights by the measure density at the nodes first.  The
-    continuous_part kind subtracts the exact discrete sum, per
-    continuous_part_estimate.
+    continuous_part kind estimates the continuous component alone: the
+    quadrature sum minus the exact finite discrete sum.
     """
     spec = measure(fn.family)
     components, density_of = _KINDS[fn.kind]
@@ -114,12 +112,6 @@ def approximate(fn: Functional) -> float:
     if subtract_discrete:
         value -= spec.discrete.weighted_sum(fn.f)
     return value
-
-
-def continuous_part_estimate(fn: Functional) -> float:
-    """Estimate of the continuous component alone: the quadrature sum minus
-    the exact finite discrete sum."""
-    return approximate(Functional("continuous_part", fn.f, fn.family, fn.order))
 
 
 def relative_error(exact: float, approx: float) -> float:
@@ -165,56 +157,3 @@ def spectral_reference(
         raise ValidationError(f"size must be >= 1, got {size}")
     return matrix_function_element(build(recurrence(family), size), f, 0, 0)
 
-
-def adaptive_integral(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    max_depth: int = 60,
-) -> float:
-    """Adaptive-Simpson integral of g over [lo, hi], hi may be math.inf.
-
-    An infinite upper limit is mapped to [0, 1) by x = lo + t/(1-t); the
-    integrand must decay there.  The tolerance acts on the absolute error,
-    scaled by max(1, |first whole-interval estimate|).  Exceeding the
-    subdivision depth raises NumericalError.
-    """
-    if math.isinf(hi):
-        def mapped(t: float) -> float:
-            if t >= 1.0:
-                return 0.0
-            u = 1.0 - t
-            return g(lo + t / u) / (u * u)
-
-        return adaptive_integral(mapped, 0.0, 1.0, tol=tol, max_depth=max_depth)
-    if not lo < hi:
-        raise ValidationError(f"requires lo < hi, got [{lo!r}, {hi!r}]")
-
-    def simpson(fa: float, fm: float, fb: float, h: float) -> float:
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, m, fm, b, fb, whole, eps, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = g(lm)
-        frm = g(rm)
-        left = simpson(fa, flm, fm, m - a)
-        right = simpson(fm, frm, fb, b - m)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        if depth >= max_depth:
-            raise NumericalError(
-                f"adaptive integration exceeded {max_depth} subdivisions near x={m!r}"
-            )
-        return recurse(a, fa, lm, flm, m, fm, left, 0.5 * eps, depth + 1) + recurse(
-            m, fm, rm, frm, b, fb, right, 0.5 * eps, depth + 1
-        )
-
-    fa, fb = g(lo), g(hi)
-    mid = 0.5 * (lo + hi)
-    fm = g(mid)
-    whole = simpson(fa, fm, fb, hi - lo)
-    eps = tol * max(1.0, abs(whole))
-    return recurse(lo, fa, mid, fm, hi, fb, whole, eps, 0)

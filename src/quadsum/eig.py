@@ -30,7 +30,6 @@ __all__ = [
     "EigenDecomposition",
     "decompose",
     "eigenvalues",
-    "deleted_submatrix_eigenvalues",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -155,10 +154,3 @@ def eigenvalues(j: JacobiMatrix) -> np.ndarray:
     """All eigenvalues of J, ascending (the zeros of p_N)."""
     return decompose(j, mode="values").eigenvalues
 
-
-def deleted_submatrix_eigenvalues(j: JacobiMatrix) -> np.ndarray:
-    """Eigenvalues of the trailing principal submatrix (first row and
-    column deleted), ascending."""
-    if j.dimension < 2:
-        raise ValidationError("deleted submatrix requires dimension >= 2")
-    return eigenvalues(JacobiMatrix(j.diag[1:].copy(), j.offdiag[1:].copy()))

@@ -1,5 +1,4 @@
-"""Orthonormal polynomial families: recurrence coefficients, measures, and
-recurrence-based evaluation.
+"""Orthonormal polynomial families: recurrence coefficients and measures.
 
 Five built-in families are provided.  Charlier and Meixner carry infinite
 discrete measures on the nonnegative integers, Krawtchouk a finite one on
@@ -22,7 +21,9 @@ from .errors import NumericalError, ValidationError
 from .special import ln_abs_gamma_sq, ln_gamma, ln_pochhammer_signed
 
 __all__ = [
-    "TruncationPolicy",
+    "SUM_REL_TAIL",
+    "SUM_MAX_TERMS",
+    "SUM_RUN_LENGTH",
     "RecurrenceStream",
     "ContinuousPart",
     "DiscretePart",
@@ -37,22 +38,15 @@ __all__ = [
     "FAMILIES",
     "recurrence",
     "measure",
-    "eval_poly",
 ]
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Cutoff for sums over infinite discrete measures.
-
-    Accumulation stops once ``run_length`` consecutive terms fall below
-    ``rel_tail`` times the running total of absolute terms, or at
-    ``max_terms``, whichever comes first.
-    """
-
-    rel_tail: float = 1e-18
-    max_terms: int = 1_000_000
-    run_length: int = 3
+# Cutoff for sums over infinite discrete measures: accumulation stops once
+# SUM_RUN_LENGTH consecutive terms fall below SUM_REL_TAIL times the running
+# total of absolute terms, or at SUM_MAX_TERMS, whichever comes first.
+SUM_REL_TAIL = 1e-18
+SUM_MAX_TERMS = 1_000_000
+SUM_RUN_LENGTH = 3
 
 
 @dataclass(frozen=True)
@@ -126,27 +120,25 @@ class DiscretePart:
     def finite(self) -> bool:
         return self.size is not None
 
-    def weighted_sum(
-        self, f: Callable[[float], float], policy: TruncationPolicy | None = None
-    ) -> float:
-        """Sum of xi_k f(x_k) over the support, truncated per policy if infinite;
-        a non-finite term raises NumericalError naming its point."""
+    def weighted_sum(self, f: Callable[[float], float]) -> float:
+        """Sum of xi_k f(x_k) over the support, truncated per the SUM_*
+        constants if infinite; a non-finite term raises NumericalError naming
+        its point."""
         if self.finite:
             return math.fsum(
                 _finite_term(xi * f(x), x) for x, xi in zip(self.points, self.masses)
             )
-        policy = policy or TruncationPolicy()
         total = 0.0
         abs_total = 0.0
         small_run = 0
-        for k in range(policy.max_terms):
+        for k in range(SUM_MAX_TERMS):
             x = self.point_at(k)
             term = _finite_term(self.mass_at(k) * f(x), x)
             total += term
             abs_total += abs(term)
-            if abs(term) < policy.rel_tail * abs_total:
+            if abs(term) < SUM_REL_TAIL * abs_total:
                 small_run += 1
-                if small_run >= policy.run_length:
+                if small_run >= SUM_RUN_LENGTH:
                     break
             else:
                 small_run = 0
@@ -580,26 +572,3 @@ def measure(spec: FamilySpec) -> MeasureSpec:
         raise ValidationError(f"unknown family spec {spec!r}")
     return spec.measure()
 
-
-def eval_poly(stream: RecurrenceStream, n: int, x: float) -> float:
-    """Evaluate the orthonormal polynomial p_n(x) by forward recurrence.
-
-    Seeds are p_0 = 1 and p_1 = (x - a_0)/b_0; then
-    x p_k = a_k p_k + b_{k-1} p_{k-1} + b_k p_{k+1}.
-    """
-    if n < 0:
-        raise ValidationError(f"polynomial degree must be >= 0, got {n}")
-    if stream.size is not None and n > stream.size - 1:
-        raise ValidationError(
-            f"degree {n} out of range for a finite family of size {stream.size}"
-        )
-    p_prev = 1.0
-    if n == 0:
-        return p_prev
-    p_cur = (x - stream.a(0)) / stream.b(0)
-    for k in range(1, n):
-        p_prev, p_cur = (
-            p_cur,
-            ((x - stream.a(k)) * p_cur - stream.b(k - 1) * p_prev) / stream.b(k),
-        )
-    return p_cur

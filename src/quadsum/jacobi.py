@@ -1,5 +1,5 @@
-"""Finite Jacobi matrix truncations, exact matrix powers, and the spectral
-matrix-function element used as the mixed-measure reference value."""
+"""Finite Jacobi matrix truncations and the spectral matrix-function element
+used as the mixed-measure reference value."""
 
 from __future__ import annotations
 
@@ -9,10 +9,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .families import RecurrenceStream
 
-__all__ = ["JacobiMatrix", "build", "power_element", "matrix_function_element"]
+__all__ = ["JacobiMatrix", "build", "matrix_function_element"]
 
 
 @dataclass(frozen=True)
@@ -41,20 +41,6 @@ class JacobiMatrix:
     def dimension(self) -> int:
         return self.diag.size
 
-    def dense(self) -> np.ndarray:
-        out = np.diag(self.diag)
-        n = self.dimension
-        out[np.arange(n - 1), np.arange(1, n)] = self.offdiag
-        out[np.arange(1, n), np.arange(n - 1)] = self.offdiag
-        return out
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        if self.dimension > 1:
-            out[:-1] += self.offdiag * v[1:]
-            out[1:] += self.offdiag * v[:-1]
-        return out
-
 
 def build(stream: RecurrenceStream, n: int) -> JacobiMatrix:
     """N x N truncation of the Jacobi matrix of a recurrence stream."""
@@ -62,30 +48,6 @@ def build(stream: RecurrenceStream, n: int) -> JacobiMatrix:
     diag = np.array([stream.a(i) for i in range(n)], dtype=float)
     offdiag = np.array([stream.b(i) for i in range(n - 1)], dtype=float)
     return JacobiMatrix(diag, offdiag)
-
-
-def power_element(stream: RecurrenceStream, k: int, n: int, m: int) -> float:
-    """Element (J^k)_{n,m} of the semi-infinite Jacobi matrix.
-
-    Computed on a truncation of dimension max(n, m) + k + 1, which is exact
-    because each power widens the bandwidth by one; for finite streams the
-    truncation is capped at the full (finite) matrix.
-    """
-    if k < 0 or n < 0 or m < 0:
-        raise ValidationError("power_element requires k, n, m >= 0")
-    dim = max(n, m) + k + 1
-    if stream.size is not None:
-        if max(n, m) >= stream.size:
-            raise ValidationError(
-                f"indices ({n}, {m}) out of range for size {stream.size}"
-            )
-        dim = min(dim, stream.size)
-    j = build(stream, dim)
-    v = np.zeros(dim)
-    v[m] = 1.0
-    for _ in range(k):
-        v = j.matvec(v)
-    return float(v[n])
 
 
 def matrix_function_element(
@@ -113,6 +75,6 @@ def matrix_function_element(
     for eps, l_n, l_m in zip(dec.eigenvalues, row_n, row_m):
         fe = f(float(eps))
         if not math.isfinite(fe):
-            raise ValidationError(f"f is not finite at eigenvalue {float(eps)!r}")
+            raise NumericalError(f"f is not finite at eigenvalue {float(eps)!r}")
         values.append(l_n * fe * l_m)
     return math.fsum(values)

@@ -1,9 +1,8 @@
 """Quadrature rules from Jacobi matrices.
 
-Two independent constructions: squared first eigenvector components, or the
-eigenvalue-only product formula over the spectrum of the matrix and of its
-deleted principal submatrix.  Also converts weights to "derivative weights"
-for plain (unweighted) integrals and sums.
+Nodes are the eigenvalues and weights the squared first eigenvector
+components.  Also converts weights to "derivative weights" for plain
+(unweighted) integrals and sums.
 """
 
 from __future__ import annotations
@@ -15,23 +14,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .eig import decompose, deleted_submatrix_eigenvalues, eigenvalues
+from .eig import decompose
 from .jacobi import JacobiMatrix
 
-__all__ = [
-    "InterlacingError",
-    "QuadratureRule",
-    "gauss_rule",
-    "gauss_rule_eigenvalue_only",
-    "derivative_weights",
-]
+__all__ = ["QuadratureRule", "gauss_rule", "derivative_weights"]
 
 _MASS_TOL = 1e-12
-
-
-class InterlacingError(NumericalError):
-    """Submatrix eigenvalues failed to interlace strictly; the eigenvalue-only
-    weight formula has broken down numerically."""
 
 
 @dataclass(frozen=True)
@@ -72,36 +60,6 @@ def gauss_rule(j: JacobiMatrix) -> QuadratureRule:
     eigenvector components."""
     dec = decompose(j, mode="first_row")
     return QuadratureRule(dec.eigenvalues, dec.first_components**2)
-
-
-def gauss_rule_eigenvalue_only(j: JacobiMatrix) -> QuadratureRule:
-    """Gauss rule of J computed from eigenvalues alone.
-
-    The weight at node eps_n is the ratio of the products of (eps_n - eps_hat_m)
-    over the deleted-submatrix spectrum and (eps_n - eps_k), k != n.  Products
-    are accumulated in log space with sign tracking; strict interlacing of the
-    two spectra is verified first.
-    """
-    if j.dimension < 2:
-        raise ValidationError("eigenvalue-only weights require dimension >= 2")
-    eps = eigenvalues(j)
-    hat = deleted_submatrix_eigenvalues(j)
-    for i in range(j.dimension - 1):
-        if not (eps[i] < hat[i] < eps[i + 1]):
-            raise InterlacingError(
-                f"interlacing violated near index {i}: "
-                f"eps={float(eps[i])!r}, hat={float(hat[i])!r}, "
-                f"next eps={float(eps[i + 1])!r}"
-            )
-    n = j.dimension
-    weights = np.empty(n)
-    for k in range(n):
-        num = eps[k] - hat
-        den = eps[k] - np.delete(eps, k)
-        ln = float(np.sum(np.log(np.abs(num))) - np.sum(np.log(np.abs(den))))
-        sign = 1.0 if (np.count_nonzero(num < 0) + np.count_nonzero(den < 0)) % 2 == 0 else -1.0
-        weights[k] = sign * math.exp(ln)
-    return QuadratureRule(eps, weights)
 
 
 def derivative_weights(

@@ -14,7 +14,7 @@ import math
 
 from .errors import ValidationError
 
-__all__ = ["ln_gamma", "ln_abs_gamma_sq", "pochhammer", "gamma", "ln_pochhammer_signed"]
+__all__ = ["ln_gamma", "ln_abs_gamma_sq", "gamma", "ln_pochhammer_signed"]
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
@@ -89,20 +89,6 @@ def ln_abs_gamma_sq(a: float, x: float) -> float:
     # |Gamma(z)|^2 = pi^2 / (|sin(pi z)|^2 |Gamma(1 - z)|^2), and
     # |Gamma((1-a) - ix)|^2 = |Gamma((1-a) + ix)|^2.
     return 2.0 * _LN_PI - _ln_abs_sin_pi_sq(a, x) - ln_abs_gamma_sq(1.0 - a, x)
-
-
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1.
-
-    Computed by direct product; may legitimately be zero or negative for
-    negative a.
-    """
-    if n < 0:
-        raise ValidationError(f"pochhammer requires n >= 0, got {n!r}")
-    out = 1.0
-    for j in range(n):
-        out *= a + j
-    return out
 
 
 def ln_pochhammer_signed(a: float, n: int) -> tuple[float, float]:

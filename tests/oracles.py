@@ -1,0 +1,128 @@
+"""Reference computations used only by the test suite.
+
+Each one is an independent route to a value the library computes another
+way: orthonormal polynomials by forward recurrence, exact matrix powers of
+the Jacobi matrix, and Gauss weights from eigenvalues alone.  Tests import
+them as ``from oracles import ...``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from quadsum.eig import eigenvalues
+from quadsum.errors import NumericalError, ValidationError
+from quadsum.families import RecurrenceStream
+from quadsum.jacobi import JacobiMatrix, build
+from quadsum.rule import QuadratureRule
+
+
+def eval_poly(stream: RecurrenceStream, n: int, x: float) -> float:
+    """Evaluate the orthonormal polynomial p_n(x) by forward recurrence.
+
+    Seeds are p_0 = 1 and p_1 = (x - a_0)/b_0; then
+    x p_k = a_k p_k + b_{k-1} p_{k-1} + b_k p_{k+1}.
+    """
+    if n < 0:
+        raise ValidationError(f"polynomial degree must be >= 0, got {n}")
+    if stream.size is not None and n > stream.size - 1:
+        raise ValidationError(
+            f"degree {n} out of range for a finite family of size {stream.size}"
+        )
+    p_prev = 1.0
+    if n == 0:
+        return p_prev
+    p_cur = (x - stream.a(0)) / stream.b(0)
+    for k in range(1, n):
+        p_prev, p_cur = (
+            p_cur,
+            ((x - stream.a(k)) * p_cur - stream.b(k - 1) * p_prev) / stream.b(k),
+        )
+    return p_cur
+
+
+def dense(j: JacobiMatrix) -> np.ndarray:
+    """J as a dense symmetric matrix."""
+    out = np.diag(j.diag)
+    n = j.dimension
+    out[np.arange(n - 1), np.arange(1, n)] = j.offdiag
+    out[np.arange(1, n), np.arange(n - 1)] = j.offdiag
+    return out
+
+
+def matvec(j: JacobiMatrix, v: np.ndarray) -> np.ndarray:
+    """J v without forming J."""
+    out = j.diag * v
+    if j.dimension > 1:
+        out[:-1] += j.offdiag * v[1:]
+        out[1:] += j.offdiag * v[:-1]
+    return out
+
+
+def power_element(stream: RecurrenceStream, k: int, n: int, m: int) -> float:
+    """Element (J^k)_{n,m} of the semi-infinite Jacobi matrix.
+
+    Computed on a truncation of dimension max(n, m) + k + 1, which is exact
+    because each power widens the bandwidth by one; for finite streams the
+    truncation is capped at the full (finite) matrix.
+    """
+    if k < 0 or n < 0 or m < 0:
+        raise ValidationError("power_element requires k, n, m >= 0")
+    dim = max(n, m) + k + 1
+    if stream.size is not None:
+        if max(n, m) >= stream.size:
+            raise ValidationError(
+                f"indices ({n}, {m}) out of range for size {stream.size}"
+            )
+        dim = min(dim, stream.size)
+    j = build(stream, dim)
+    v = np.zeros(dim)
+    v[m] = 1.0
+    for _ in range(k):
+        v = matvec(j, v)
+    return float(v[n])
+
+
+class InterlacingError(NumericalError):
+    """Submatrix eigenvalues failed to interlace strictly; the eigenvalue-only
+    weight formula has broken down numerically."""
+
+
+def deleted_submatrix_eigenvalues(j: JacobiMatrix) -> np.ndarray:
+    """Eigenvalues of the trailing principal submatrix (first row and
+    column deleted), ascending."""
+    if j.dimension < 2:
+        raise ValidationError("deleted submatrix requires dimension >= 2")
+    return eigenvalues(JacobiMatrix(j.diag[1:].copy(), j.offdiag[1:].copy()))
+
+
+def gauss_rule_eigenvalue_only(j: JacobiMatrix) -> QuadratureRule:
+    """Gauss rule of J computed from eigenvalues alone.
+
+    The weight at node eps_n is the ratio of the products of (eps_n - eps_hat_m)
+    over the deleted-submatrix spectrum and (eps_n - eps_k), k != n.  Products
+    are accumulated in log space with sign tracking; strict interlacing of the
+    two spectra is verified first.
+    """
+    if j.dimension < 2:
+        raise ValidationError("eigenvalue-only weights require dimension >= 2")
+    eps = eigenvalues(j)
+    hat = deleted_submatrix_eigenvalues(j)
+    for i in range(j.dimension - 1):
+        if not (eps[i] < hat[i] < eps[i + 1]):
+            raise InterlacingError(
+                f"interlacing violated near index {i}: "
+                f"eps={float(eps[i])!r}, hat={float(hat[i])!r}, "
+                f"next eps={float(eps[i + 1])!r}"
+            )
+    n = j.dimension
+    weights = np.empty(n)
+    for k in range(n):
+        num = eps[k] - hat
+        den = eps[k] - np.delete(eps, k)
+        ln = float(np.sum(np.log(np.abs(num))) - np.sum(np.log(np.abs(den))))
+        sign = 1.0 if (np.count_nonzero(num < 0) + np.count_nonzero(den < 0)) % 2 == 0 else -1.0
+        weights[k] = sign * math.exp(ln)
+    return QuadratureRule(eps, weights)

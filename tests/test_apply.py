@@ -1,4 +1,4 @@
-"""Tests for functional application, oracles, and the adaptive integrator."""
+"""Tests for functional application and the reference values."""
 
 import math
 
@@ -7,9 +7,7 @@ from scipy.integrate import quad
 
 from quadsum.apply import (
     Functional,
-    adaptive_integral,
     approximate,
-    continuous_part_estimate,
     exact_exponential_sum,
     exact_shifted_power_sum,
     relative_error,
@@ -96,7 +94,7 @@ class TestApproximate:
     def test_exactness_transfer_for_mixed_measure(self):
         # monomials of degree <= 2N-1 in the squared variable integrate to
         # the matrix-power moments
-        from quadsum.jacobi import power_element
+        from oracles import power_element
 
         st = recurrence(CDH)
         for n in (3, 6, 10):
@@ -125,26 +123,22 @@ class TestContinuousPartEstimate:
     def test_constant_gives_continuous_mass(self):
         # 1 - sum(xi) = 1/70 for these parameters (hand evaluation)
         fn = Functional("continuous_part", lambda y: 1.0, CDH, 12)
-        assert continuous_part_estimate(fn) == pytest.approx(1.0 / 70.0, abs=1e-12)
+        assert approximate(fn) == pytest.approx(1.0 / 70.0, abs=1e-12)
 
     def test_zero_integrand(self):
         fn = Functional("continuous_part", lambda y: 0.0, CDH, 6)
-        assert continuous_part_estimate(fn) == 0.0
+        assert approximate(fn) == 0.0
 
     def test_matches_adaptive_integration(self):
         fn = Functional("continuous_part", _t3_f, CDH, 100)
-        est = continuous_part_estimate(fn)
+        est = approximate(fn)
         sigma = measure(CDH).continuous.density
-        ref = adaptive_integral(lambda x: sigma(x) * _t3_f(x * x), 0.0, math.inf, tol=1e-12)
+        ref, _ = quad(lambda x: sigma(x) * _t3_f(x * x), 0.0, math.inf)
         assert relative_error(ref, est) < 1e-6
-
-    def test_routed_through_approximate(self):
-        fn = Functional("continuous_part", lambda y: 1.0, CDH, 12)
-        assert approximate(fn) == continuous_part_estimate(fn)
 
     def test_requires_both_components(self):
         with pytest.raises(ValidationError, match="both"):
-            continuous_part_estimate(
+            approximate(
                 Functional("continuous_part", lambda x: 1.0, Charlier(2.0), 4)
             )
 
@@ -158,16 +152,15 @@ class TestContinuousPartEstimate:
             ),
         )
         with pytest.raises(ValidationError, match="finite"):
-            continuous_part_estimate(
+            approximate(
                 Functional("continuous_part", lambda x: 1.0, hybrid, 4)
             )
 
     def test_consistency_with_mixed_sum(self):
         # quadrature = continuous estimate + discrete sum, up to association
         # of the floating-point subtraction
-        fn = Functional("mixed_squared_arg", _t3_f, CDH, 40)
-        quadrature = approximate(fn)
-        est = continuous_part_estimate(fn)
+        quadrature = approximate(Functional("mixed_squared_arg", _t3_f, CDH, 40))
+        est = approximate(Functional("continuous_part", _t3_f, CDH, 40))
         disc = measure(CDH).discrete.weighted_sum(_t3_f)
         assert est + disc == pytest.approx(quadrature, rel=1e-15)
 
@@ -250,34 +243,3 @@ class TestOracles:
         with pytest.raises(ValidationError):
             spectral_reference(CDH, lambda t: t, 0)
 
-
-class TestAdaptiveIntegral:
-    def test_polynomial(self):
-        assert adaptive_integral(lambda x: x * x, 0.0, 1.0) == pytest.approx(
-            1.0 / 3.0, rel=1e-12
-        )
-
-    def test_decaying_exponential_to_infinity(self):
-        assert adaptive_integral(lambda x: math.exp(-x), 0.0, math.inf) == pytest.approx(
-            1.0, rel=1e-10
-        )
-
-    def test_cdh_density_total(self):
-        sigma = measure(CDH).continuous.density
-        got = adaptive_integral(sigma, 0.0, math.inf, tol=1e-10)
-        assert got == pytest.approx(1.0 / 70.0, rel=1e-9)
-
-    def test_against_scipy(self):
-        sigma = measure(ContinuousDualHahn(2.0, 1.0, 3.0)).continuous.density
-        ref, _ = quad(sigma, 0.0, math.inf, limit=300)
-        got = adaptive_integral(sigma, 0.0, math.inf, tol=1e-11)
-        assert got == pytest.approx(ref, rel=1e-9)
-
-    def test_subdivision_limit(self):
-        spiky = lambda x: abs(x - 0.3) ** -0.5
-        with pytest.raises(NumericalError, match="subdivision"):
-            adaptive_integral(spiky, 0.0, 1.0, tol=1e-12, max_depth=20)
-
-    def test_bad_interval(self):
-        with pytest.raises(ValidationError):
-            adaptive_integral(lambda x: x, 1.0, 0.0)

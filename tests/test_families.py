@@ -5,7 +5,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from oracles import eval_poly
+from quadsum import families
 from quadsum.errors import NumericalError, ValidationError
 from quadsum.families import (
     Charlier,
@@ -17,9 +20,7 @@ from quadsum.families import (
     MeasureSpec,
     Meixner,
     RecurrenceStream,
-    TruncationPolicy,
     Wilson,
-    eval_poly,
     measure,
     recurrence,
 )
@@ -154,6 +155,12 @@ class TestMeasures:
         assert ms.continuous.density(0.0) == 0.0
         assert ms.continuous.density(1.0) > 0.0
 
+    def test_cdh_continuous_mass(self):
+        # the continuous part carries 1 - sum(xi) = 1/70 of the mass
+        sigma = measure(ContinuousDualHahn(-3.5, 4.5, 4.5)).continuous.density
+        got, _ = quad(sigma, 0.0, math.inf)
+        assert got == pytest.approx(1.0 / 70.0, rel=1e-9)
+
     def test_cdh_positive_mu_has_no_discrete_part(self):
         ms = measure(ContinuousDualHahn(2.0, 1.0, 3.0))
         assert ms.discrete is None
@@ -180,9 +187,10 @@ class TestTruncationPolicy:
         total = d.weighted_sum(lambda x: 1.0)
         assert total == pytest.approx(1.0, abs=1e-13)
 
-    def test_max_terms_cap(self):
+    def test_max_terms_cap(self, monkeypatch):
         d = measure(Charlier(2.0)).discrete
-        short = d.weighted_sum(lambda x: 1.0, TruncationPolicy(max_terms=3))
+        monkeypatch.setattr(families, "SUM_MAX_TERMS", 3)
+        short = d.weighted_sum(lambda x: 1.0)
         # first three masses only
         expected = math.fsum(d.mass_at(k) for k in range(3))
         assert short == pytest.approx(expected, rel=1e-15)

@@ -5,16 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import InterlacingError, gauss_rule_eigenvalue_only, power_element
 from quadsum.errors import NumericalError, ValidationError
 from quadsum.families import Charlier, Krawtchouk, Meixner, recurrence
-from quadsum.jacobi import JacobiMatrix, build, power_element
-from quadsum.rule import (
-    InterlacingError,
-    QuadratureRule,
-    derivative_weights,
-    gauss_rule,
-    gauss_rule_eigenvalue_only,
-)
+from quadsum.jacobi import JacobiMatrix, build
+from quadsum.rule import QuadratureRule, derivative_weights, gauss_rule
 
 
 class TestGaussRule:
