@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .apply import SPECTRAL_REFERENCE_SIZE, Functional, approximate
 from .errors import NumericalError, ValidationError
-from .exprlang import NUMBER_RE, ParseError, evaluate, parse
+from .exprlang import _ARITY, NUMBER_RE, ParseError, evaluate, parse
 from .families import FAMILIES, FamilySpec, recurrence
 from .jacobi import build
 from .rule import gauss_rule
@@ -133,6 +133,7 @@ _DEFINE_VALUE_RE = re.compile(rf"\s*-?{NUMBER_RE.pattern}\s*")
 
 
 def _substitute_defines(text: str, defines: Sequence[str]) -> str:
+    seen = set()
     for item in defines:
         name, sep, value = item.partition("=")
         name = name.strip()
@@ -140,6 +141,13 @@ def _substitute_defines(text: str, defines: Sequence[str]) -> str:
             raise ValidationError(
                 f"--define takes NAME=VALUE with an identifier name other than 'x', got {item!r}"
             )
+        if name in _ARITY:
+            raise ValidationError(
+                f"--define name {name!r} is a function of the expression language, got {item!r}"
+            )
+        if name in seen:
+            raise ValidationError(f"--define gives {name!r} more than once, got {item!r}")
+        seen.add(name)
         if not _DEFINE_VALUE_RE.fullmatch(value):
             raise ValidationError(f"--define value must be numeric, got {item!r}")
         text = re.sub(rf"\b{re.escape(name)}\b", f"({value})", text)

@@ -43,7 +43,7 @@ __all__ = [
 
 # Cutoff for sums over infinite discrete measures: accumulation stops once
 # SUM_RUN_LENGTH consecutive terms fall below SUM_REL_TAIL times the running
-# total of absolute terms, or at SUM_MAX_TERMS, whichever comes first.
+# total of absolute terms; reaching SUM_MAX_TERMS first raises NumericalError.
 SUM_REL_TAIL = 1e-18
 SUM_MAX_TERMS = 1_000_000
 SUM_RUN_LENGTH = 3
@@ -123,7 +123,8 @@ class DiscretePart:
     def weighted_sum(self, f: Callable[[float], float]) -> float:
         """Sum of xi_k f(x_k) over the support, truncated per the SUM_*
         constants if infinite; a non-finite term raises NumericalError naming
-        its point."""
+        its point, and so does reaching SUM_MAX_TERMS before the tail test
+        stops the sum."""
         if self.finite:
             return math.fsum(
                 _finite_term(xi * f(x), x) for x, xi in zip(self.points, self.masses)
@@ -142,6 +143,10 @@ class DiscretePart:
                     break
             else:
                 small_run = 0
+        else:
+            raise NumericalError(
+                f"infinite sum did not converge within SUM_MAX_TERMS = {SUM_MAX_TERMS} terms"
+            )
         return total
 
 

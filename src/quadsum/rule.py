@@ -1,13 +1,17 @@
 """Quadrature rules from Jacobi matrices.
 
 Nodes are the eigenvalues and weights the squared first eigenvector
-components.  Also converts weights to "derivative weights" for plain
+components.  Rules are kept in a small per-process cache, because callers
+such as the CLI and the report tables ask for the same matrix again and
+again.  Also converts weights to "derivative weights" for plain
 (unweighted) integrals and sums.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,11 +59,66 @@ class QuadratureRule:
         return self.nodes.size
 
 
+# Total nodes the rule cache may hold.  A budget in nodes rather than
+# entries keeps its memory small when orders are large, and still holds
+# every rule of tables 1-3 (1802 nodes together).
+_CACHE_NODES = 4096
+
+
+class _RuleCache:
+    """Least-recently-used map from matrix bytes to rules, bounded by the
+    total number of nodes held; safe to share between threads."""
+
+    def __init__(self):
+        self._rules: OrderedDict[bytes, QuadratureRule] = OrderedDict()
+        self._lock = threading.Lock()
+        self.nodes = 0
+
+    def get(self, key: bytes) -> QuadratureRule | None:
+        with self._lock:
+            rule = self._rules.get(key)
+            if rule is not None:
+                self._rules.move_to_end(key)
+            return rule
+
+    def put(self, key: bytes, rule: QuadratureRule) -> None:
+        if rule.order > _CACHE_NODES:
+            return
+        with self._lock:
+            if key in self._rules:  # stored by another thread meanwhile
+                return
+            self._rules[key] = rule
+            self.nodes += rule.order
+            while self.nodes > _CACHE_NODES:
+                _, old = self._rules.popitem(last=False)
+                self.nodes -= old.order
+
+
+_CACHE = _RuleCache()
+
+
 def gauss_rule(j: JacobiMatrix) -> QuadratureRule:
     """Gauss rule of J: nodes are the eigenvalues, weights the squared first
-    eigenvector components."""
-    dec = decompose(j, mode="first_row")
-    return QuadratureRule(dec.eigenvalues, dec.first_components**2)
+    eigenvector components.
+
+    Rules are cached per process, keyed by the bytes of J's diagonal and
+    off-diagonal, so matrices that differ in any bit (-0.0 against 0.0
+    included) are distinct.  The cache holds at most _CACHE_NODES (4096)
+    nodes in total and drops the least recently used rule first; a larger
+    rule is returned but not kept.  A repeated matrix returns the same rule
+    object, so the ``nodes`` and ``weights`` arrays of every rule this
+    function returns are read-only.  A matrix whose decomposition or rule
+    checks raise is not cached and raises again on the next call.
+    """
+    key = j.diag.tobytes() + j.offdiag.tobytes()
+    rule = _CACHE.get(key)
+    if rule is None:
+        dec = decompose(j, mode="first_row")
+        rule = QuadratureRule(dec.eigenvalues, dec.first_components**2)
+        rule.nodes.setflags(write=False)
+        rule.weights.setflags(write=False)
+        _CACHE.put(key, rule)
+    return rule
 
 
 def derivative_weights(

@@ -190,10 +190,17 @@ class TestTruncationPolicy:
     def test_max_terms_cap(self, monkeypatch):
         d = measure(Charlier(2.0)).discrete
         monkeypatch.setattr(families, "SUM_MAX_TERMS", 3)
-        short = d.weighted_sum(lambda x: 1.0)
-        # first three masses only
-        expected = math.fsum(d.mass_at(k) for k in range(3))
-        assert short == pytest.approx(expected, rel=1e-15)
+        # three terms cannot meet the tail test: an error, not a truncated total
+        with pytest.raises(NumericalError, match="SUM_MAX_TERMS = 3 terms"):
+            d.weighted_sum(lambda x: 1.0)
+
+    def test_sum_converging_on_its_last_allowed_term(self, monkeypatch):
+        d = measure(Charlier(2.0)).discrete
+        points = []
+        total = d.weighted_sum(lambda x: points.append(x) or 1.0)
+        monkeypatch.setattr(families, "SUM_MAX_TERMS", len(points))
+        assert d.weighted_sum(lambda x: 1.0) == total
+        assert total == pytest.approx(1.0, abs=1e-13)
 
     def test_nan_integrand_fails_at_first_point(self):
         d = measure(Charlier(2.0)).discrete
