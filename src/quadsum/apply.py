@@ -2,10 +2,11 @@
 
 A Functional pairs an integrand with a family, an order, and a kind saying
 what is being approximated: a weighted or plain integral, a weighted or
-plain (possibly infinite) sum, or a mixed integral-plus-sum, including the
-squared-argument variant used by the families whose recurrence runs in
-y = x^2.  The reference values (closed forms and the spectral element) and
-the relative-error metric used by the report tables live here too.
+plain (possibly infinite) sum, a mixed integral-plus-sum (for the families
+whose recurrence runs in y = x^2, in that squared variable), or the
+continuous part of a mixed measure alone.  The reference values (closed
+forms and the spectral element) and the relative-error metric used by the
+report tables live here too.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ _KINDS = {
     "plain_sum": ((False, True), "discrete"),
     "mixed": ((True, True), None),
     "continuous_part": ((True, True), None),
-    "mixed_squared_arg": ((True, True), None),
 }
 _REQUIRES = {
     (True, False): "a purely continuous measure",

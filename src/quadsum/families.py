@@ -8,7 +8,9 @@ x in [0, inf) and, for mu < 0, finitely many point masses at y = -(k+mu)^2.
 A Custom family wraps an explicit recurrence stream and measure.  Each
 family class owns its ``recurrence()`` and ``measure()``, and ``FAMILIES``,
 which maps each built-in family's command-line name to its class, is the
-list the CLI builds its family options from.
+list the CLI builds its family options from.  A discrete part is its point
+and mass functions: a finite support is read and checked only when
+``DiscretePart.weighted_sum`` sums over it.
 """
 
 from __future__ import annotations
@@ -85,36 +87,19 @@ def _finite_term(term: float, x: float) -> float:
     return term
 
 
+@dataclass(frozen=True)
 class DiscretePart:
-    """Point masses {(x_k, xi_k)}, finite or lazily-generated infinite.
+    """Point masses xi_k = mass_at(k) at x_k = point_at(k), for k < size or,
+    if size is None, every k >= 0; none is evaluated at construction.
 
     ``density`` is the smooth continuation of the mass function used for
     derivative weights at non-integer nodes (None when not applicable).
     """
 
-    def __init__(
-        self,
-        point_at: Callable[[int], float],
-        mass_at: Callable[[int], float],
-        size: int | None,
-        density: Callable[[float], float] | None = None,
-    ):
-        self.point_at = point_at
-        self.mass_at = mass_at
-        self.size = size
-        self.density = density
-        if size is not None:
-            self.points = tuple(point_at(k) for k in range(size))
-            self.masses = tuple(mass_at(k) for k in range(size))
-            for k, xi in enumerate(self.masses):
-                if not xi > 0.0:
-                    raise NumericalError(
-                        f"discrete mass xi_{k} = {xi!r} is not positive"
-                    )
-            if any(
-                self.points[k] >= self.points[k + 1] for k in range(size - 1)
-            ):
-                raise NumericalError("discrete points are not strictly increasing")
+    point_at: Callable[[int], float]
+    mass_at: Callable[[int], float]
+    size: int | None
+    density: Callable[[float], float] | None = None
 
     @property
     def finite(self) -> bool:
@@ -124,11 +109,17 @@ class DiscretePart:
         """Sum of xi_k f(x_k) over the support, truncated per the SUM_*
         constants if infinite; a non-finite term raises NumericalError naming
         its point, and so does reaching SUM_MAX_TERMS before the tail test
-        stops the sum."""
+        stops the sum.  A finite support is checked before f is called: a
+        mass that is not positive or points that do not increase raise."""
         if self.finite:
-            return math.fsum(
-                _finite_term(xi * f(x), x) for x, xi in zip(self.points, self.masses)
-            )
+            points = [self.point_at(k) for k in range(self.size)]
+            masses = [self.mass_at(k) for k in range(self.size)]
+            for k, xi in enumerate(masses):
+                if not xi > 0.0:
+                    raise NumericalError(f"discrete mass xi_{k} = {xi!r} is not positive")
+            if any(points[k] >= points[k + 1] for k in range(self.size - 1)):
+                raise NumericalError("discrete points are not strictly increasing")
+            return math.fsum(_finite_term(xi * f(x), x) for x, xi in zip(points, masses))
         total = 0.0
         abs_total = 0.0
         small_run = 0

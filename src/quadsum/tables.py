@@ -206,7 +206,7 @@ def run_table(which: int, oracle_size: int = SPECTRAL_REFERENCE_SIZE) -> TableRe
             _T3_ROWS,
             lambda p: ContinuousDualHahn(p["mu"], p["alpha"], p["alpha"]),
             _t3_integrand,
-            "mixed_squared_arg",
+            "mixed",
             lambda family: spectral_reference(family, _t3_integrand, oracle_size),
         )
     raise ValidationError(f"unknown table {which!r}; expected one of {TABLE_NUMBERS}")

@@ -2,8 +2,10 @@
 
 Each one is an independent route to a value the library computes another
 way: orthonormal polynomials by forward recurrence, exact matrix powers of
-the Jacobi matrix, and Gauss weights from eigenvalues alone.  Tests import
-them as ``from oracles import ...``.
+the Jacobi matrix, and Gauss weights from eigenvalues alone.  Besides them,
+``finite_support`` lists the points and masses of a finite discrete part,
+which the library reads only inside a sum.  Tests import them as
+``from oracles import ...``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from quadsum.eig import eigenvalues
 from quadsum.errors import NumericalError, ValidationError
-from quadsum.families import RecurrenceStream
+from quadsum.families import DiscretePart, RecurrenceStream
 from quadsum.jacobi import JacobiMatrix, build
 from quadsum.rule import QuadratureRule
 
@@ -41,6 +43,15 @@ def eval_poly(stream: RecurrenceStream, n: int, x: float) -> float:
             ((x - stream.a(k)) * p_cur - stream.b(k - 1) * p_prev) / stream.b(k),
         )
     return p_cur
+
+
+def finite_support(d: DiscretePart) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The (points, masses) tuples of a finite discrete part, read from its
+    ``point_at`` and ``mass_at`` over k = 0..size-1."""
+    return (
+        tuple(d.point_at(k) for k in range(d.size)),
+        tuple(d.mass_at(k) for k in range(d.size)),
+    )
 
 
 def dense(j: JacobiMatrix) -> np.ndarray:

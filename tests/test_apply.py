@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from quadsum.apply import (
+    FUNCTIONAL_KINDS,
     Functional,
     approximate,
     exact_exponential_sum,
@@ -47,6 +48,18 @@ class TestFunctionalValidation:
         with pytest.raises(ValidationError, match="kind"):
             Functional("sum", lambda x: x, Charlier(2.0), 3)
 
+    def test_one_name_per_computation(self):
+        assert FUNCTIONAL_KINDS == (
+            "weighted_integral",
+            "plain_integral",
+            "weighted_sum",
+            "plain_sum",
+            "mixed",
+            "continuous_part",
+        )
+        with pytest.raises(ValidationError, match="kind"):
+            Functional("mixed_squared_arg", lambda y: y, CDH, 3)
+
     def test_bad_order(self):
         with pytest.raises(ValidationError, match="order"):
             Functional("plain_sum", lambda x: x, Charlier(2.0), 0)
@@ -82,7 +95,7 @@ class TestApproximate:
         assert v == pytest.approx(1.0, abs=1e-12)
 
     def test_mixed_squared_arg_constant(self):
-        v = approximate(Functional("mixed_squared_arg", lambda y: 1.0, CDH, 8))
+        v = approximate(Functional("mixed", lambda y: 1.0, CDH, 8))
         assert v == pytest.approx(1.0, abs=1e-12)
 
     def test_nonfinite_integrand_reports_node(self):
@@ -99,7 +112,7 @@ class TestApproximate:
         st = recurrence(CDH)
         for n in (3, 6, 10):
             for k in range(2 * n):
-                fn = Functional("mixed_squared_arg", lambda y, k=k: y**k, CDH, n)
+                fn = Functional("mixed", lambda y, k=k: y**k, CDH, n)
                 lhs = approximate(fn)
                 rhs = power_element(st, k, 0, 0)
                 assert abs(lhs - rhs) <= 1e-9 * abs(rhs), f"N={n} k={k}"
@@ -159,7 +172,7 @@ class TestContinuousPartEstimate:
     def test_consistency_with_mixed_sum(self):
         # quadrature = continuous estimate + discrete sum, up to association
         # of the floating-point subtraction
-        quadrature = approximate(Functional("mixed_squared_arg", _t3_f, CDH, 40))
+        quadrature = approximate(Functional("mixed", _t3_f, CDH, 40))
         est = approximate(Functional("continuous_part", _t3_f, CDH, 40))
         disc = measure(CDH).discrete.weighted_sum(_t3_f)
         assert est + disc == pytest.approx(quadrature, rel=1e-15)

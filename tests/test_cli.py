@@ -113,6 +113,21 @@ class TestSumCommand:
         assert code == 0
         assert float(out) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", ["plain", "weighted"])
+    @pytest.mark.parametrize("m", ["2000", "3000"])
+    def test_krawtchouk_masses_underflowing_to_zero(self, capsys, m, mode):
+        # binomial masses of these spectra underflow to 0.0 (at k = 1437 for
+        # M = 2000, at k = 0 for M = 3000); neither sum mode reads them
+        code, out, err = run_cli(
+            capsys, "sum", "--family", "krawtchouk", "--M", m, "--gamma", "0.3",
+            "--n", "10", "--f", "1", "--mode", mode,
+        )
+        assert (code, err) == (0, "")
+        value = float(out)
+        assert math.isfinite(value)
+        if mode == "weighted":
+            assert value == pytest.approx(1.0, abs=1e-12)
+
     def test_define_substitution(self, capsys):
         base = ("sum", "--family", "meixner", "--mu", "2", "--beta", "0.2", "--n", "10")
         code, out, _ = run_cli(capsys, *base, "--f", "r^x/gamma(x+1)", "--define", "r=3")

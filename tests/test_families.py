@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import eval_poly
+from oracles import eval_poly, finite_support
 from quadsum import families
+from quadsum.apply import Functional, approximate
 from quadsum.errors import NumericalError, ValidationError
 from quadsum.families import (
     Charlier,
@@ -139,16 +140,17 @@ class TestMeasures:
     def test_krawtchouk_total_mass_and_size(self):
         d = measure(Krawtchouk(20, 0.3)).discrete
         assert d.size == 21
-        assert math.fsum(d.masses) == pytest.approx(1.0, abs=1e-14)
-        assert all(xi > 0.0 for xi in d.masses)
+        _, masses = finite_support(d)
+        assert math.fsum(masses) == pytest.approx(1.0, abs=1e-14)
+        assert all(xi > 0.0 for xi in masses)
 
     def test_cdh_discrete_points_and_masses(self):
         # hand evaluation for mu=-3.5, alpha=beta=4.5: the Pochhammer factors
         # collapse to xi_k = (3.5-k) k! (7-k)! / (4 * 7!)
         ms = measure(ContinuousDualHahn(-3.5, 4.5, 4.5))
-        d = ms.discrete
-        assert d.points == pytest.approx((-12.25, -6.25, -2.25, -0.25))
-        assert d.masses == pytest.approx(
+        points, masses = finite_support(ms.discrete)
+        assert points == pytest.approx((-12.25, -6.25, -2.25, -0.25))
+        assert masses == pytest.approx(
             (7.0 / 8.0, 5.0 / 56.0, 1.0 / 56.0, 1.0 / 280.0), rel=1e-12
         )
         assert ms.continuous.support == (0.0, math.inf)
@@ -169,7 +171,7 @@ class TestMeasures:
     def test_wilson_masses_positive(self):
         d = measure(Wilson(-3.5, 4.5, 5.5, 6.5)).discrete
         assert d.size == 4
-        assert all(xi > 0.0 for xi in d.masses)
+        assert all(xi > 0.0 for xi in finite_support(d)[1])
 
     def test_density_decays_at_large_argument(self):
         sigma = measure(ContinuousDualHahn(-3.5, 4.5, 4.5)).continuous.density
@@ -260,12 +262,12 @@ class TestOrthonormality:
     def test_krawtchouk_finite(self):
         spec = Krawtchouk(20, 0.3)
         st = recurrence(spec)
-        d = measure(spec).discrete
+        points, masses = finite_support(measure(spec).discrete)
         for n in range(11):
             for m in range(n + 1):
                 s = math.fsum(
                     xi * eval_poly(st, n, x) * eval_poly(st, m, x)
-                    for x, xi in zip(d.points, d.masses)
+                    for x, xi in zip(points, masses)
                 )
                 assert s == pytest.approx(1.0 if n == m else 0.0, abs=1e-10)
 
@@ -279,7 +281,78 @@ class TestCustom:
         assert measure(spec) is ms
 
     def test_discrete_part_rejects_nonpositive_mass(self):
+        d = DiscretePart(point_at=float, mass_at=lambda k: float(k), size=3)
         with pytest.raises(NumericalError, match="not positive"):
-            DiscretePart(
-                point_at=float, mass_at=lambda k: float(k), size=3
-            )  # mass 0 at k=0
+            d.weighted_sum(lambda x: 1.0)  # mass 0 at k=0
+
+
+def _unreadable(k):
+    raise RuntimeError(f"support read at k={k}")
+
+
+class TestFiniteSupportChecks:
+    """A finite support is evaluated and checked by weighted_sum, not by the
+    constructor, and a bad one fails before the integrand is called."""
+
+    @staticmethod
+    def _counting_integrand():
+        calls = []
+        return calls, lambda x: calls.append(x) or 1.0
+
+    def test_construction_reads_no_point_or_mass(self):
+        d = DiscretePart(point_at=_unreadable, mass_at=_unreadable, size=5)
+        assert d.finite and d.size == 5
+
+    @pytest.mark.parametrize("mass_at, message", [
+        (lambda k: 1.0 - k / 2.0, "discrete mass xi_2 = 0.0 is not positive"),
+        (lambda k: math.nan, "discrete mass xi_0 = nan is not positive"),
+    ], ids=["zero", "nan"])
+    def test_bad_mass_raises_before_f(self, mass_at, message):
+        d = DiscretePart(point_at=float, mass_at=mass_at, size=4)
+        calls, f = self._counting_integrand()
+        with pytest.raises(NumericalError) as exc:
+            d.weighted_sum(f)
+        assert str(exc.value) == message
+        assert calls == []
+
+    def test_non_increasing_points_raise_before_f(self):
+        points = (0.0, 1.0, 1.0, 2.0)
+        d = DiscretePart(point_at=points.__getitem__, mass_at=lambda k: 0.25, size=4)
+        calls, f = self._counting_integrand()
+        with pytest.raises(NumericalError) as exc:
+            d.weighted_sum(f)
+        assert str(exc.value) == "discrete points are not strictly increasing"
+        assert calls == []
+
+    def test_masses_are_checked_before_points(self):
+        points = (2.0, 1.0, 0.0)
+        d = DiscretePart(point_at=points.__getitem__, mass_at=lambda k: k - 1.0, size=3)
+        with pytest.raises(NumericalError) as exc:
+            d.weighted_sum(lambda x: 1.0)
+        assert str(exc.value) == "discrete mass xi_0 = -1.0 is not positive"
+
+    def test_good_support_calls_f_once_per_point(self):
+        d = measure(Krawtchouk(6, 0.3)).discrete
+        calls, f = self._counting_integrand()
+        assert d.weighted_sum(f) == pytest.approx(1.0, abs=1e-14)
+        assert calls == [float(k) for k in range(7)]
+
+    def test_custom_family_with_unreadable_masses_approximates(self):
+        # the Gauss rule needs only the recurrence and plain sums only the
+        # mass continuation, so neither reads the point masses
+        kraw = Krawtchouk(20, 0.3)
+        discrete = DiscretePart(
+            point_at=_unreadable,
+            mass_at=_unreadable,
+            size=21,
+            density=measure(kraw).discrete.density,
+        )
+        spec = Custom(recurrence(kraw), MeasureSpec(discrete=discrete))
+        assert measure(spec).discrete is discrete
+        total = approximate(Functional("weighted_sum", lambda x: 1.0, spec, 5))
+        assert total == pytest.approx(1.0, abs=1e-13)
+        for kind, f in (("weighted_sum", lambda x: x * x), ("plain_sum", math.sqrt)):
+            got = approximate(Functional(kind, f, spec, 5))
+            assert got == approximate(Functional(kind, f, kraw, 5)), kind
+        with pytest.raises(RuntimeError, match="support read at k=0"):
+            discrete.weighted_sum(lambda x: 1.0)
