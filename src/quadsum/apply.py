@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .families import FamilySpec, measure, recurrence
+from .families import FamilySpec, measure, recurrence, require_count
 from .jacobi import build, matrix_function_element
 from .rule import QuadratureRule, derivative_weights, gauss_rule
 from .special import ln_gamma
@@ -66,8 +66,7 @@ class Functional:
             raise ValidationError(
                 f"unknown functional kind {self.kind!r}; expected one of {FUNCTIONAL_KINDS}"
             )
-        if self.order < 1:
-            raise ValidationError(f"order must be >= 1, got {self.order}")
+        require_count("order", self.order)
 
 
 def _node_sum(
@@ -153,7 +152,6 @@ def spectral_reference(
     It is the fsum of L_{0,k} f(eps_k) L_{0,k} over the eigenpairs, read
     from the first eigenvector row alone (no O(size^3) eigenvector matrix).
     """
-    if size < 1:
-        raise ValidationError(f"size must be >= 1, got {size}")
+    require_count("size", size)
     return matrix_function_element(build(recurrence(family), size), f, 0, 0)
 

@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     sum_cmd.add_argument("--mode", choices=("plain", "weighted"), default="plain",
                          help="plain sum of f, or sum weighted by the masses")
     sum_cmd.add_argument("--define", action="append", default=[], metavar="NAME=VALUE",
-                         help="substitute NAME by (VALUE) in the expression before parsing")
+                         help="bind NAME to the number VALUE in the expression")
 
     table_cmd = commands.add_parser("table", help="regenerate a bundled reference table",
                                     formatter_class=_formatter)
@@ -132,8 +132,8 @@ _PARSER = build_parser()
 _DEFINE_VALUE_RE = re.compile(rf"\s*-?{NUMBER_RE.pattern}\s*")
 
 
-def _substitute_defines(text: str, defines: Sequence[str]) -> str:
-    seen = set()
+def _parse_defines(defines: Sequence[str]) -> dict[str, str]:
+    values = {}
     for item in defines:
         name, sep, value = item.partition("=")
         name = name.strip()
@@ -145,13 +145,12 @@ def _substitute_defines(text: str, defines: Sequence[str]) -> str:
             raise ValidationError(
                 f"--define name {name!r} is a function of the expression language, got {item!r}"
             )
-        if name in seen:
+        if name in values:
             raise ValidationError(f"--define gives {name!r} more than once, got {item!r}")
-        seen.add(name)
         if not _DEFINE_VALUE_RE.fullmatch(value):
             raise ValidationError(f"--define value must be numeric, got {item!r}")
-        text = re.sub(rf"\b{re.escape(name)}\b", f"({value})", text)
-    return text
+        values[name] = value
+    return values
 
 
 def _cmd_rule(args: argparse.Namespace) -> int:
@@ -175,8 +174,7 @@ def _cmd_rule(args: argparse.Namespace) -> int:
 
 def _cmd_sum(args: argparse.Namespace) -> int:
     family, _ = _family_from_args(args)
-    text = _substitute_defines(args.f, args.define)
-    ast = parse(text)
+    ast = parse(args.f, _parse_defines(args.define))
     kind = "plain_sum" if args.mode == "plain" else "weighted_sum"
     value = approximate(Functional(kind, lambda x: evaluate(ast, x), family, args.n))
     print(_fmt(value))

@@ -7,11 +7,13 @@ tighter than '^'):
     term    := factor (('*'|'/') factor)*
     factor  := unary ('^' factor)?
     unary   := '-'? primary
-    primary := number | 'x' | ident '(' args ')' | '(' expr ')'
+    primary := number | 'x' | name | ident '(' args ')' | '(' expr ')'
     args    := expr (',' expr)*
 
 Numbers are decimal with an optional exponent.  The function catalog is
-exp, ln, sqrt, gamma, abs (one argument) and pow (two arguments).
+exp, ln, sqrt, gamma, abs (one argument) and pow (two arguments).  A name
+is an identifier bound by the caller to an expression of its own.  An
+expression may nest at most MAX_DEPTH levels deep.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import NumericalError, ValidationError
 from .special import gamma as _gamma
 
 __all__ = [
+    "MAX_DEPTH",
     "ParseError",
     "EvalError",
     "Expr",
@@ -88,41 +91,42 @@ Expr = Union[Number, Variable, Negate, BinaryOp, Call]
 _ARITY = {"exp": 1, "ln": 1, "sqrt": 1, "gamma": 1, "abs": 1, "pow": 2}
 
 NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# One token per match; whitespace matches nothing and is skipped.
+_TOKEN_RE = re.compile(
+    rf"(?P<number>{NUMBER_RE.pattern})|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^(),])|(?P<bad>\S)"
+)
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []  # (kind, text, offset)
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "+-*/^(),":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            m = NUMBER_RE.match(text, i)
-            if m:
-                self.tokens.append(("number", m.group(), i))
-                i = m.end()
-                continue
-            m = _IDENT_RE.match(text, i)
-            if m:
-                self.tokens.append(("ident", m.group(), i))
-                i = m.end()
-                continue
-            raise ParseError(i, f"unexpected character {ch!r}")
-        self.tokens.append(("end", "", len(text)))
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token (an operator is its own kind), then "end"."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind, token = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(m.start(), f"unexpected character {token!r}")
+        tokens.append((token if kind == "op" else kind, token, m.start()))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+# The deepest expression the parser accepts: this many groups (parentheses
+# or call arguments) open inside each other, and a tree this high (a sum of
+# n terms is n high).  Parsing, evaluate and to_text recurse a few frames a
+# level, so they stay far from the interpreter's recursion limit.
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nests more than {MAX_DEPTH} levels deep"
+
+# A parsed subexpression and the height of its tree.
+_Tree = tuple[Expr, int]
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _Lexer(text).tokens
+    def __init__(self, text: str, defined: dict[str, _Tree]):
+        self.tokens = _tokens(text)
         self.pos = 0
+        self.names = {**defined, "x": (Variable(), 1)}
+        self.depth = 0  # groups open at the current token
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -139,82 +143,109 @@ class _Parser:
             raise ParseError(tok[2], f"expected {kind!r}, found {found!r}")
         return self.advance()
 
-    def parse(self) -> Expr:
-        node = self.expr()
+    def open_group(self) -> None:
+        """Consume the '(' of a group, the only place the parser recurses."""
+        offset = self.expect("(")[2]
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(offset, _TOO_DEEP)
+
+    def checked(self, node: Expr, offset: int, *heights: int) -> _Tree:
+        """``node`` over subtrees of the given heights, if not too high."""
+        height = 1 + max(heights)
+        if height > MAX_DEPTH:
+            raise ParseError(offset, _TOO_DEEP)
+        return node, height
+
+    def parse(self) -> _Tree:
+        tree = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(tok[2], f"expected end of input, found {tok[1]!r}")
-        return node
+        return tree
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self) -> _Tree:
+        node, height = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = BinaryOp(op, node, self.term())
-        return node
+            op, _, offset = self.advance()
+            right, h = self.term()
+            node, height = self.checked(BinaryOp(op, node, right), offset, height, h)
+        return node, height
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> _Tree:
+        node, height = self.factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = BinaryOp(op, node, self.factor())
-        return node
+            op, _, offset = self.advance()
+            right, h = self.factor()
+            node, height = self.checked(BinaryOp(op, node, right), offset, height, h)
+        return node, height
 
-    def factor(self) -> Expr:
-        node = self.unary()
-        if self.peek()[0] == "^":
-            self.advance()
-            node = BinaryOp("^", node, self.factor())
-        return node
+    def factor(self) -> _Tree:
+        tree = self.unary()
+        if self.peek()[0] != "^":
+            return tree
+        trees, offsets = [tree], []
+        while self.peek()[0] == "^":
+            offsets.append(self.advance()[2])
+            trees.append(self.unary())
+        node, height = trees.pop()
+        for offset, (left, h) in zip(reversed(offsets), reversed(trees)):  # right-associative
+            node, height = self.checked(BinaryOp("^", left, node), offset, h, height)
+        return node, height
 
-    def unary(self) -> Expr:
+    def unary(self) -> _Tree:
         if self.peek()[0] == "-":
-            self.advance()
-            return Negate(self.primary())
+            offset = self.advance()[2]
+            node, height = self.primary()
+            return self.checked(Negate(node), offset, height)
         return self.primary()
 
-    def primary(self) -> Expr:
+    def primary(self) -> _Tree:
         kind, text, offset = self.peek()
         if kind == "number":
             self.advance()
-            return Number(float(text))
+            return Number(float(text)), 1
         if kind == "ident":
             self.advance()
             if self.peek()[0] == "(":
                 return self.call(text, offset)
-            if text == "x":
-                return Variable()
+            if text in self.names:
+                return self.names[text]
             raise ParseError(offset, f"unknown name {text!r} (only 'x' is a variable)")
         if kind == "(":
-            self.advance()
-            node = self.expr()
+            self.open_group()
+            tree = self.expr()
             self.expect(")")
-            return node
+            self.depth -= 1
+            return tree
         found = text or "end of input"
         raise ParseError(offset, f"expected a number, 'x', function, or '(', found {found!r}")
 
-    def call(self, name: str, offset: int) -> Expr:
+    def call(self, name: str, offset: int) -> _Tree:
         if name not in _ARITY:
             raise ParseError(
                 offset, f"unknown function {name!r}; known: {sorted(_ARITY)}"
             )
-        self.expect("(")
+        self.open_group()
         args = [self.expr()]
         while self.peek()[0] == ",":
             self.advance()
             args.append(self.expr())
         self.expect(")")
+        self.depth -= 1
         if len(args) != _ARITY[name]:
             raise ParseError(
                 offset,
                 f"{name} takes {_ARITY[name]} argument(s), got {len(args)}",
             )
-        return Call(name, tuple(args))
+        return self.checked(Call(name, tuple(a for a, _ in args)), offset, *(h for _, h in args))
 
 
-def parse(text: str) -> Expr:
-    """Parse expression text into an AST."""
-    return _Parser(text).parse()
+def parse(text: str, defines: dict[str, str] | None = None) -> Expr:
+    """Parse expression text into an AST.  Each name in ``defines`` is bound
+    to the tree its value text parses to, wherever it stands as a name."""
+    names = {name: _Parser(value, {}).parse() for name, value in (defines or {}).items()}
+    return _Parser(text, names).parse()[0]
 
 
 def _power(node: Expr, base: float, exponent: float) -> float:

@@ -9,13 +9,15 @@ A Custom family wraps an explicit recurrence stream and measure.  Each
 family class owns its ``recurrence()`` and ``measure()``, and ``FAMILIES``,
 which maps each built-in family's command-line name to its class, is the
 list the CLI builds its family options from.  A discrete part is its point
-and mass functions: a finite support is read and checked only when
-``DiscretePart.weighted_sum`` sums over it.
+and mass functions, for every family, so building a measure evaluates no
+mass: a finite support is read and checked, by the one positivity check of
+the library, only when ``DiscretePart.weighted_sum`` sums over it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,6 +28,7 @@ __all__ = [
     "SUM_REL_TAIL",
     "SUM_MAX_TERMS",
     "SUM_RUN_LENGTH",
+    "require_count",
     "RecurrenceStream",
     "ContinuousPart",
     "DiscretePart",
@@ -51,6 +54,14 @@ SUM_MAX_TERMS = 1_000_000
 SUM_RUN_LENGTH = 3
 
 
+def require_count(name: str, n: int) -> None:
+    """Validate an order or size: an integer (numpy's included) that is >= 1."""
+    if not isinstance(n, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise ValidationError(f"{name} must be >= 1, got {n}")
+
+
 @dataclass(frozen=True)
 class RecurrenceStream:
     """Coefficient sequence {a_n, b_n} of a symmetric three-term recurrence.
@@ -65,8 +76,7 @@ class RecurrenceStream:
 
     def require_order(self, n: int) -> None:
         """Validate that coefficients a_0..a_{n-1}, b_0..b_{n-2} exist."""
-        if n < 1:
-            raise ValidationError(f"order must be >= 1, got {n}")
+        require_count("order", n)
         if self.size is not None and n > self.size:
             raise ValidationError(
                 f"order {n} exceeds the stream's valid size {self.size}"
@@ -186,45 +196,26 @@ def _squared_variable_masses(
     poch_down: tuple[float, ...],
     alternating_sign: bool,
 ) -> DiscretePart:
-    """Point masses at y_k = -(k+mu)^2 for every k >= 0 with k + mu < 0.
+    """Point masses at y_k = -(k+mu)^2 for the ceil(-mu) indices k >= 0 with
+    k + mu < 0.  Each is assembled in log space, when summed, from a constant
+    prefactor, the (-mu-k) factor, Pochhammer products and 1/k!, tracking the
+    factors' signs; a vanishing Pochhammer denominator makes it NaN or 0.0,
+    which ``weighted_sum`` rejects like any mass that is not positive."""
 
-    Each mass is assembled in log space from a constant prefactor,
-    the (-mu-k) factor, Pochhammer products, and 1/k!; signs of the
-    individual factors are tracked and the final mass must be positive.
-    """
-    points: list[float] = []
-    masses: list[float] = []
-    k = 0
-    while k + mu < 0.0:
+    def mass_at(k: int) -> float:
         ln = ln_front + math.log(-(mu + k)) - ln_gamma(k + 1.0)
         sign = -1.0 if (alternating_sign and k % 2 == 1) else 1.0
-        for base in poch_up:
-            l, s = ln_pochhammer_signed(base, k)
-            ln += l
-            sign *= s
-        for base in poch_down:
-            l, s = ln_pochhammer_signed(base, k)
-            if s == 0.0:
-                raise NumericalError(
-                    f"vanishing Pochhammer denominator ({base})_{k} in discrete mass"
-                )
-            ln -= l
-            sign *= s
-        xi = sign * math.exp(ln)
-        if not xi > 0.0:
-            raise NumericalError(
-                f"discrete mass xi_{k} = {xi!r} is not positive; "
-                "weight formula and parameters are inconsistent"
-            )
-        points.append(-((k + mu) ** 2))
-        masses.append(xi)
-        k += 1
-    pts = tuple(points)
-    ms = tuple(masses)
+        for bases, power in ((poch_up, 1.0), (poch_down, -1.0)):
+            for base in bases:
+                l, s = ln_pochhammer_signed(base, k)
+                ln += power * l
+                sign *= s
+        return sign * math.exp(ln)
+
     return DiscretePart(
-        point_at=lambda i: pts[i],
-        mass_at=lambda i: ms[i],
-        size=len(pts),
+        point_at=lambda k: -((k + mu) ** 2),
+        mass_at=mass_at,
+        size=math.ceil(-mu),
     )
 
 
@@ -246,6 +237,22 @@ def _squared_variable_measure(
         continuous=ContinuousPart(density=sigma, support=(0.0, math.inf)),
         discrete=discrete,
     )
+
+
+def _require_squared_variable_params(name: str, mu: float, others: dict[str, float]) -> None:
+    """The parameter rule of the squared-variable families: mu != 0, and every
+    other parameter p has p > 0 if mu > 0, or p + mu > 0 if mu < 0."""
+    if mu == 0.0:
+        raise ValidationError(f"{name} requires mu != 0")
+    if mu > 0.0:
+        bad = {k: v for k, v in others.items() if not v > 0.0}
+        rule, tail = f"mu > 0 requires {', '.join(others)} > 0", ""
+    else:
+        bad = {k: v for k, v in others.items() if not v + mu > 0.0}
+        rule = f"mu < 0 requires {', '.join(k + ' + mu' for k in others)} > 0"
+        tail = f" with mu={mu!r}"
+    if bad:
+        raise ValidationError(f"{name} with {rule}; violated by {bad!r}{tail}")
 
 
 @dataclass(frozen=True)
@@ -354,21 +361,9 @@ class ContinuousDualHahn(FamilySpec):
     kind = "cdh"
 
     def __post_init__(self):
-        if self.mu == 0.0:
-            raise ValidationError("continuous dual Hahn requires mu != 0")
-        if self.mu > 0.0:
-            if not (self.alpha > 0.0 and self.beta > 0.0):
-                raise ValidationError(
-                    "continuous dual Hahn with mu > 0 requires alpha > 0 and "
-                    f"beta > 0, got alpha={self.alpha!r}, beta={self.beta!r}"
-                )
-        else:
-            if not (self.alpha + self.mu > 0.0 and self.beta + self.mu > 0.0):
-                raise ValidationError(
-                    "continuous dual Hahn with mu < 0 requires alpha + mu > 0 "
-                    f"and beta + mu > 0, got alpha={self.alpha!r}, "
-                    f"beta={self.beta!r}, mu={self.mu!r}"
-                )
+        _require_squared_variable_params(
+            "continuous dual Hahn", self.mu, {"alpha": self.alpha, "beta": self.beta}
+        )
 
     def recurrence(self) -> RecurrenceStream:
         mu, al, be = self.mu, self.alpha, self.beta
@@ -417,22 +412,9 @@ class Wilson(FamilySpec):
     kind = "wilson"
 
     def __post_init__(self):
-        others = {"nu": self.nu, "alpha": self.alpha, "beta": self.beta}
-        if self.mu == 0.0:
-            raise ValidationError("wilson requires mu != 0")
-        if self.mu > 0.0:
-            bad = {k: v for k, v in others.items() if not v > 0.0}
-            if bad:
-                raise ValidationError(
-                    f"wilson with mu > 0 requires nu, alpha, beta > 0; violated by {bad!r}"
-                )
-        else:
-            bad = {k: v for k, v in others.items() if not v + self.mu > 0.0}
-            if bad:
-                raise ValidationError(
-                    f"wilson with mu < 0 requires nu + mu, alpha + mu, beta + mu > 0; "
-                    f"violated by {bad!r} with mu={self.mu!r}"
-                )
+        _require_squared_variable_params(
+            "wilson", self.mu, {"nu": self.nu, "alpha": self.alpha, "beta": self.beta}
+        )
 
     def recurrence(self) -> RecurrenceStream:
         mu, nu, al, be = self.mu, self.nu, self.alpha, self.beta

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -63,6 +64,18 @@ class TestFunctionalValidation:
     def test_bad_order(self):
         with pytest.raises(ValidationError, match="order"):
             Functional("plain_sum", lambda x: x, Charlier(2.0), 0)
+
+    @pytest.mark.parametrize("order", [3.0, 2.5, "3"])
+    def test_non_integral_order(self, order):
+        with pytest.raises(ValidationError) as exc:
+            Functional("weighted_sum", lambda x: x, Charlier(2.0), order)
+        assert str(exc.value) == f"order must be an integer, got {order!r}"
+
+    def test_numpy_integer_order(self):
+        fn = Functional("weighted_sum", lambda x: 1.0, Charlier(2.0), np.int64(3))
+        assert approximate(fn) == approximate(
+            Functional("weighted_sum", lambda x: 1.0, Charlier(2.0), 3)
+        )
 
     def test_kind_family_compatibility(self):
         with pytest.raises(ValidationError, match="continuous"):
@@ -255,4 +268,10 @@ class TestOracles:
         assert spectral_reference(CDH, lambda t: t, 40) == pytest.approx(-11.25, rel=1e-12)
         with pytest.raises(ValidationError):
             spectral_reference(CDH, lambda t: t, 0)
+
+    @pytest.mark.parametrize("size", [2.5, "40"])
+    def test_spectral_reference_non_integral_size(self, size):
+        with pytest.raises(ValidationError) as exc:
+            spectral_reference(CDH, lambda t: t, size)
+        assert str(exc.value) == f"size must be an integer, got {size!r}"
 

@@ -140,6 +140,27 @@ class TestSumCommand:
         err = abs(exact - value) / abs(exact + value)
         assert 1.522e-10 / 5.0 <= err <= 1.522e-10 * 5.0
 
+    @pytest.mark.parametrize("f, message", [
+        ("r^x)", "error: syntax error at offset 3: expected end of input, found ')'\n"),
+        ("r(2)", "error: syntax error at offset 0: unknown function 'r'; "
+                 "known: ['abs', 'exp', 'gamma', 'ln', 'pow', 'sqrt']\n"),
+    ], ids=["offset", "not-a-function"])
+    def test_define_errors_point_into_the_given_text(self, capsys, f, message):
+        assert run_cli(
+            capsys, "sum", "--family", "charlier", "--mu", "2", "--n", "5",
+            "--f", f, "--define", "r=3",
+        ) == (2, "", message)
+
+    @pytest.mark.parametrize("f, offset", [
+        ("(" * 300 + "x" + ")" * 300, 100),
+        ("+".join(["x"] * 5000), 199),
+    ], ids=["nested-parens", "long-sum"])
+    def test_deep_expression_exit_2(self, capsys, f, offset):
+        assert run_cli(
+            capsys, "sum", "--family", "charlier", "--mu", "2", "--n", "5", "--f", f,
+        ) == (2, "", f"error: syntax error at offset {offset}: "
+                     "expression nests more than 100 levels deep\n")
+
     def test_bad_define_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "sum", "--family", "charlier", "--mu", "2", "--n", "3",

@@ -6,6 +6,7 @@ import pytest
 
 from quadsum.exprlang import (
     BinaryOp,
+    MAX_DEPTH,
     Call,
     EvalError,
     Negate,
@@ -83,6 +84,51 @@ class TestParseErrors:
     def test_expected_token_in_message(self):
         with pytest.raises(ParseError, match="expected"):
             parse("2*")
+
+
+class TestDefines:
+    def test_name_is_the_tree_of_its_value(self):
+        for value in ("3", "-2", " 1e-3 ", ".5"):
+            defines = {"r": value}
+            assert parse("r^x*-r", defines) == parse(f"({value})^x*-({value})")
+
+    def test_error_offset_is_in_the_text_as_given(self):
+        with pytest.raises(ParseError) as info:
+            parse("r^x)", {"r": "3"})
+        assert info.value.offset == 3
+
+    def test_defined_name_is_not_a_function(self):
+        with pytest.raises(ParseError, match="unknown function 'r'"):
+            parse("r(2)", {"r": "3"})
+
+    def test_undefined_name_stays_unknown(self):
+        with pytest.raises(ParseError, match="unknown name 's'"):
+            parse("r+s", {"r": "3"})
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("text", [
+        "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+        "abs(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
+        "x^" * (MAX_DEPTH - 1) + "x",
+        "+".join(["x"] * MAX_DEPTH),
+    ], ids=["parens", "calls", "powers", "sum"])
+    def test_deepest_accepted_expression_evaluates(self, text):
+        tree = parse(text)
+        assert math.isfinite(evaluate(tree, 0.5))
+        assert parse(to_text(tree)) == tree
+
+    @pytest.mark.parametrize("text, offset", [
+        ("(" * 300 + "x" + ")" * 300, MAX_DEPTH),
+        ("(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), MAX_DEPTH),
+        ("+".join(["x"] * 5000), 2 * MAX_DEPTH - 1),
+        ("x^" * 300 + "x", 2 * (300 - MAX_DEPTH) + 1),
+    ], ids=["parens-300", "parens-limit", "sum-5000", "powers-300"])
+    def test_deeper_expression_is_a_parse_error(self, text, offset):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.offset == offset
+        assert str(info.value).endswith(f"expression nests more than {MAX_DEPTH} levels deep")
 
 
 class TestEvaluation:

@@ -66,6 +66,28 @@ class TestValidation:
             Wilson(-3.5, 3.0, 5.0, 5.0)
         Wilson(-3.5, 4.5, 5.5, 6.5)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ContinuousDualHahn(0.0, 1.0, 2.0), "continuous dual Hahn requires mu != 0"),
+        (lambda: ContinuousDualHahn(2.0, -1.0, 0.0),
+         "continuous dual Hahn with mu > 0 requires alpha, beta > 0; "
+         "violated by {'alpha': -1.0, 'beta': 0.0}"),
+        (lambda: ContinuousDualHahn(-3.5, 3.0, 4.5),
+         "continuous dual Hahn with mu < 0 requires alpha + mu, beta + mu > 0; "
+         "violated by {'alpha': 3.0} with mu=-3.5"),
+        (lambda: Wilson(0.0, 1.0, 2.0, 3.0), "wilson requires mu != 0"),
+        (lambda: Wilson(1.0, -0.5, 2.0, 0.0),
+         "wilson with mu > 0 requires nu, alpha, beta > 0; "
+         "violated by {'nu': -0.5, 'beta': 0.0}"),
+        (lambda: Wilson(-3.5, 3.0, 5.0, 3.5),
+         "wilson with mu < 0 requires nu + mu, alpha + mu, beta + mu > 0; "
+         "violated by {'nu': 3.0, 'beta': 3.5} with mu=-3.5"),
+    ], ids=["cdh-zero", "cdh-positive", "cdh-negative",
+            "wilson-zero", "wilson-positive", "wilson-negative"])
+    def test_squared_variable_parameter_messages(self, make, message):
+        with pytest.raises(ValidationError) as exc:
+            make()
+        assert str(exc.value) == message
+
 
 class TestRecurrence:
     def test_charlier_first_coefficients(self):
@@ -113,6 +135,15 @@ class TestRecurrence:
             st.require_order(4)
         with pytest.raises(ValidationError):
             st.require_order(0)
+
+    @pytest.mark.parametrize("order", [2.5, 3.0, "3", None])
+    def test_non_integral_order_is_a_validation_error(self, order):
+        with pytest.raises(ValidationError) as exc:
+            build(recurrence(Charlier(2.0)), order)
+        assert str(exc.value) == f"order must be an integer, got {order!r}"
+
+    def test_numpy_integer_order(self):
+        assert build(recurrence(Charlier(2.0)), np.int64(3)).dimension == 3
 
 
 class TestMeasures:
@@ -172,6 +203,45 @@ class TestMeasures:
         d = measure(Wilson(-3.5, 4.5, 5.5, 6.5)).discrete
         assert d.size == 4
         assert all(xi > 0.0 for xi in finite_support(d)[1])
+
+    @pytest.mark.parametrize("spec, calls", [
+        (ContinuousDualHahn(-3.5, 4.5, 4.5), 20),
+        (Wilson(-3.5, 4.5, 5.5, 6.5), 28),
+    ], ids=["cdh", "wilson"])
+    def test_squared_variable_masses_are_evaluated_only_when_summed(
+        self, monkeypatch, spec, calls
+    ):
+        seen = []
+        counted = families.ln_pochhammer_signed
+
+        def counting(a, n):
+            seen.append((a, n))
+            return counted(a, n)
+
+        monkeypatch.setattr(families, "ln_pochhammer_signed", counting)
+        d = measure(spec).discrete
+        assert (d.size, seen) == (4, [])
+        assert d.weighted_sum(lambda y: 1.0) > 0.0
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("mu, size", [
+        (-3.0, 3), (-0.3, 1), (math.nextafter(-3.0, 0.0), 3), (math.nextafter(-3.0, -4.0), 4),
+    ])
+    def test_squared_variable_support_size(self, mu, size):
+        d = measure(ContinuousDualHahn(mu, 4.5, 4.5)).discrete
+        assert d.size == size
+        assert d.point_at(size - 1) == -((size - 1 + mu) ** 2) < 0.0
+
+    def test_vanishing_pochhammer_denominator_raises_before_f(self):
+        # (0)_1 = 0 in the denominator of the k = 1 mass
+        d = families._squared_variable_masses(
+            -2.5, 0.0, poch_up=(1.0,), poch_down=(0.0,), alternating_sign=False
+        )
+        calls = []
+        with pytest.raises(NumericalError) as exc:
+            d.weighted_sum(lambda y: calls.append(y) or 1.0)
+        assert str(exc.value) == "discrete mass xi_1 = nan is not positive"
+        assert calls == []
 
     def test_density_decays_at_large_argument(self):
         sigma = measure(ContinuousDualHahn(-3.5, 4.5, 4.5)).continuous.density
