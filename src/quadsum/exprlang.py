@@ -10,10 +10,10 @@ tighter than '^'):
     primary := number | 'x' | name | ident '(' args ')' | '(' expr ')'
     args    := expr (',' expr)*
 
-Numbers are decimal with an optional exponent.  The function catalog is
-exp, ln, sqrt, gamma, abs (one argument) and pow (two arguments).  A name
-is an identifier bound by the caller to an expression of its own.  An
-expression may nest at most MAX_DEPTH levels deep.
+Numbers are decimal with an optional exponent, and finite as doubles.  The
+function catalog is exp, ln, sqrt, gamma, abs (one argument) and pow (two
+arguments).  A name is an identifier bound by the caller to an expression
+of its own.  An expression may nest at most MAX_DEPTH levels deep.
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ def _tokens(text: str) -> list[tuple[str, str, int]]:
         kind, token = m.lastgroup, m.group()
         if kind == "bad":
             raise ParseError(m.start(), f"unexpected character {token!r}")
+        if kind == "number" and float(token) == math.inf:
+            raise ParseError(m.start(), f"number {token!r} overflows to inf")
         tokens.append((token if kind == "op" else kind, token, m.start()))
     tokens.append(("end", "", len(text)))
     return tokens

@@ -20,6 +20,7 @@ below 1e-12 is accepted for those cells.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .apply import (
@@ -168,10 +169,10 @@ def run_table(which: int, oracle_size: int = SPECTRAL_REFERENCE_SIZE) -> TableRe
     """Recompute one of the bundled reference tables.
 
     ``oracle_size`` is the truncation used for the spectral reference of
-    table 3 (ignored by tables 1 and 2); table 3 requires it to be >= 1.
+    table 3 (ignored by tables 1 and 2); table 3 requires an integer >= 1.
     """
-    if which == 3 and oracle_size < 1:
-        raise ValidationError(f"table 3 requires oracle_size >= 1, got {oracle_size}")
+    if which == 3 and not (isinstance(oracle_size, numbers.Integral) and oracle_size >= 1):
+        raise ValidationError(f"table 3 requires oracle_size >= 1, got {oracle_size!r}")
     if which == 1:
         return _grid(
             1,

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -247,10 +248,9 @@ class TestOracles:
 
     def test_shifted_power_sum_brute_force(self):
         r, m = 3.0, 100
-        brute = math.fsum(
-            (k + 1) * math.exp((k + 1) * math.log(r) - math.lgamma(k + r + 2))
-            for k in range(m + 1)
-        )
+        with mp.workdps(40):
+            brute = float(mp.fsum((k + 1) * mp.mpf(r) ** (k + 1) / mp.gamma(k + r + 2)
+                                  for k in range(m + 1)))
         assert exact_shifted_power_sum(r, m) == pytest.approx(brute, rel=1e-14)
 
     def test_spectral_reference_equals_full_row_zero_sum(self):

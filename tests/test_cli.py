@@ -185,6 +185,16 @@ class TestSumCommand:
         assert code == 2
         assert "define" in err
 
+    @pytest.mark.parametrize("f, defines, message", [
+        ("1e999*x", (), "error: syntax error at offset 0: number '1e999' overflows to inf\n"),
+        ("r*0+1", ("--define", "r=1e999"),
+         "error: syntax error at offset 0: number '1e999' overflows to inf\n"),
+    ], ids=["literal", "define"])
+    def test_overflowing_number_exit_2(self, capsys, f, defines, message):
+        assert run_cli(
+            capsys, "sum", "--family", "charlier", "--mu", "2", "--n", "5", "--f", f, *defines,
+        ) == (2, "", message)
+
     @pytest.mark.parametrize("defines, message", [
         (("r=2", "r=3"), "error: --define gives 'r' more than once, got 'r=3'\n"),
         (("r=2", " r = 2"), "error: --define gives 'r' more than once, got ' r = 2'\n"),

@@ -67,6 +67,20 @@ class TestParseErrors:
             parse(text)
         assert info.value.offset == offset
 
+    @pytest.mark.parametrize(
+        "text,offset",
+        [("1e999*x", 0), ("2*1e999", 2), ("x+.5e400", 2), ("1" * 400, 0)],
+        ids=["exponent", "after-operator", "leading-dot", "400-digits"],
+    )
+    def test_literal_that_overflows_to_inf(self, text, offset):
+        with pytest.raises(ParseError, match="overflows to inf") as info:
+            parse(text)
+        assert info.value.offset == offset
+
+    def test_largest_and_underflowing_literals_parse(self):
+        assert parse("1.7976931348623157e308") == Number(1.7976931348623157e308)
+        assert parse("1e-999") == Number(0.0)
+
     def test_unknown_function(self):
         with pytest.raises(ParseError, match="unknown function"):
             parse("foo(1)")

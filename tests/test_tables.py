@@ -1,6 +1,7 @@
 """Tests for the bundled reference tables and the cell tolerance policy."""
 
 import math
+import re
 
 import pytest
 
@@ -56,6 +57,11 @@ class TestRunTable:
     @pytest.mark.parametrize("size", [0, -1])
     def test_table_three_rejects_oracle_size_below_one(self, size):
         with pytest.raises(ValidationError, match=f"oracle_size >= 1, got {size}"):
+            run_table(3, oracle_size=size)
+
+    @pytest.mark.parametrize("size", ["3", 2.5, None])
+    def test_table_three_rejects_non_integer_oracle_size(self, size):
+        with pytest.raises(ValidationError, match=re.escape(f"oracle_size >= 1, got {size!r}")):
             run_table(3, oracle_size=size)
 
     def test_oracle_size_ignored_by_tables_one_and_two(self):
