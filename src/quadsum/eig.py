@@ -13,6 +13,16 @@ value into a numpy scalar, which makes the loop about 4x slower, while the
 same IEEE double operations on Python floats return the same bits.  Full
 mode runs the same sweep on numpy vectors, the columns of the eigenvector
 matrix, doing on each element what first-row mode does on its float.
+
+Three savings in the sweep leave every bit of d and e, and of each nonzero
+row entry, as the plain sweep computes them.  A sweep tests each
+off-diagonal it finishes for a split, so the next sweep need not rescan for
+one.  Those tests run only on off-diagonals below 4 eps G, G the Gershgorin
+bound of the input: every diagonal a sweep writes is one of a matrix
+orthogonally similar to J (up to rounding), so it is at most ||J||_2 <= G
+in size, and a larger off-diagonal cannot pass |e_i| <= eps (|d_i| +
+|d_{i+1}|).  And first-row mode skips rotations of the row's tail that is
+still exactly zero.
 """
 
 from __future__ import annotations
@@ -34,6 +44,8 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _MAX_SWEEPS = 50
+# Largest Gershgorin bound for which no sweep quantity can overflow.
+_NORM_MAX = 2.0**1000
 
 
 class ConvergenceError(NumericalError):
@@ -66,16 +78,49 @@ def _ql_implicit(d: list[float], e: list[float], row: list | None) -> None:
     Rotations are accumulated on ``row`` when given: floats (a row of the
     eigenvector matrix) or numpy vectors (its columns).  Deflation splits the
     matrix where |e_i| <= eps (|d_i| + |d_{i+1}|).
+
+    A sweep over [l, m] leaves e_i and d_i, d_{i+1} final for l < i < m, so
+    it tests each such i for a split as it goes and records the first that
+    passes in ``start`` (m when none does; e_m is set to 0).  Every index
+    between l and ``start`` fails the test, so the next split search tests
+    l and then resumes at ``start``, also for the next l.  After an
+    underflow break it searches from l + 1, as the plain sweep does.  The
+    test itself runs only when |e_i| <= 4 eps G (see the module docstring),
+    so a rotation pays one float compare for it; the factor 2 over the
+    largest possible threshold 2 eps G covers rounding in d and G.
+
+    Row entries above ``top`` are exactly 0.0: ``top`` starts at the last
+    nonzero entry of a float row, and each sweep that reaches it makes one
+    more entry nonzero, so rotations of the zero tail are skipped.  Such a
+    rotation gives zeros, of either sign, and adding a zero to a nonzero
+    product changes nothing, so every nonzero entry keeps its bits; an
+    entry still zero at the end may read 0.0 where the plain sweep has -0.0,
+    and ``decompose`` raises on it either way.  Vector rows rotate
+    everywhere.  Both savings assume that no sweep quantity overflows,
+    which holds for G below ``_NORM_MAX``; above it every test and rotation
+    runs.
     """
     n = len(d)
+    hypot, copysign, eps = math.hypot, math.copysign, _EPS
+    off = [0.0, *map(abs, e[: n - 1]), 0.0]
+    norm = max((abs(a) + lo + hi for a, lo, hi in zip(d, off, off[1:])), default=0.0)
+    bounded = norm < _NORM_MAX
+    cutoff = 4.0 * eps * norm if bounded else math.inf
+    top = -1 if row is None else n - 1
+    if bounded and top > 0 and not isinstance(row[0], np.ndarray):
+        while top > 0 and row[top] == 0.0:
+            top -= 1
+    start = 0
     for l in range(n):
         sweeps = 0
         while True:
             m = l
-            while m < n - 1:
-                if abs(e[m]) <= _EPS * (abs(d[m]) + abs(d[m + 1])):
-                    break
-                m += 1
+            if m < n - 1 and not abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
+                m = start if start > l else l + 1
+                while m < n - 1:
+                    if abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
+                        break
+                    m += 1
             if m == l:
                 break
             sweeps += 1
@@ -83,36 +128,44 @@ def _ql_implicit(d: list[float], e: list[float], row: list | None) -> None:
                 raise ConvergenceError(l)
             # Shift from the 2x2 block at l, displaced to the far diagonal.
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            r = hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + copysign(r, g))
             s = c = 1.0
             p = 0.0
-            underflowed = False
+            start = m
+            dn = d[m]  # d[i + 1] as it was before this sweep
             for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
+                ei = e[i]
+                f = s * ei
+                b = c * ei
+                h = hypot(f, g)
+                e[i + 1] = h
+                if h == 0.0:
+                    d[i + 1] = dn - p
                     e[m] = 0.0
-                    underflowed = True
+                    start = 0
                     break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
+                s = f / h
+                c = g / h
+                g = dn - p
+                dn = d[i]
+                r = (dn - g) * s + 2.0 * c * b
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                if row is not None:
+                if h <= cutoff and i < m - 1 and h <= eps * (abs(d[i + 1]) + abs(d[i + 2])):
+                    start = i + 1
+                if i <= top:
+                    x = row[i]
                     f = row[i + 1]
-                    row[i + 1] = s * row[i] + c * f
-                    row[i] = c * row[i] - s * f
-            if not underflowed:
+                    row[i + 1] = s * x + c * f
+                    row[i] = c * x - s * f
+            else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
+            if l <= top < m:
+                top += 1
 
 
 def decompose(j: JacobiMatrix, mode: str = "values") -> EigenDecomposition:

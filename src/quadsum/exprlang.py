@@ -43,11 +43,16 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """Syntax error, carrying the byte offset where parsing failed."""
+    """Syntax error, carrying the byte offset where parsing failed.  The
+    offset is into ``define``'s value when that is given, else into the
+    expression."""
 
-    def __init__(self, offset: int, message: str):
-        super().__init__(f"syntax error at offset {offset}: {message}")
+    def __init__(self, offset: int, message: str, define: str | None = None):
+        where = "" if define is None else f" in the value of {define!r}"
+        super().__init__(f"syntax error at offset {offset}{where}: {message}")
         self.offset = offset
+        self.reason = message
+        self.define = define
 
 
 class EvalError(NumericalError):
@@ -245,8 +250,14 @@ class _Parser:
 
 def parse(text: str, defines: dict[str, str] | None = None) -> Expr:
     """Parse expression text into an AST.  Each name in ``defines`` is bound
-    to the tree its value text parses to, wherever it stands as a name."""
-    names = {name: _Parser(value, {}).parse() for name, value in (defines or {}).items()}
+    to the tree its value text parses to, wherever it stands as a name; an
+    error in a value names the define."""
+    names = {}
+    for name, value in (defines or {}).items():
+        try:
+            names[name] = _Parser(value, {}).parse()
+        except ParseError as exc:
+            raise ParseError(exc.offset, exc.reason, name) from None
     return _Parser(text, names).parse()[0]
 
 

@@ -4,8 +4,9 @@ Each one is an independent route to a value the library computes another
 way: orthonormal polynomials by forward recurrence, exact matrix powers of
 the Jacobi matrix, and Gauss weights from eigenvalues alone.  Besides them,
 ``finite_support`` lists the points and masses of a finite discrete part,
-which the library reads only inside a sum.  Tests import them as
-``from oracles import ...``.
+which the library reads only inside a sum, and ``ql_implicit_reference`` is
+the plain QL sweep that the library's kernel must reproduce bit for bit.
+Tests import them as ``from oracles import ...``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from quadsum.eig import eigenvalues
+from quadsum.eig import _EPS, _MAX_SWEEPS, ConvergenceError, eigenvalues
 from quadsum.errors import NumericalError, ValidationError
 from quadsum.families import DiscretePart, RecurrenceStream
 from quadsum.jacobi import JacobiMatrix, build
@@ -137,3 +138,60 @@ def gauss_rule_eigenvalue_only(j: JacobiMatrix) -> QuadratureRule:
         sign = 1.0 if (np.count_nonzero(num < 0) + np.count_nonzero(den < 0)) % 2 == 0 else -1.0
         weights[k] = sign * math.exp(ln)
     return QuadratureRule(eps, weights)
+
+
+def ql_implicit_reference(d: list[float], e: list[float], row: list | None) -> None:
+    """In-place implicit-shift QL on diagonal d and off-diagonal e, without
+    the kernel's split record, norm cutoff or zero-tail skip: every sweep
+    rescans for the split and rotates every row entry.
+
+    Rotations are accumulated on ``row`` when given: floats (a row of the
+    eigenvector matrix) or numpy vectors (its columns).  Deflation splits the
+    matrix where |e_i| <= eps (|d_i| + |d_{i+1}|).
+    """
+    n = len(d)
+    for l in range(n):
+        sweeps = 0
+        while True:
+            m = l
+            while m < n - 1:
+                if abs(e[m]) <= _EPS * (abs(d[m]) + abs(d[m + 1])):
+                    break
+                m += 1
+            if m == l:
+                break
+            sweeps += 1
+            if sweeps > _MAX_SWEEPS:
+                raise ConvergenceError(l)
+            # Shift from the 2x2 block at l, displaced to the far diagonal.
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            underflowed = False
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    underflowed = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                if row is not None:
+                    f = row[i + 1]
+                    row[i + 1] = s * row[i] + c * f
+                    row[i] = c * row[i] - s * f
+            if not underflowed:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0

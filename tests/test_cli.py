@@ -188,12 +188,20 @@ class TestSumCommand:
     @pytest.mark.parametrize("f, defines, message", [
         ("1e999*x", (), "error: syntax error at offset 0: number '1e999' overflows to inf\n"),
         ("r*0+1", ("--define", "r=1e999"),
-         "error: syntax error at offset 0: number '1e999' overflows to inf\n"),
+         "error: syntax error at offset 0 in the value of 'r': number '1e999' overflows to inf\n"),
     ], ids=["literal", "define"])
     def test_overflowing_number_exit_2(self, capsys, f, defines, message):
         assert run_cli(
             capsys, "sum", "--family", "charlier", "--mu", "2", "--n", "5", "--f", f, *defines,
         ) == (2, "", message)
+
+    def test_define_error_names_the_define(self, capsys):
+        # the offset is into the value of r, not into --f
+        assert run_cli(
+            capsys, "sum", "--family", "charlier", "--mu", "2", "--n", "5",
+            "--f", "2*r+x", "--define", "s=1", "--define", "r= 1e999",
+        ) == (2, "", "error: syntax error at offset 1 in the value of 'r': "
+                     "number '1e999' overflows to inf\n")
 
     @pytest.mark.parametrize("defines, message", [
         (("r=2", "r=3"), "error: --define gives 'r' more than once, got 'r=3'\n"),

@@ -1,16 +1,24 @@
 """Tests for the symmetric tridiagonal eigensolver.
 
 numpy.linalg.eigh on the dense matrix serves as the independent oracle
-throughout.
+throughout; the QL kernel is also checked bit for bit against the plain
+sweep in ``oracles.ql_implicit_reference``.
 """
 
+import inspect
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import deleted_submatrix_eigenvalues, dense
-from quadsum.eig import _ql_implicit, decompose, eigenvalues
+import oracles
+from oracles import deleted_submatrix_eigenvalues, dense, ql_implicit_reference
+from quadsum import eig
+from quadsum.eig import _EPS, ConvergenceError, _ql_implicit, decompose, eigenvalues
 from quadsum.errors import NumericalError, ValidationError
 from quadsum.families import (
     Charlier,
@@ -257,3 +265,193 @@ class TestModeBitIdentity:
         if mode == "full":
             assert dec.full_matrix.dtype == np.float64
             assert dec.full_matrix.shape == (25, 25)
+
+
+# -- the kernel against the plain sweep -------------------------------------
+
+_MODES = ("values", "first_row", "full")
+# A sweep over [0, 2] leaves e_1 far below the split threshold.
+_INTERIOR_SPLIT = ([-3.0, 0.0, -4.0], [2.0, 1e-12])
+# A sweep over [0, 3] leaves e_2 just below the threshold of diagonals of
+# unequal size, at 0.23 of the norm cutoff, while e_0 still fails.
+_BORDERLINE_SPLIT = ([-4.0, 8.0, -1.0, -9.0], [1.0, 1.0, 3.0803399203573405e-15])
+# A sweep over [0, 4] underflows to a zero rotation at i = 1.
+_UNDERFLOW = ([0.0, 1e-320, 1e-320, 1e-320, 1e-320], [1e-320, 1e-310, 1e-310, 1.0])
+# Sweep quantities overflow to inf and NaN, which the norm cutoff and the
+# zero-tail skip do not cover.
+_NEAR_OVERFLOW = ([0.0, 5e307, -2e307, -4e307], [-8e307, -3e307, -9e307])
+
+
+def _start_row(n: int, mode: str, k: int = 0) -> list | None:
+    if mode == "values":
+        return None
+    if mode == "full":
+        return list(np.eye(n))
+    row = [0.0] * n
+    row[k] = 1.0
+    return row
+
+
+def _run(kernel, diag, offdiag, row):
+    d, e = list(diag), [*offdiag, 0.0]
+    row = None if row is None else [np.copy(x) if isinstance(x, np.ndarray) else x for x in row]
+    try:
+        kernel(d, e, row)
+        error = None
+    except ConvergenceError as exc:
+        error = (exc.index, str(exc))
+    return d, e, row, error
+
+
+def _bits(xs) -> list[bytes]:
+    return [struct.pack("<d", x) for x in xs]
+
+
+def _assert_kernel_matches_reference(diag, offdiag, row, cap=None):
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            patch.setattr(eig, "_MAX_SWEEPS", cap)
+            patch.setattr(oracles, "_MAX_SWEEPS", cap)
+        d, e, out, error = _run(_ql_implicit, diag, offdiag, row)
+        d_ref, e_ref, out_ref, error_ref = _run(ql_implicit_reference, diag, offdiag, row)
+    assert error == error_ref
+    assert _bits(d) == _bits(d_ref)
+    assert _bits(e) == _bits(e_ref)
+    if row is None:
+        assert out is None
+    elif isinstance(row[0], np.ndarray):
+        assert np.array(out).tobytes() == np.array(out_ref).tobytes()
+    else:
+        # The kernel leaves the zero tail of the row unrotated at +0.0, where
+        # the reference's rotation of two zeros may give -0.0; every nonzero
+        # entry has the same bits, and a zero left in the final row makes
+        # decompose raise whatever its sign.
+        assert _bits(x if x else 0.0 for x in out) == _bits(x if x else 0.0 for x in out_ref)
+
+
+def _reference_stops(diag, offdiag, line: str) -> list[dict]:
+    """The locals l, m, d and e (copied) of the reference sweep each time it
+    reaches the line with text ``line``, traced line by line."""
+    code = ql_implicit_reference.__code__
+    lines, first = inspect.getsourcelines(ql_implicit_reference)
+    lineno = first + next(i for i, t in enumerate(lines) if t.strip() == line)
+    stops = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno == lineno:
+            state = frame.f_locals
+            stops.append({"l": state["l"], "m": state["m"], "d": state["d"][:], "e": state["e"][:]})
+        return trace
+
+    sys.settrace(trace)
+    try:
+        ql_implicit_reference(list(diag), [*offdiag, 0.0], None)
+    finally:
+        sys.settrace(None)
+    return stops
+
+
+def _interior_splits(diag, offdiag) -> list[tuple[int, int, int]]:
+    """(l, m, j) for each sweep of the reference over [l, m] after which
+    e_j, l < j < m, passes the split test, read where the next scan ends."""
+    found = []
+    scans = _reference_stops(diag, offdiag, "if m == l:")
+    for before, after in zip(scans, scans[1:]):
+        l, m, d, e = before["l"], before["m"], after["d"], after["e"]
+        if m != l:
+            found.extend(
+                (l, m, j) for j in range(l + 1, m)
+                if abs(e[j]) <= _EPS * (abs(d[j]) + abs(d[j + 1]))
+            )
+    return found
+
+
+@st.composite
+def _family_matrices(draw) -> JacobiMatrix:
+    kind = draw(st.sampled_from(["charlier", "meixner", "krawtchouk", "cdh", "wilson"]))
+    n = draw(st.integers(1, 150))
+    positive = st.floats(0.05, 8.0)
+    unit = st.floats(0.01, 0.99)
+    if kind == "charlier":
+        spec = Charlier(draw(positive))
+    elif kind == "meixner":
+        spec = Meixner(draw(positive), draw(unit))
+    elif kind == "krawtchouk":
+        spec = Krawtchouk(draw(st.integers(max(n - 1, 1), 2000)), draw(unit))
+    else:
+        mu = draw(st.floats(-4.0, 4.0).filter(lambda v: abs(v) >= 0.05))
+        others = [draw(positive) + max(0.0, -mu) for _ in range(2 if kind == "cdh" else 3)]
+        spec = (ContinuousDualHahn if kind == "cdh" else Wilson)(mu, *others)
+    return build(recurrence(spec), n)
+
+
+@st.composite
+def _random_tridiagonals(draw) -> tuple[list[float], list[float]]:
+    """Diagonals spread or clustered; couplings ordinary, tiny (1e-17 to
+    1e-200 relative), exactly zero, or up to 8 times the split threshold of
+    their diagonals, which a sweep can push just below it; all scaled by
+    1e-300 to 1e300."""
+    n = draw(st.integers(1, 40))
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    unit = st.floats(-1.0, 1.0)
+    diag = draw(st.lists(unit, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        spread = 10.0 ** -draw(st.floats(3.0, 16.0))
+        diag = [diag[0] + spread * x for x in diag]
+    tiny = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(17.0, 200.0)).map(
+        lambda t: t[0] * 10.0 ** -t[1]
+    )
+    near = st.floats(1.0, 8.0).map(lambda k: (k,))
+    offdiag = draw(
+        st.lists(st.one_of(unit, tiny, st.just(0.0), near), min_size=n - 1, max_size=n - 1)
+    )
+    offdiag = [
+        x[0] * _EPS * (abs(diag[i]) + abs(diag[i + 1])) if isinstance(x, tuple) else x
+        for i, x in enumerate(offdiag)
+    ]
+    return [scale * x for x in diag], [scale * x for x in offdiag]
+
+
+class TestKernelMatchesReference:
+    """The kernel's split record, norm cutoff and zero-tail skip save work
+    only: d, e and the row come out with the bits of the plain sweep, and a
+    sweep cap is hit at the same index."""
+
+    def test_fixed_examples_leave_interior_splits(self):
+        # so that the examples below run the recorded-split path
+        assert _interior_splits(*_INTERIOR_SPLIT) == [(0, 2, 1)]
+        assert _interior_splits(*_BORDERLINE_SPLIT) == [(0, 3, 2)]
+        scans = _reference_stops(*_BORDERLINE_SPLIT, "if m == l:")
+        assert [(s["l"], s["m"]) for s in scans[:2]] == [(0, 3), (0, 2)]
+        # and the underflow break
+        assert [(s["l"], s["m"]) for s in _reference_stops(*_UNDERFLOW, "underflowed = True")] == [(0, 4)]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(j=_family_matrices(), mode=st.sampled_from(_MODES), start=st.integers(0, 200))
+    def test_family_matrices(self, j, mode, start):
+        n = j.dimension
+        # half the rows start at e_0, as decompose's does
+        row = _start_row(n, mode, 0 if start % 2 else start % n)
+        _assert_kernel_matches_reference(j.diag.tolist(), j.offdiag.tolist(), row)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        matrix=_random_tridiagonals(),
+        mode=st.sampled_from(_MODES),
+        start=st.integers(0, 100),
+        cap=st.sampled_from([None, None, 1, 2]),
+    )
+    @example(matrix=_INTERIOR_SPLIT, mode="values", start=0, cap=None)
+    @example(matrix=_INTERIOR_SPLIT, mode="first_row", start=0, cap=None)
+    @example(matrix=_INTERIOR_SPLIT, mode="first_row", start=2, cap=None)
+    @example(matrix=_INTERIOR_SPLIT, mode="full", start=0, cap=None)
+    @example(matrix=_INTERIOR_SPLIT, mode="first_row", start=0, cap=1)
+    @example(matrix=_BORDERLINE_SPLIT, mode="values", start=0, cap=None)
+    @example(matrix=_UNDERFLOW, mode="first_row", start=0, cap=None)
+    @example(matrix=_NEAR_OVERFLOW, mode="first_row", start=1, cap=None)
+    def test_random_tridiagonals(self, matrix, mode, start, cap):
+        diag, offdiag = matrix
+        row = _start_row(len(diag), mode, start % len(diag))
+        _assert_kernel_matches_reference(diag, offdiag, row, cap)

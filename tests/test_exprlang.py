@@ -111,6 +111,22 @@ class TestDefines:
             parse("r^x)", {"r": "3"})
         assert info.value.offset == 3
 
+    @pytest.mark.parametrize("value, offset, reason", [
+        ("1e999", 0, "number '1e999' overflows to inf"),
+        (" (1", 3, "expected ')', found 'end of input'"),
+    ], ids=["overflow", "unclosed"])
+    def test_error_in_a_value_names_the_define(self, value, offset, reason):
+        with pytest.raises(ParseError) as info:
+            parse("2*r+x", {"s": "1", "r": value})
+        assert str(info.value) == f"syntax error at offset {offset} in the value of 'r': {reason}"
+        assert (info.value.offset, info.value.reason, info.value.define) == (offset, reason, "r")
+
+    def test_error_in_the_expression_names_no_define(self):
+        with pytest.raises(ParseError) as info:
+            parse("r+", {"r": "3"})
+        assert str(info.value) == "syntax error at offset 2: expected a number, 'x', function, or '(', found 'end of input'"
+        assert info.value.define is None
+
     def test_defined_name_is_not_a_function(self):
         with pytest.raises(ParseError, match="unknown function 'r'"):
             parse("r(2)", {"r": "3"})
