@@ -73,10 +73,10 @@ def _node_sum(
     rule: QuadratureRule, weights: np.ndarray, f: Callable[[float], float]
 ) -> float:
     terms = []
-    for x, w in zip(rule.nodes, weights):
-        fx = f(float(x))
+    for x, w in zip(rule.nodes.tolist(), weights.tolist()):
+        fx = f(x)
         if not math.isfinite(fx):
-            raise NumericalError(f"integrand is not finite at node {float(x)!r}")
+            raise NumericalError(f"integrand is not finite at node {x!r}")
         terms.append(w * fx)
     return math.fsum(terms)
 

@@ -11,20 +11,26 @@ tighter than '^'):
     args    := expr (',' expr)*
 
 Numbers are decimal with an optional exponent, and finite as doubles.  The
-function catalog is exp, ln, sqrt, gamma, abs (one argument) and pow (two
-arguments).  A name is an identifier bound by the caller to an expression
-of its own.  An expression may nest at most MAX_DEPTH levels deep.
+function catalog is exp, ln, sqrt, gamma, lgamma, abs (one argument) and
+pow (two arguments).  A name is an identifier bound by the caller to an
+expression of its own.  An expression may nest at most MAX_DEPTH levels
+deep.
+
+Each node is compiled when it is built: its ``run`` attribute is a closure
+over its children's closures, so ``evaluate`` runs one closure per node
+and never walks the tree or dispatches on node types again.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Callable, Union
 
 from .errors import NumericalError, ValidationError
 from .special import gamma as _gamma
+from .special import ln_gamma as _ln_gamma
 
 __all__ = [
     "MAX_DEPTH",
@@ -63,19 +69,44 @@ class EvalError(NumericalError):
         self.node = node
 
 
+# A node's evaluator does the float operations of a walk of the tree (left
+# operand first) in the same order, and raises the same errors; the walk is
+# kept as the tests' reference.
+_Fn = Callable[[float], float]
+_set = object.__setattr__  # sets the evaluator of a frozen node
+
+
+def _evaluator():
+    """The field holding a node's evaluator; not part of the node's identity."""
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class Number:
     value: float
+    run: _Fn = _evaluator()
+
+    def __post_init__(self):
+        value = self.value
+        _set(self, "run", lambda x: value)
 
 
 @dataclass(frozen=True)
 class Variable:
-    pass
+    run: _Fn = _evaluator()
+
+    def __post_init__(self):
+        _set(self, "run", lambda x: x)
 
 
 @dataclass(frozen=True)
 class Negate:
     operand: "Expr"
+    run: _Fn = _evaluator()
+
+    def __post_init__(self):
+        operand = self.operand.run
+        _set(self, "run", lambda x: -operand(x))
 
 
 @dataclass(frozen=True)
@@ -83,17 +114,25 @@ class BinaryOp:
     op: str
     left: "Expr"
     right: "Expr"
+    run: _Fn = _evaluator()
+
+    def __post_init__(self):
+        _set(self, "run", _compile_binary(self, self.left.run, self.right.run))
 
 
 @dataclass(frozen=True)
 class Call:
     name: str
     args: tuple["Expr", ...]
+    run: _Fn = _evaluator()
+
+    def __post_init__(self):
+        _set(self, "run", _compile_call(self, *(a.run for a in self.args)))
 
 
 Expr = Union[Number, Variable, Negate, BinaryOp, Call]
 
-_ARITY = {"exp": 1, "ln": 1, "sqrt": 1, "gamma": 1, "abs": 1, "pow": 2}
+_ARITY = {"exp": 1, "ln": 1, "sqrt": 1, "gamma": 1, "lgamma": 1, "abs": 1, "pow": 2}
 
 NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 # One token per match; whitespace matches nothing and is skipped.
@@ -265,57 +304,85 @@ def _power(node: Expr, base: float, exponent: float) -> float:
     try:
         return math.pow(base, exponent)
     except OverflowError:
-        return math.inf
+        # An odd integer power keeps the sign of its base.
+        return math.copysign(math.inf, base) if exponent % 2.0 == 1.0 else math.inf
     except ValueError:
         raise EvalError(node, f"domain error raising {base!r} to power {exponent!r}")
 
 
-def evaluate(e: Expr, x: float) -> float:
-    """Evaluate an AST at the given value of x."""
-    if isinstance(e, Number):
-        return e.value
-    if isinstance(e, Variable):
-        return x
-    if isinstance(e, Negate):
-        return -evaluate(e.operand, x)
-    if isinstance(e, BinaryOp):
-        left = evaluate(e.left, x)
-        right = evaluate(e.right, x)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "/":
-            if right == 0.0:
+def _compile_binary(e: BinaryOp, left: _Fn, right: _Fn) -> _Fn:
+    if e.op == "+":
+        return lambda x: left(x) + right(x)
+    if e.op == "-":
+        return lambda x: left(x) - right(x)
+    if e.op == "*":
+        return lambda x: left(x) * right(x)
+    if e.op == "/":
+        def divide(x: float) -> float:
+            num = left(x)
+            den = right(x)
+            if den == 0.0:
                 raise EvalError(e, "division by zero")
-            return left / right
-        return _power(e, left, right)
-    if isinstance(e, Call):
-        args = [evaluate(a, x) for a in e.args]
-        if e.name == "exp":
+            return num / den
+
+        return divide
+    return lambda x: _power(e, left(x), right(x))
+
+
+def _compile_call(e: Call, arg: _Fn, *rest: _Fn) -> _Fn:
+    if e.name == "pow":
+        exponent = rest[0]
+        return lambda x: _power(e, arg(x), exponent(x))
+    if e.name == "abs":
+        return lambda x: abs(arg(x))
+    if e.name == "exp":
+        def exp(x: float) -> float:
+            a = arg(x)
             try:
-                return math.exp(args[0])
+                return math.exp(a)
             except OverflowError:
                 return math.inf
-        if e.name == "ln":
-            if args[0] <= 0.0:
-                raise EvalError(e, f"ln of non-positive value {args[0]!r}")
-            return math.log(args[0])
-        if e.name == "sqrt":
-            if args[0] < 0.0:
-                raise EvalError(e, f"sqrt of negative value {args[0]!r}")
-            return math.sqrt(args[0])
-        if e.name == "abs":
-            return abs(args[0])
-        if e.name == "gamma":
+
+        return exp
+    if e.name == "ln":
+        def ln(x: float) -> float:
+            a = arg(x)
+            if a <= 0.0:
+                raise EvalError(e, f"ln of non-positive value {a!r}")
+            return math.log(a)
+
+        return ln
+    if e.name == "sqrt":
+        def sqrt(x: float) -> float:
+            a = arg(x)
+            if a < 0.0:
+                raise EvalError(e, f"sqrt of negative value {a!r}")
+            return math.sqrt(a)
+
+        return sqrt
+    if e.name == "gamma":
+        def gamma(x: float) -> float:
+            a = arg(x)
             try:
-                return _gamma(args[0])
+                return _gamma(a)
             except ValidationError:
-                raise EvalError(e, f"gamma pole at {args[0]!r}")
-        return _power(e, args[0], args[1])  # pow
-    raise TypeError(f"not an expression node: {e!r}")
+                raise EvalError(e, f"gamma pole at {a!r}")
+
+        return gamma
+    if e.name == "lgamma":
+        def lgamma(x: float) -> float:
+            a = arg(x)
+            if a <= 0.0:
+                raise EvalError(e, f"lgamma of non-positive value {a!r}")
+            return a if a != a else _ln_gamma(a)  # NaN passes through, as in ln
+
+        return lgamma
+    raise TypeError(f"not an expression function: {e.name!r}")
+
+
+def evaluate(e: Expr, x: float) -> float:
+    """Evaluate an AST at the given value of x."""
+    return e.run(x)
 
 
 def to_text(e: Expr) -> str:

@@ -273,9 +273,10 @@ class Charlier(FamilySpec):
 
     def measure(self) -> MeasureSpec:
         mu = self.mu
+        ln_mu = math.log(mu)
 
         def ln_mass(x: float) -> float:
-            return x * math.log(mu) - mu - ln_gamma(x + 1.0)
+            return x * ln_mu - mu - ln_gamma(x + 1.0)
 
         return _lattice_measure(ln_mass, size=None)
 
@@ -305,9 +306,10 @@ class Meixner(FamilySpec):
     def measure(self) -> MeasureSpec:
         mu, beta = self.mu, self.beta
         c = 2.0 * mu * math.log1p(-beta) - ln_gamma(2.0 * mu)
+        ln_beta = math.log(beta)
 
         def ln_mass(x: float) -> float:
-            return c + ln_gamma(2.0 * mu + x) + x * math.log(beta) - ln_gamma(x + 1.0)
+            return c + ln_gamma(2.0 * mu + x) + x * ln_beta - ln_gamma(x + 1.0)
 
         return _lattice_measure(ln_mass, size=None)
 
@@ -340,14 +342,15 @@ class Krawtchouk(FamilySpec):
         # the spectrum size M, which is what makes the masses sum to one.
         m, g = self.m, self.gamma
         c = ln_gamma(m + 1.0)
+        ln_g, ln_q = math.log(g), math.log1p(-g)
 
         def ln_mass(x: float) -> float:
             return (
                 c
                 - ln_gamma(m - x + 1.0)
                 - ln_gamma(x + 1.0)
-                + x * math.log(g)
-                + (m - x) * math.log1p(-g)
+                + x * ln_g
+                + (m - x) * ln_q
             )
 
         return _lattice_measure(ln_mass, size=m + 1)

@@ -129,13 +129,13 @@ def derivative_weights(
     weight_fn must be positive and finite at every node (for discrete
     measures this is the smooth continuation of the masses).
     """
-    out = np.empty(rule.order)
-    for i, (x, w) in enumerate(zip(rule.nodes, rule.weights)):
-        rho = weight_fn(float(x))
+    out = []
+    for x, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
+        rho = weight_fn(x)
         if not (math.isfinite(rho) and rho > 0.0):
             raise ValidationError(
-                f"weight function must be positive and finite at node {float(x)!r}, "
+                f"weight function must be positive and finite at node {x!r}, "
                 f"got {float(rho)!r}"
             )
-        out[i] = w / rho
-    return out
+        out.append(w / rho)
+    return np.array(out)

@@ -116,14 +116,17 @@ class TableReport:
         return all(c.passed for c in self.cells)
 
 
+_LN_3 = math.log(3.0)
+
+
 def _t1_integrand(x: float) -> float:
     # 3^x / Gamma(x+1)
-    return math.exp(x * math.log(3.0) - ln_gamma(x + 1.0))
+    return math.exp(x * _LN_3 - ln_gamma(x + 1.0))
 
 
 def _t2_integrand(x: float) -> float:
     # (x+1) 3^{x+1} / Gamma(x+5)
-    return (x + 1.0) * math.exp((x + 1.0) * math.log(3.0) - ln_gamma(x + 5.0))
+    return (x + 1.0) * math.exp((x + 1.0) * _LN_3 - ln_gamma(x + 5.0))
 
 
 def _t3_integrand(y: float) -> float:

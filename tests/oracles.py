@@ -4,9 +4,11 @@ Each one is an independent route to a value the library computes another
 way: orthonormal polynomials by forward recurrence, exact matrix powers of
 the Jacobi matrix, and Gauss weights from eigenvalues alone.  Besides them,
 ``finite_support`` lists the points and masses of a finite discrete part,
-which the library reads only inside a sum, and ``ql_implicit_reference`` is
-the plain QL sweep that the library's kernel must reproduce bit for bit.
-Tests import them as ``from oracles import ...``.
+which the library reads only inside a sum, ``ql_implicit_reference`` is
+the plain QL sweep that the library's kernel must reproduce bit for bit, and
+``evaluate_reference`` is the expression tree walk that the compiled
+expression evaluators must reproduce bit for bit.  Tests import them as
+``from oracles import ...``.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ import numpy as np
 
 from quadsum.eig import _EPS, _MAX_SWEEPS, ConvergenceError, eigenvalues
 from quadsum.errors import NumericalError, ValidationError
+from quadsum.exprlang import BinaryOp, Call, EvalError, Expr, Negate, Number, Variable, _power
 from quadsum.families import DiscretePart, RecurrenceStream
 from quadsum.jacobi import JacobiMatrix, build
 from quadsum.rule import QuadratureRule
+from quadsum.special import gamma as _gamma
+from quadsum.special import ln_gamma
 
 
 def eval_poly(stream: RecurrenceStream, n: int, x: float) -> float:
@@ -195,3 +200,55 @@ def ql_implicit_reference(d: list[float], e: list[float], row: list | None) -> N
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
+
+
+def evaluate_reference(e: Expr, x: float) -> float:
+    """Evaluate an expression tree at x by walking it, node by node."""
+    if isinstance(e, Number):
+        return e.value
+    if isinstance(e, Variable):
+        return x
+    if isinstance(e, Negate):
+        return -evaluate_reference(e.operand, x)
+    if isinstance(e, BinaryOp):
+        left = evaluate_reference(e.left, x)
+        right = evaluate_reference(e.right, x)
+        if e.op == "+":
+            return left + right
+        if e.op == "-":
+            return left - right
+        if e.op == "*":
+            return left * right
+        if e.op == "/":
+            if right == 0.0:
+                raise EvalError(e, "division by zero")
+            return left / right
+        return _power(e, left, right)
+    if isinstance(e, Call):
+        args = [evaluate_reference(a, x) for a in e.args]
+        if e.name == "exp":
+            try:
+                return math.exp(args[0])
+            except OverflowError:
+                return math.inf
+        if e.name == "ln":
+            if args[0] <= 0.0:
+                raise EvalError(e, f"ln of non-positive value {args[0]!r}")
+            return math.log(args[0])
+        if e.name == "sqrt":
+            if args[0] < 0.0:
+                raise EvalError(e, f"sqrt of negative value {args[0]!r}")
+            return math.sqrt(args[0])
+        if e.name == "abs":
+            return abs(args[0])
+        if e.name == "gamma":
+            try:
+                return _gamma(args[0])
+            except ValidationError:
+                raise EvalError(e, f"gamma pole at {args[0]!r}")
+        if e.name == "lgamma":
+            if args[0] <= 0.0:
+                raise EvalError(e, f"lgamma of non-positive value {args[0]!r}")
+            return args[0] if math.isnan(args[0]) else ln_gamma(args[0])
+        return _power(e, args[0], args[1])  # pow
+    raise TypeError(f"not an expression node: {e!r}")

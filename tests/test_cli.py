@@ -143,7 +143,7 @@ class TestSumCommand:
     @pytest.mark.parametrize("f, message", [
         ("r^x)", "error: syntax error at offset 3: expected end of input, found ')'\n"),
         ("r(2)", "error: syntax error at offset 0: unknown function 'r'; "
-                 "known: ['abs', 'exp', 'gamma', 'ln', 'pow', 'sqrt']\n"),
+                 "known: ['abs', 'exp', 'gamma', 'lgamma', 'ln', 'pow', 'sqrt']\n"),
     ], ids=["offset", "not-a-function"])
     def test_define_errors_point_into_the_given_text(self, capsys, f, message):
         assert run_cli(
@@ -210,7 +210,9 @@ class TestSumCommand:
                              "expression language, got 'gamma=2'\n"),
         (("r=2", "pow=2"), "error: --define name 'pow' is a function of the expression "
                            "language, got 'pow=2'\n"),
-    ], ids=["repeated", "repeated-spaced", "gamma", "pow"])
+        (("lgamma=1",), "error: --define name 'lgamma' is a function of the expression "
+                        "language, got 'lgamma=1'\n"),
+    ], ids=["repeated", "repeated-spaced", "gamma", "pow", "lgamma"])
     def test_define_name_clash_exit_2(self, capsys, defines, message):
         argv = ["sum", "--family", "charlier", "--mu", "2", "--n", "10",
                 "--f", "r*x+gamma(x+1)"]
@@ -227,6 +229,22 @@ class TestSumCommand:
         assert err.startswith("numerical failure")
         assert "Traceback" not in err
         assert err == "numerical failure: integrand is not finite at node -7.577858357427962e-16\n"
+
+    def test_odd_power_overflowing_to_minus_inf(self, capsys):
+        # (x-1e200)^3 overflows to -inf at every node, so every term is exp(-inf) = 0
+        assert run_cli(
+            capsys, "sum", "--family", "charlier", "--mu", "2", "--n", "5",
+            "--f", "exp((x-1e200)^3)",
+        ) == (0, "0\n", "")
+
+    def test_lgamma_integrand_past_the_gamma_overflow(self, capsys):
+        # 3^x/gamma(x+1) is inf/inf at this rule's top nodes; the log form is not
+        code, out, err = run_cli(
+            capsys, "sum", "--family", "meixner", "--mu", "2", "--beta", "0.4", "--n", "180",
+            "--f", "exp(x*ln(3)-lgamma(x+1))",
+        )
+        assert (code, err) == (0, "")
+        assert abs(float(out) - math.exp(3.0)) <= 1e-14 * math.exp(3.0)
 
     def test_domain_error_exit_3(self, capsys):
         # ln is undefined at the low nodes of this rule

@@ -1,9 +1,13 @@
 """Tests for the expression language."""
 
 import math
+import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import evaluate_reference
 from quadsum.exprlang import (
     BinaryOp,
     MAX_DEPTH,
@@ -180,6 +184,27 @@ class TestEvaluation:
         assert ev("exp(10000)") == math.inf
         assert ev("10^1000") == math.inf
 
+    @pytest.mark.parametrize("text, value", [
+        ("(-10)^401", -math.inf),
+        ("-10^401", -math.inf),  # unary minus binds first
+        ("(-1e200)^3", -math.inf),
+        ("pow(-0.5, -1075)", -math.inf),
+        ("(-10)^400", math.inf),
+        ("pow(-0.5, -1076)", math.inf),
+        ("(-1e200)^1e300", math.inf),  # every double this large is even
+        ("pow(-1e200, 3)", -math.inf),
+    ])
+    def test_power_overflow_keeps_the_sign_of_odd_powers(self, text, value):
+        assert ev(text) == value
+
+    def test_lgamma(self):
+        assert ev("lgamma(x)", 0.5) == math.lgamma(0.5)
+        assert ev("lgamma(x+1)", 200.0) == math.lgamma(201.0)
+        assert ev("exp(x*ln(3)-lgamma(x+1))", 700.0) == pytest.approx(
+            math.exp(700.0 * math.log(3.0) - math.lgamma(701.0)), rel=1e-15
+        )
+        assert math.isnan(ev("lgamma(x-x)", math.inf))  # NaN passes through, as in ln
+
     def test_gamma_overflow_saturates(self):
         assert ev("gamma(x+200)", 2.0) == math.inf
         # |Gamma| underflows for large negative non-integers; the sign is kept
@@ -201,6 +226,12 @@ class TestEvalErrors:
     def test_gamma_pole(self):
         with pytest.raises(EvalError, match="gamma"):
             ev("gamma(x)", 0.0)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -2.5])
+    def test_lgamma_domain(self, x):
+        with pytest.raises(EvalError) as info:
+            ev("lgamma(x)", x)
+        assert str(info.value) == f"lgamma of non-positive value {x!r} in 'lgamma(x)'"
 
     def test_division_by_zero(self):
         with pytest.raises(EvalError, match="division"):
@@ -242,3 +273,57 @@ class TestRoundTrip:
         for x in (0.25, 1.0, 2.5):
             combined = ev(f"({f})+({g})", x)
             assert combined == pytest.approx(ev(f, x) + ev(g, x), rel=1e-14)
+
+
+# Values of x, and of literals, where the float operations are most likely
+# to part: zeros, the tiniest and hugest doubles, gamma poles, negatives,
+# and odd and even integers for powers.
+_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+    1.7976931348623157e308, -1.7976931348623157e308,
+    -1.0, -2.0, -3.0, -170.0, -0.5, -2.5, -180.5, 0.5, 1.0, 2.0, 3.0, 171.5,
+]
+_FLOATS = st.one_of(
+    st.sampled_from(_EDGES),
+    st.floats(-200.0, 200.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_UNARY = ("exp", "ln", "sqrt", "gamma", "lgamma", "abs")
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(Negate, children),
+        st.builds(BinaryOp, st.sampled_from("+-*/^"), children, children),
+        st.builds(lambda name, a: Call(name, (a,)), st.sampled_from(_UNARY), children),
+        st.builds(lambda a, b: Call("pow", (a, b)), children, children),
+    )
+
+
+_TREES = st.recursive(
+    st.one_of(st.just(Variable()), st.builds(Number, _FLOATS)), _extend, max_leaves=12
+)
+
+
+def _outcome(evaluator, tree, x):
+    """The bits of the value (all NaNs alike), or the error raised."""
+    try:
+        value = evaluator(tree, x)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+class TestCompiledEvaluator:
+    """The closures built with each node against the tree walk in
+    ``oracles.evaluate_reference``."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(tree=_TREES, xs=st.lists(_FLOATS, min_size=1, max_size=4))
+    @example(tree=parse("x-2/x"), xs=[3.0, math.inf])  # a value, and a NaN
+    @example(tree=parse("1/(x-x)+ln(x)"), xs=[1.0, -1.0])  # an EvalError from either side
+    @example(tree=parse("sqrt(x)*gamma(x)*lgamma(x)"), xs=[-1.0, -2.0, 0.0])
+    @example(tree=parse("x^0.5-pow(x, 3)"), xs=[-1.0, -1e200])
+    def test_same_bits_or_error_as_the_tree_walk(self, tree, xs):
+        for x in xs:
+            assert _outcome(evaluate, tree, x) == _outcome(evaluate_reference, tree, x)
