@@ -78,7 +78,13 @@ def _node_sum(
         if not math.isfinite(fx):
             raise NumericalError(f"integrand is not finite at node {x!r}")
         terms.append(w * fx)
-    return math.fsum(terms)
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # ValueError: inf - inf from overflowed terms
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericalError("quadrature sum overflows the float range")
+    return total
 
 
 def approximate(fn: Functional) -> float:

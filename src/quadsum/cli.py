@@ -7,14 +7,18 @@ Subcommands:
   table  regenerate one of the bundled reference tables with pass/fail cells
 
 Exit codes: 0 ok, 1 tolerance failure in table mode, 2 usage or validation
-error, 3 numerical failure.  All reals are printed with 17 significant
-digits, so identical invocations produce byte-identical output.
+error, 3 numerical failure (an overflowing sum included).  All reals are
+printed with 17 significant digits, so identical invocations produce
+byte-identical output.
 
-The parser is built once, at import, and ``main`` reuses it for every call:
-``parse_args`` leaves the parser unchanged (the ``--define`` list is copied
+The parsers are built once, at import, and ``main`` reuses them for every
+call: parsing leaves a parser unchanged (the ``--define`` list is copied
 before it is appended to, and usage errors go to the ``sys.stderr`` current
 at the time), so a call's output does not depend on the calls before it.
-``python -m quadsum`` runs ``main`` from a source checkout.
+When argv[0] names a subcommand, ``main`` hands the rest of argv to that
+subcommand's parser, and leftover arguments are reported by the top-level
+parser, so the outcome equals the nested top-level parse in one argparse
+pass.  ``python -m quadsum`` runs ``main`` from a source checkout.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_json(value) -> str:
+    if isinstance(value, float):
+        return _fmt(value)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -54,10 +60,8 @@ def _fmt_json(value) -> str:
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return _fmt(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt_json(v) for v in value) + "]"
+        return "[" + ", ".join(map(_fmt_json, value)) + "]"
     if isinstance(value, dict):
         return "{" + ", ".join(f'{_fmt_json(str(k))}: {_fmt_json(v)}' for k, v in value.items()) + "}"
     raise TypeError(f"cannot serialize {value!r}")
@@ -98,7 +102,7 @@ def _add_family_command(commands, name: str, summary: str) -> argparse.ArgumentP
     return sub
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="quadsum",
         description="Gauss quadrature rules for integrals, sums, and mixed measures.",
@@ -122,10 +126,27 @@ def build_parser() -> argparse.ArgumentParser:
     table_cmd.add_argument("--format", choices=("json", "csv"), default="json")
     table_cmd.add_argument("--oracle-k", type=int, default=SPECTRAL_REFERENCE_SIZE,
                            help="truncation size of the spectral reference (table 3)")
-    return parser
+    return parser, {"rule": rule_cmd, "sum": sum_cmd, "table": table_cmd}
 
 
-_PARSER = build_parser()
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+_PARSER, _COMMANDS = _build_parsers()
+
+
+def _parse_argv(argv: Sequence[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)`` in one argparse pass when argv[0] names
+    a subcommand: its parser reads the rest, and leftovers are reported by
+    the top-level parser, as the nested parse does."""
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 # A --define value is a number of the expression language, optionally negated.
@@ -156,19 +177,18 @@ def _parse_defines(defines: Sequence[str]) -> dict[str, str]:
 def _cmd_rule(args: argparse.Namespace) -> int:
     family, params = _family_from_args(args)
     rule = gauss_rule(build(recurrence(family), args.n))
+    nodes, weights = rule.nodes.tolist(), rule.weights.tolist()
     if args.format == "json":
         doc = {
             "family": args.family,
             "params": params,
             "n": args.n,
-            "nodes": [float(x) for x in rule.nodes],
-            "weights": [float(w) for w in rule.weights],
+            "nodes": nodes,
+            "weights": weights,
         }
         print(_fmt_json(doc))
     else:
-        print("node,weight")
-        for x, w in zip(rule.nodes, rule.weights):
-            print(f"{_fmt(float(x))},{_fmt(float(w))}")
+        print("\n".join(["node,weight", *map("{:.17g},{:.17g}".format, nodes, weights)]))
     return _EXIT_OK
 
 
@@ -227,7 +247,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.command == "rule":
             return _cmd_rule(args)

@@ -34,7 +34,7 @@ class JacobiMatrix:
             raise ValidationError(
                 f"off-diagonal must have length {d.size - 1}, got {e.shape}"
             )
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise ValidationError("matrix entries must be finite")
 
     @property

@@ -44,11 +44,11 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
         if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size < 1:
             raise ValidationError("nodes and weights must be 1-d arrays of equal size")
-        if not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(weights)):
+        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
             raise NumericalError("rule has non-finite nodes or weights")
-        if np.any(np.diff(nodes) <= 0.0):
+        if (nodes[1:] <= nodes[:-1]).any():
             raise NumericalError("rule nodes are not strictly increasing")
-        if np.any(weights < 0.0):
+        if (weights < 0.0).any():
             raise NumericalError("rule has negative weights")
         mass = math.fsum(weights.tolist())
         if abs(mass - 1.0) > _MASS_TOL:

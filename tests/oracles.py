@@ -7,12 +7,15 @@ the Jacobi matrix, and Gauss weights from eigenvalues alone.  Besides them,
 which the library reads only inside a sum, ``ql_implicit_reference`` is
 the plain QL sweep that the library's kernel must reproduce bit for bit, and
 ``evaluate_reference`` is the expression tree walk that the compiled
-expression evaluators must reproduce bit for bit.  Tests import them as
+expression evaluators must reproduce bit for bit, and ``fmt_json_reference``
+and ``rule_csv_reference`` are the per-value JSON formatter and per-line CSV
+loop whose bytes the CLI's output must reproduce.  Tests import them as
 ``from oracles import ...``.
 """
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -252,3 +255,36 @@ def evaluate_reference(e: Expr, x: float) -> float:
             return args[0] if math.isnan(args[0]) else ln_gamma(args[0])
         return _power(e, args[0], args[1])  # pow
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _fmt(x: float) -> str:
+    return format(x, ".17g")
+
+
+def fmt_json_reference(value) -> str:
+    """JSON text of a document of None, bool, str, int, float, list, tuple
+    and dict values, reals with 17 significant digits."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(fmt_json_reference(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f'{fmt_json_reference(str(k))}: {fmt_json_reference(v)}' for k, v in value.items()) + "}"
+    raise TypeError(f"cannot serialize {value!r}")
+
+
+def rule_csv_reference(rule: QuadratureRule) -> str:
+    """What ``quadsum rule --format csv`` prints for a rule, one print per line."""
+    out = io.StringIO()
+    print("node,weight", file=out)
+    for x, w in zip(rule.nodes, rule.weights):
+        print(f"{_fmt(float(x))},{_fmt(float(w))}", file=out)
+    return out.getvalue()

@@ -29,6 +29,7 @@ from quadsum.families import (
     recurrence,
 )
 from quadsum.jacobi import build, matrix_function_element
+from quadsum.rule import derivative_weights, gauss_rule
 from quadsum.special import ln_gamma
 
 
@@ -117,6 +118,22 @@ class TestApproximate:
             approximate(Functional("weighted_sum", lambda x: math.inf, Charlier(2.0), 3))
         # the node prints as a plain float, not a numpy scalar repr
         assert str(exc.value) == "integrand is not finite at node 0.5107114281899208"
+
+    def test_overflowing_sum_is_numerical_failure(self):
+        # a term w*f(x) overflows to inf and fsum's running sum overflows
+        with pytest.raises(NumericalError, match="overflows") as exc:
+            approximate(Functional("plain_sum", lambda x: 1e308, Charlier(2.0), 5))
+        assert str(exc.value) == "quadrature sum overflows the float range"
+
+    def test_overflowed_terms_of_both_signs_are_numerical_failure(self):
+        # two terms w*f(x) overflow to +inf and -inf, which fsum cannot add
+        rule = gauss_rule(build(recurrence(Charlier(2.0)), 40))
+        weights = derivative_weights(rule, measure(Charlier(2.0)).discrete.density)
+        big = sorted(zip(weights.tolist(), rule.nodes.tolist()))[-2:]
+        assert all(w * 1.7e308 == math.inf for w, _ in big)
+        signs = {x: s for (_, x), s in zip(big, (1.0, -1.0))}
+        with pytest.raises(NumericalError, match="overflows"):
+            approximate(Functional("plain_sum", lambda x: signs.get(x, 0.0) * 1.7e308, Charlier(2.0), 40))
 
     def test_exactness_transfer_for_mixed_measure(self):
         # monomials of degree <= 2N-1 in the squared variable integrate to

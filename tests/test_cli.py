@@ -1,5 +1,6 @@
 """Tests for the command-line interface: schemas, determinism, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -11,10 +12,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import fmt_json_reference, rule_csv_reference
 
 import quadsum
 import quadsum.cli
 from quadsum.cli import main
+from quadsum.errors import NumericalError, ValidationError
+from quadsum.families import Charlier, ContinuousDualHahn, Krawtchouk, Meixner, Wilson, recurrence
+from quadsum.jacobi import build
+from quadsum.rule import gauss_rule
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +238,13 @@ class TestSumCommand:
         assert "Traceback" not in err
         assert err == "numerical failure: integrand is not finite at node -7.577858357427962e-16\n"
 
+    @pytest.mark.parametrize("f, mode", [("1e308", "plain"), ("1.7976931348623157e308", "weighted")])
+    def test_overflowing_sum_exit_3(self, capsys, f, mode):
+        # a term w*f(x) (plain) or the running sum of finite terms (weighted) overflows
+        assert run_cli(
+            capsys, "sum", "--family", "charlier", "--mu", "2", "--n", "5", "--f", f, "--mode", mode,
+        ) == (3, "", "numerical failure: quadrature sum overflows the float range\n")
+
     def test_odd_power_overflowing_to_minus_inf(self, capsys):
         # (x-1e200)^3 overflows to -inf at every node, so every term is exp(-inf) = 0
         assert run_cli(
@@ -428,6 +443,142 @@ class TestParserReuse:
         assert exc.value.code == 2
         assert "bogus" in capsys.readouterr().err
         assert run_cli(capsys, *argv) == alone
+
+
+# argv lists that parse, or end in SystemExit, on both parse routes.
+_PARSE_CASES = (
+    *(("rule", "--family", family, *params, "--n", "3") for family, params in _FAMILY_ARGV.items()),
+    *(("sum", "--family", family, *params, "--n", "4", "--f", "x^2") for family, params in _FAMILY_ARGV.items()),
+    (*_EXP_SUM, "--mode", "weighted", "--define", "r=3", "--define", "s=-2.5"),
+    ("table", "1"),
+    ("table", "3", "--format", "csv", "--oracle-k", "-3"),
+    ("rule", "--family=charlier", "--mu=2", "--n=3", "--format=csv"),
+    ("rule", "--fam", "cdh", "--mu", "-1.5", "--alpha", "2.5", "--beta", "3", "--n", "2"),
+    ("sum", "--family", "charlier", "--mu", "2", "--n", "3", "--f", "-x"),
+    ("rule", "--", "--family", "charlier"),
+    ("--", "rule", "--family", "charlier", "--mu", "2", "--n", "3"),
+    ("table", "--", "1"),
+    ("rule", "--family", "charlier", "--mu", "2", "--n", "3", "--"),
+    ("rule", "--family", "charlier", "--mu", "2", "--n", "3", "extra"),
+    ("rule", "--family", "charlier", "--bogus", "1", "--mu", "2", "--n", "3", "x", "-y"),
+    ("table", "1", "2"),
+    ("-h",),
+    ("--help",),
+    ("rule", "-h"),
+    ("sum", "--help"),
+    ("table", "-h"),
+    ("rule", "--family", "charlier", "--n", "3", "-h", "extra"),
+    (),
+    ("bogus",),
+    ("--family", "charlier"),
+    ("rule",),
+    ("rule", "--family", "bogus", "--n", "2"),
+    ("rule", "--family", "charlier", "--n", "x"),
+    ("table", "9"),
+)
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestParseRoute:
+    """main parses a subcommand's argv with that subcommand's parser alone,
+    with the outcome of the nested parse through the top-level parser."""
+
+    @pytest.mark.parametrize("argv", _PARSE_CASES, ids=lambda argv: " ".join(argv) or "<empty>")
+    def test_equals_the_nested_parse(self, capsys, argv):
+        expected = _parse_outcome(capsys, quadsum.cli.build_parser().parse_args, argv)
+        assert _parse_outcome(capsys, quadsum.cli._parse_argv, argv) == expected
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["rule", "--family", "charlier", "--mu", "2", "--n", "3"]
+        expected = run_cli(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["quadsum", *argv])
+        code = main()
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+
+
+@st.composite
+def _rule_request(draw):
+    """A family with its CLI flags, an order of 1-40 and an output format;
+    a Krawtchouk order may exceed the support, which exits 2."""
+    positive = st.floats(0.05, 8.0)
+    unit = st.floats(0.01, 0.99)
+    family = draw(st.sampled_from(sorted(_FAMILY_ARGV)))
+    n = draw(st.integers(1, 40))
+    if family == "charlier":
+        params = {"mu": draw(positive)}
+    elif family == "meixner":
+        params = {"mu": draw(positive), "beta": draw(unit)}
+    elif family == "krawtchouk":
+        params = {"M": draw(st.integers(1, 60)), "gamma": draw(unit)}
+    else:
+        mu = draw(st.floats(-4.0, 4.0).filter(lambda v: abs(v) >= 0.05))
+        names = ("alpha", "beta") if family == "cdh" else ("nu", "alpha", "beta")
+        params = {"mu": mu, **{name: draw(positive) + max(0.0, -mu) for name in names}}
+    return family, params, n, draw(st.sampled_from(["json", "csv"]))
+
+
+_SPECS = {"charlier": Charlier, "meixner": Meixner, "krawtchouk": Krawtchouk,
+          "cdh": ContinuousDualHahn, "wilson": Wilson}
+
+
+class TestOutputMatchesReferenceFormatter:
+    """rule and table output keep the bytes of the per-value JSON formatter
+    and the per-line CSV loop."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(request=_rule_request())
+    def test_rule_output(self, request):
+        family, params, n, fmt = request
+        flags = [item for flag, value in params.items() for item in (f"--{flag}", repr(value))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["rule", "--family", family, *flags, "--n", str(n), "--format", fmt])
+        out, err = out.getvalue(), err.getvalue()
+        try:
+            rule = gauss_rule(build(recurrence(_SPECS[family](*params.values())), n))
+        except ValidationError:
+            assert (code, out) == (2, "")
+            return
+        except NumericalError:
+            assert (code, out) == (3, "")
+            return
+        if fmt == "json":
+            expected = fmt_json_reference({
+                "family": family,
+                "params": params,
+                "n": n,
+                "nodes": [float(x) for x in rule.nodes],
+                "weights": [float(w) for w in rule.weights],
+            }) + "\n"
+        else:
+            expected = rule_csv_reference(rule)
+        assert (code, out, err) == (0, expected, "")
+
+    def test_edge_values(self):
+        doc = {
+            "reals": [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308, 0.1, -2.0],
+            "ints": [0, -7, 10**20],
+            "flags": [True, False],
+            "none": None,
+            "text": 'a "quoted" back\\slash, comma',
+            "nested": {"n": 3, "row": (1.5, None, "x", [])},
+        }
+        assert quadsum.cli._fmt_json(doc) == fmt_json_reference(doc)
+
+    @pytest.mark.parametrize("which", ["1", "2"])
+    def test_table_json(self, capsys, monkeypatch, which):
+        output = run_cli(capsys, "table", which)
+        monkeypatch.setattr(quadsum.cli, "_fmt_json", fmt_json_reference)
+        assert run_cli(capsys, "table", which) == output
 
 
 # One invocation per output path: rule JSON and CSV, a sum with --define,

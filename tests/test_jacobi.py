@@ -42,8 +42,14 @@ class TestBuild:
     def test_validation(self):
         with pytest.raises(ValidationError):
             JacobiMatrix(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
-        with pytest.raises(ValidationError):
-            JacobiMatrix(np.array([1.0, math.inf]), np.array([1.0]))
+        for diag, offdiag in [
+            ([1.0, math.inf], [1.0]),
+            ([math.nan, 2.0], [1.0]),
+            ([1.0, 2.0], [math.inf]),
+            ([1.0, 2.0], [math.nan]),
+        ]:
+            with pytest.raises(ValidationError, match="matrix entries must be finite"):
+                JacobiMatrix(np.array(diag), np.array(offdiag))
 
 
 class TestPowerElement:

@@ -250,6 +250,13 @@ class TestQuadratureRuleValidation:
     def test_rejects_nonfinite(self):
         with pytest.raises(NumericalError):
             QuadratureRule(np.array([0.0, math.nan]), np.array([0.5, 0.5]))
+        for nodes, weights in [
+            ([math.nan, 1.0], [0.5, 0.5]),
+            ([0.0, 1.0], [math.nan, 0.5]),
+            ([0.0, 1.0], [0.5, math.nan]),
+        ]:
+            with pytest.raises(NumericalError, match="non-finite nodes or weights"):
+                QuadratureRule(np.array(nodes), np.array(weights))
 
 
 class TestDerivativeWeights:
