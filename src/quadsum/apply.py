@@ -11,7 +11,9 @@ report tables live here too.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +22,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .families import FamilySpec, measure, recurrence, require_count
 from .jacobi import build, matrix_function_element
-from .rule import QuadratureRule, derivative_weights, gauss_rule
+from .rule import QuadratureRule, _RuleCache, derivative_weights, gauss_rule
 from .special import ln_gamma
 
 __all__ = [
@@ -87,6 +89,28 @@ def _node_sum(
     return total
 
 
+# What a functional's family, order and density component fix, kept per
+# process: (measure, Gauss rule, weights of the node sum).
+_CACHE = _RuleCache()
+
+
+def _family_key(family: FamilySpec) -> tuple | None:
+    """The family's type with each field's type and repr (which tells -0.0
+    from 0.0), or None when the family cannot promise to stay the same: it
+    is not a frozen dataclass of its own type, or a field is not a number or
+    a string (a callable may read state that changes)."""
+    params = type(family).__dict__.get("__dataclass_params__")
+    if params is None or not params.frozen:
+        return None
+    key = [type(family)]
+    for f in dataclasses.fields(family):
+        value = getattr(family, f.name)
+        if not isinstance(value, (numbers.Number, str)):
+            return None
+        key.append((type(value), repr(value)))
+    return tuple(key)
+
+
 def approximate(fn: Functional) -> float:
     """N-point quadrature approximation of the functional.
 
@@ -94,9 +118,23 @@ def approximate(fn: Functional) -> float:
     the weights by the measure density at the nodes first.  The
     continuous_part kind estimates the continuous component alone: the
     quadrature sum minus the exact finite discrete sum.
+
+    The measure, the rule and the node-sum weights (read-only) are kept per
+    process, keyed by the family's type and each parameter's type and
+    value, the order and the density component, so a repeated request runs
+    only the integrand loop.  The store is bounded and ordered like the
+    rule cache of ``gauss_rule``; a family that is not a frozen dataclass of
+    numbers and strings is computed every time, and a request that raises
+    stores nothing.
     """
-    spec = measure(fn.family)
     components, density_of = _KINDS[fn.kind]
+    family_key = _family_key(fn.family)
+    key = None if family_key is None else (family_key, fn.order, density_of)
+    cached = None if key is None else _CACHE.get(key)
+    if cached is None:
+        spec = measure(fn.family)
+    else:
+        spec, rule, weights = cached
     if (spec.continuous is not None, spec.discrete is not None) != components:
         raise ValidationError(f"kind {fn.kind!r} requires {_REQUIRES[components]}")
     subtract_discrete = fn.kind == "continuous_part"
@@ -104,15 +142,19 @@ def approximate(fn: Functional) -> float:
         raise ValidationError(
             "continuous-part estimate requires a finite discrete component"
         )
-    rule = gauss_rule(build(recurrence(fn.family), fn.order))
-    weights = rule.weights
-    if density_of is not None:
-        density = getattr(spec, density_of).density
-        if density is None:
-            raise ValidationError(
-                f"{fn.kind} needs a discrete measure with a smooth mass continuation"
-            )
-        weights = derivative_weights(rule, density)
+    if cached is None:
+        rule = gauss_rule(build(recurrence(fn.family), fn.order))
+        weights = rule.weights
+        if density_of is not None:
+            density = getattr(spec, density_of).density
+            if density is None:
+                raise ValidationError(
+                    f"{fn.kind} needs a discrete measure with a smooth mass continuation"
+                )
+            weights = derivative_weights(rule, density)
+            weights.setflags(write=False)
+        if key is not None:
+            _CACHE.put(key, (spec, rule, weights), rule.order)
     value = _node_sum(rule, weights, fn.f)
     if subtract_discrete:
         value -= spec.discrete.weighted_sum(fn.f)

@@ -55,8 +55,9 @@ SUM_RUN_LENGTH = 3
 
 
 def require_count(name: str, n: int) -> None:
-    """Validate an order or size: an integer (numpy's included) that is >= 1."""
-    if not isinstance(n, numbers.Integral):
+    """Validate an order or size: an integer (numpy's included, bool not)
+    that is >= 1."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {n!r}")
     if n < 1:
         raise ValidationError(f"{name} must be >= 1, got {n}")
@@ -176,6 +177,20 @@ class FamilySpec:
         raise NotImplementedError
 
 
+def _require_finite(family: str, **params: float) -> None:
+    """Reject a parameter that does not convert to a finite float: an
+    infinity, or an int too large for a float."""
+    for name, value in params.items():
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise ValidationError(
+                f"{family} requires a finite {name}, got {name} too large for a float"
+            ) from None
+        if not finite:
+            raise ValidationError(f"{family} requires a finite {name}, got {name}={value!r}")
+
+
 def _lattice_measure(ln_mass: Callable[[float], float], size: int | None) -> MeasureSpec:
     """Masses exp(ln_mass(k)) at the points k = 0, 1, ... (``size`` of them,
     or infinitely many), continued off the lattice by exp(ln_mass(x))."""
@@ -253,6 +268,7 @@ def _require_squared_variable_params(name: str, mu: float, others: dict[str, flo
         tail = f" with mu={mu!r}"
     if bad:
         raise ValidationError(f"{name} with {rule}; violated by {bad!r}{tail}")
+    _require_finite(name, mu=mu, **others)
 
 
 @dataclass(frozen=True)
@@ -263,6 +279,7 @@ class Charlier(FamilySpec):
     def __post_init__(self):
         if not self.mu > 0.0:
             raise ValidationError(f"charlier requires mu > 0, got mu={self.mu!r}")
+        _require_finite("charlier", mu=self.mu)
 
     def recurrence(self) -> RecurrenceStream:
         mu = self.mu
@@ -294,6 +311,7 @@ class Meixner(FamilySpec):
             raise ValidationError(
                 f"meixner requires 0 < beta < 1, got beta={self.beta!r}"
             )
+        _require_finite("meixner", mu=self.mu)
 
     def recurrence(self) -> RecurrenceStream:
         mu, beta = self.mu, self.beta
@@ -322,8 +340,9 @@ class Krawtchouk(FamilySpec):
     kind = "krawtchouk"
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and self.m >= 1):
+        if isinstance(self.m, bool) or not (isinstance(self.m, int) and self.m >= 1):
             raise ValidationError(f"krawtchouk requires integer M >= 1, got M={self.m!r}")
+        _require_finite("krawtchouk", M=self.m)
         if not 0.0 < self.gamma < 1.0:
             raise ValidationError(
                 f"krawtchouk requires 0 < gamma < 1, got gamma={self.gamma!r}"

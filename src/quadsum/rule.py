@@ -13,7 +13,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -59,39 +59,45 @@ class QuadratureRule:
         return self.nodes.size
 
 
-# Total nodes the rule cache may hold.  A budget in nodes rather than
-# entries keeps its memory small when orders are large, and still holds
-# every rule of tables 1-3 (1802 nodes together).
+# Total nodes each rule cache may hold (this module's rules, and the rules
+# with their weights that ``apply.approximate`` keeps).  A budget in nodes
+# rather than entries keeps its memory small when orders are large, and
+# still holds every rule of tables 1-3 (1802 nodes together).
 _CACHE_NODES = 4096
 
 
 class _RuleCache:
-    """Least-recently-used map from matrix bytes to rules, bounded by the
-    total number of nodes held; safe to share between threads."""
+    """Least-recently-used map from keys to rules, or to values that hold
+    one, bounded by the total number of nodes held; safe to share between
+    threads."""
 
     def __init__(self):
-        self._rules: OrderedDict[bytes, QuadratureRule] = OrderedDict()
+        self._rules: OrderedDict[Hashable, tuple[object, int]] = OrderedDict()
         self._lock = threading.Lock()
         self.nodes = 0
 
-    def get(self, key: bytes) -> QuadratureRule | None:
+    def get(self, key: Hashable):
+        """The value stored under key, or None."""
         with self._lock:
-            rule = self._rules.get(key)
-            if rule is not None:
-                self._rules.move_to_end(key)
-            return rule
+            entry = self._rules.get(key)
+            if entry is None:
+                return None
+            self._rules.move_to_end(key)
+            return entry[0]
 
-    def put(self, key: bytes, rule: QuadratureRule) -> None:
-        if rule.order > _CACHE_NODES:
+    def put(self, key: Hashable, value, nodes: int) -> None:
+        """Store value, which holds a rule of ``nodes`` nodes, unless that is
+        more than the whole budget."""
+        if nodes > _CACHE_NODES:
             return
         with self._lock:
             if key in self._rules:  # stored by another thread meanwhile
                 return
-            self._rules[key] = rule
-            self.nodes += rule.order
+            self._rules[key] = (value, nodes)
+            self.nodes += nodes
             while self.nodes > _CACHE_NODES:
-                _, old = self._rules.popitem(last=False)
-                self.nodes -= old.order
+                _, (_, old) = self._rules.popitem(last=False)
+                self.nodes -= old
 
 
 _CACHE = _RuleCache()
@@ -117,7 +123,7 @@ def gauss_rule(j: JacobiMatrix) -> QuadratureRule:
         rule = QuadratureRule(dec.eigenvalues, dec.first_components**2)
         rule.nodes.setflags(write=False)
         rule.weights.setflags(write=False)
-        _CACHE.put(key, rule)
+        _CACHE.put(key, rule, rule.order)
     return rule
 
 

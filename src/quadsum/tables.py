@@ -174,7 +174,10 @@ def run_table(which: int, oracle_size: int = SPECTRAL_REFERENCE_SIZE) -> TableRe
     ``oracle_size`` is the truncation used for the spectral reference of
     table 3 (ignored by tables 1 and 2); table 3 requires an integer >= 1.
     """
-    if which == 3 and not (isinstance(oracle_size, numbers.Integral) and oracle_size >= 1):
+    if which == 3 and (
+        isinstance(oracle_size, bool)
+        or not (isinstance(oracle_size, numbers.Integral) and oracle_size >= 1)
+    ):
         raise ValidationError(f"table 3 requires oracle_size >= 1, got {oracle_size!r}")
     if which == 1:
         return _grid(

@@ -1,12 +1,18 @@
 """Tests for functional application and the reference values."""
 
 import math
+import random
+import sys
+import threading
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import quadsum.apply
+import quadsum.rule
 from quadsum.apply import (
     FUNCTIONAL_KINDS,
     Functional,
@@ -16,15 +22,18 @@ from quadsum.apply import (
     relative_error,
     spectral_reference,
 )
-from quadsum.eig import decompose
+from quadsum.eig import EigenDecomposition, decompose
 from quadsum.errors import NumericalError, ValidationError
 from quadsum.families import (
     Charlier,
     ContinuousDualHahn,
     ContinuousPart,
     Custom,
+    FamilySpec,
+    Krawtchouk,
     MeasureSpec,
     Meixner,
+    RecurrenceStream,
     measure,
     recurrence,
 )
@@ -67,7 +76,7 @@ class TestFunctionalValidation:
         with pytest.raises(ValidationError, match="order"):
             Functional("plain_sum", lambda x: x, Charlier(2.0), 0)
 
-    @pytest.mark.parametrize("order", [3.0, 2.5, "3"])
+    @pytest.mark.parametrize("order", [3.0, 2.5, "3", True])
     def test_non_integral_order(self, order):
         with pytest.raises(ValidationError) as exc:
             Functional("weighted_sum", lambda x: x, Charlier(2.0), order)
@@ -161,6 +170,222 @@ class TestApproximate:
         spec = Custom(stream, ms)
         v = approximate(Functional("plain_integral", lambda x: x * x, spec, 6))
         assert v == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
+def _t2_f(x: float) -> float:
+    return (x + 1.0) * math.exp((x + 1.0) * math.log(3.0) - ln_gamma(x + 5.0))
+
+
+# One functional per kind; the first call of each is a miss, the second a hit.
+_EVERY_KIND = (
+    Functional("weighted_integral", lambda y: math.exp(-0.1 * y), ContinuousDualHahn(2.0, 1.0, 3.0), 9),
+    Functional("plain_integral", lambda y: math.exp(-y), ContinuousDualHahn(2.0, 1.0, 3.0), 7),
+    Functional("weighted_sum", lambda x: x**3, Meixner(2.0, 0.4), 6),
+    Functional("plain_sum", _t2_f, Krawtchouk(100, 0.3), 20),
+    Functional("mixed", _t3_f, CDH, 30),
+    Functional("continuous_part", _t3_f, CDH, 30),
+)
+
+
+@dataclass(frozen=True)
+class Shifted(FamilySpec):
+    """A family whose order-1 rule has its one node at ``shift``; its
+    measure is Charlier's, read here only for its discrete component."""
+
+    shift: float
+
+    def recurrence(self) -> RecurrenceStream:
+        shift = self.shift
+        return RecurrenceStream(a=lambda n: shift, b=lambda n: -1.0, size=2)
+
+    def measure(self) -> MeasureSpec:
+        return measure(Charlier(2.0))
+
+
+@dataclass
+class MutableCharlier(FamilySpec):
+    """A Charlier family whose mu can be changed after construction."""
+
+    mu: float
+
+    def recurrence(self) -> RecurrenceStream:
+        return Charlier(self.mu).recurrence()
+
+    def measure(self) -> MeasureSpec:
+        return Charlier(self.mu).measure()
+
+
+class StatefulCharlier(Charlier):
+    """A frozen Charlier subclass, not a dataclass itself, whose recurrence
+    reads an attribute that is not a field."""
+
+    def recurrence(self) -> RecurrenceStream:
+        return Charlier(self.mu + self.extra).recurrence()
+
+
+class TestApproximateCache:
+    @pytest.fixture(autouse=True)
+    def empty_caches(self, monkeypatch):
+        monkeypatch.setattr(quadsum.apply, "_CACHE", quadsum.rule._RuleCache())
+        monkeypatch.setattr(quadsum.rule, "_CACHE", quadsum.rule._RuleCache())
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The names approximate calls through quadsum.apply, with the order
+        of each build (the misses)."""
+        seen = []
+        for name in ("measure", "recurrence", "build", "gauss_rule", "derivative_weights"):
+            def counting(*args, _name=name, _fn=getattr(quadsum.apply, name)):
+                seen.append((_name, args[1]) if _name == "build" else _name)
+                return _fn(*args)
+
+            monkeypatch.setattr(quadsum.apply, name, counting)
+        return seen
+
+    @staticmethod
+    def held():
+        cache = quadsum.apply._CACHE
+        assert cache.nodes == sum(nodes for _, nodes in cache._rules.values())
+        return cache.nodes
+
+    @staticmethod
+    def builds(calls):
+        return [call[1] for call in calls if isinstance(call, tuple)]
+
+    @pytest.mark.parametrize("fn", _EVERY_KIND, ids=[fn.kind for fn in _EVERY_KIND])
+    def test_hit_equals_computation_with_empty_caches(self, fn, calls):
+        fresh = approximate(fn)
+        assert len(calls) == (5 if fn.kind.startswith("plain") else 4)
+        calls.clear()
+        for _ in range(2):
+            assert approximate(fn).hex() == fresh.hex()
+        assert calls == []  # the hits ran only the integrand loop
+        (_, rule, weights), = [entry for entry, _ in quadsum.apply._CACHE._rules.values()]
+        assert not weights.flags.writeable
+        assert (weights is rule.weights) == (not fn.kind.startswith("plain"))
+        assert self.held() == fn.order
+
+    def test_failing_density_is_not_stored(self, calls):
+        # Charlier(2)'s density underflows to 0.0 at the far nodes of N=180
+        fn = Functional("plain_sum", _t1_f, Charlier(2.0), 180)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="weight function must be positive"):
+                approximate(fn)
+        assert calls.count("derivative_weights") == 2
+        assert self.held() == 0
+
+    def test_failing_rule_is_not_stored(self, monkeypatch, calls):
+        def unsorted(j, mode):
+            return EigenDecomposition(np.array([1.0, 0.0]), np.array([0.5, 0.5]) ** 0.5)
+
+        monkeypatch.setattr(quadsum.rule, "decompose", unsorted)
+        fn = Functional("weighted_sum", lambda x: x, Charlier(2.0), 2)
+        for _ in range(2):
+            with pytest.raises(NumericalError, match="increasing"):
+                approximate(fn)
+        assert calls.count("gauss_rule") == 2
+        assert self.held() == 0
+
+    def test_kind_is_checked_on_a_hit(self, calls):
+        approximate(Functional("weighted_sum", lambda x: 1.0, Charlier(2.0), 3))
+        for _ in range(2):  # same key (family, order, no density): a hit each time
+            with pytest.raises(ValidationError, match="purely continuous"):
+                approximate(Functional("weighted_integral", lambda x: 1.0, Charlier(2.0), 3))
+        assert self.builds(calls) == [3]
+
+    def test_failing_integrand_on_a_hit_raises_again(self):
+        fn = Functional("weighted_sum", lambda x: math.inf, Charlier(2.0), 3)
+        for _ in range(2):
+            with pytest.raises(NumericalError, match="not finite at node"):
+                approximate(fn)
+        assert self.held() == 3  # the rule is good; only the integrand failed
+
+    def test_node_budget_and_lru_order(self, monkeypatch, calls):
+        monkeypatch.setattr(quadsum.rule, "_CACHE_NODES", 10)
+
+        def run(mu, order):
+            return approximate(Functional("weighted_sum", lambda x: x, Charlier(mu), order))
+
+        first = run(2.0, 4)
+        run(3.0, 4)
+        assert self.held() == 8
+        assert run(2.0, 4) == first  # now the most recently used
+        run(2.0, 3)  # 11 nodes: evicts the least recently used, (3.0, 4)
+        assert self.held() == 7
+        assert self.builds(calls) == [4, 4, 3]
+        run(2.0, 4)
+        run(3.0, 4)  # a miss again; evicts (2.0, 3), the oldest now
+        assert self.builds(calls) == [4, 4, 3, 4]
+        assert self.held() == 8
+        run(2.0, 4)
+        run(2.0, 11)  # larger than the budget: returned, not kept
+        assert self.held() == 8
+        run(2.0, 11)
+        assert self.builds(calls) == [4, 4, 3, 4, 11, 11]
+
+    def test_threads_share_the_cache(self, monkeypatch):
+        monkeypatch.setattr(quadsum.rule, "_CACHE_NODES", 60)  # forces evictions
+        fns = [Functional(kind, _t1_f, Charlier(1.0 + 0.1 * (i % 3)), 2 + i)
+               for i in range(30) for kind in ("weighted_sum", "plain_sum")]
+        expected = [approximate(fn) for fn in fns]
+        monkeypatch.setattr(quadsum.apply, "_CACHE", quadsum.rule._RuleCache())
+        errors = []
+
+        def worker(seed):
+            order = list(range(len(fns))) * 3
+            random.Random(seed).shuffle(order)
+            try:
+                for i in order:
+                    if approximate(fns[i]).hex() != expected[i].hex():
+                        errors.append(f"functional {i}: wrong bits")
+            except Exception as exc:  # reported by the assertion below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert 0 < self.held() <= 60
+
+    def test_parameter_types_and_values_get_distinct_entries(self, calls):
+        for family in (Charlier(2), Charlier(2.0), Charlier(np.float64(2.0))):
+            for _ in range(2):
+                approximate(Functional("weighted_sum", lambda x: x, family, 4))
+        assert self.builds(calls) == [4, 4, 4]
+        # -0.0 and 0.0 are equal but give different bits
+        sign = lambda x: math.copysign(1.0, x)
+        for _ in range(2):
+            assert approximate(Functional("weighted_sum", sign, Shifted(0.0), 1)) == 1.0
+            assert approximate(Functional("weighted_sum", sign, Shifted(-0.0), 1)) == -1.0
+
+    def test_changeable_family_is_never_served_stale(self, calls):
+        def mean(family):
+            return approximate(Functional("weighted_sum", lambda x: x, family, 3))
+
+        mutable = MutableCharlier(2.0)
+        stateful = StatefulCharlier(2.0)
+        object.__setattr__(stateful, "extra", 0.0)
+        state = [2.0]
+        custom = Custom(RecurrenceStream(a=lambda n: n + state[0],
+                                         b=lambda n: -math.sqrt(state[0] * (n + 1))),
+                        measure(Charlier(2.0)))
+        for family in (mutable, stateful, custom):
+            assert mean(family) == mean(Charlier(2.0))
+        mutable.mu = 3.0
+        object.__setattr__(stateful, "extra", 1.0)
+        state[0] = 3.0
+        for family in (mutable, stateful, custom):
+            assert mean(family) == mean(Charlier(3.0))
+        assert self.builds(calls) == [3] * 8
+        assert self.held() == 6  # Charlier(2.0) and Charlier(3.0)
 
 
 class TestContinuousPartEstimate:

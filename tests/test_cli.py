@@ -95,6 +95,16 @@ class TestRuleCommand:
         assert code == 2
         assert "mu > 0" in err
 
+    @pytest.mark.parametrize("command", [("rule",), ("sum", "--f", "1")])
+    @pytest.mark.parametrize("params, message", [
+        (("--family", "charlier", "--mu", "inf"), "charlier requires a finite mu, got mu=inf"),
+        (("--family", "krawtchouk", "--M", str(10**400), "--gamma", "0.3"),
+         "krawtchouk requires a finite M, got M too large for a float"),
+    ], ids=["infinite-mu", "huge-M"])
+    def test_non_finite_params_exit_2(self, capsys, command, params, message):
+        code, out, err = run_cli(capsys, *command[:1], *params, "--n", "3", *command[1:])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_missing_param_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "rule", "--family", "meixner", "--mu", "2", "--n", "3")
         assert code == 2
@@ -581,15 +591,20 @@ class TestOutputMatchesReferenceFormatter:
         assert run_cli(capsys, "table", which) == output
 
 
-# One invocation per output path: rule JSON and CSV, a sum with --define,
-# a table, a validation error (exit 2) and a numerical failure (exit 3).
+# One invocation per output path: rule JSON and CSV, plain and weighted
+# sums, a table, validation errors (exit 2, one from a density that
+# underflows at a node) and a numerical failure (exit 3).
 _FRESH_PROCESS_CASES = (
     ("rule", "--family", "cdh", "--mu", "-1.5", "--alpha", "2.5", "--beta", "3", "--n", "6"),
     ("rule", "--family", "krawtchouk", "--M", "8", "--gamma", "0.3", "--n", "5",
      "--format", "csv"),
     (*_EXP_SUM, "--define", "r=2.5"),
+    ("sum", "--family", "krawtchouk", "--M", "100", "--gamma", "0.2", "--n", "30",
+     "--f", "(x+1)*3^(x+1)/gamma(x+5)"),
+    ("sum", "--family", "charlier", "--mu", "2", "--n", "12", "--f", "x^3", "--mode", "weighted"),
     ("table", "1"),
     ("table", "3", "--oracle-k", "0"),
+    ("sum", "--family", "charlier", "--mu", "2", "--n", "180", "--f", "3^x/gamma(x+1)"),
     ("sum", "--family", "charlier", "--mu", "2", "--n", "40", "--f", "gamma(x+200)"),
 )
 
@@ -615,12 +630,13 @@ def test_in_process_output_equals_fresh_process_output(capsys):
     with pytest.raises(SystemExit):
         main(["table", "4"])
     capsys.readouterr()
-    # the second call of each case finds its rules in the cache of gauss_rule
+    # the second call of each case finds its rules in the cache of gauss_rule,
+    # and each sum its rule and weights in the cache of approximate
     for _ in range(2):
         for argv, expected in zip(_FRESH_PROCESS_CASES, fresh):
             code, out, err = run_cli(capsys, *argv)
             assert (argv, code, out.encode(), err.encode()) == (argv, *expected)
-    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 3]
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 0, 2, 2, 3]
 
 
 # Usage errors (exit 2) and --help (exit 0) at both parser levels.

@@ -66,6 +66,29 @@ class TestValidation:
             Wilson(-3.5, 3.0, 5.0, 5.0)
         Wilson(-3.5, 4.5, 5.5, 6.5)
 
+    def test_krawtchouk_rejects_bool_m(self):
+        with pytest.raises(ValidationError) as exc:
+            Krawtchouk(True, 0.3)
+        assert str(exc.value) == "krawtchouk requires integer M >= 1, got M=True"
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Charlier(math.inf), "charlier requires a finite mu, got mu=inf"),
+        (lambda: Charlier(10**400), "charlier requires a finite mu, got mu too large for a float"),
+        (lambda: Meixner(math.inf, 0.3), "meixner requires a finite mu, got mu=inf"),
+        (lambda: Krawtchouk(10**400, 0.3),
+         "krawtchouk requires a finite M, got M too large for a float"),
+        (lambda: ContinuousDualHahn(1.0, math.inf, 2.0),
+         "continuous dual Hahn requires a finite alpha, got alpha=inf"),
+        (lambda: ContinuousDualHahn(math.inf, 1.0, 2.0),
+         "continuous dual Hahn requires a finite mu, got mu=inf"),
+        (lambda: Wilson(1.0, 1.0, 1.0, math.inf), "wilson requires a finite beta, got beta=inf"),
+    ], ids=["charlier-inf", "charlier-huge-int", "meixner", "krawtchouk-huge-m",
+            "cdh-alpha", "cdh-mu", "wilson-beta"])
+    def test_parameters_must_be_finite(self, make, message):
+        with pytest.raises(ValidationError) as exc:
+            make()
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("make, message", [
         (lambda: ContinuousDualHahn(0.0, 1.0, 2.0), "continuous dual Hahn requires mu != 0"),
         (lambda: ContinuousDualHahn(2.0, -1.0, 0.0),
@@ -136,7 +159,7 @@ class TestRecurrence:
         with pytest.raises(ValidationError):
             st.require_order(0)
 
-    @pytest.mark.parametrize("order", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("order", [2.5, 3.0, "3", None, True, False])
     def test_non_integral_order_is_a_validation_error(self, order):
         with pytest.raises(ValidationError) as exc:
             build(recurrence(Charlier(2.0)), order)

@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+import quadsum.apply
 import quadsum.rule
 from oracles import InterlacingError, gauss_rule_eigenvalue_only, power_element
 from quadsum.eig import EigenDecomposition, decompose
@@ -101,7 +102,8 @@ def _as_bytes(rule):
 
 class TestRuleCache:
     @pytest.fixture(autouse=True)
-    def empty_cache(self, monkeypatch):
+    def empty_caches(self, monkeypatch):
+        monkeypatch.setattr(quadsum.apply, "_CACHE", quadsum.rule._RuleCache())
         monkeypatch.setattr(quadsum.rule, "_CACHE", quadsum.rule._RuleCache())
 
     @pytest.fixture
@@ -119,7 +121,7 @@ class TestRuleCache:
     @staticmethod
     def held():
         cache = quadsum.rule._CACHE
-        assert cache.nodes == sum(r.order for r in cache._rules.values())
+        assert cache.nodes == sum(nodes for _, nodes in cache._rules.values())
         return cache.nodes
 
     def test_hit_equals_uncached_computation(self, decompose_calls):

@@ -59,7 +59,7 @@ class TestRunTable:
         with pytest.raises(ValidationError, match=f"oracle_size >= 1, got {size}"):
             run_table(3, oracle_size=size)
 
-    @pytest.mark.parametrize("size", ["3", 2.5, None])
+    @pytest.mark.parametrize("size", ["3", 2.5, None, True])
     def test_table_three_rejects_non_integer_oracle_size(self, size):
         with pytest.raises(ValidationError, match=re.escape(f"oracle_size >= 1, got {size!r}")):
             run_table(3, oracle_size=size)
