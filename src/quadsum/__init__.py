@@ -29,7 +29,7 @@ from .families import (
     measure,
     recurrence,
 )
-from .jacobi import JacobiMatrix, build, matrix_function_element
+from .jacobi import JacobiMatrix, build
 from .rule import QuadratureRule, derivative_weights, gauss_rule
 from .tables import TableReport, run_table
 
@@ -59,7 +59,6 @@ __all__ = [
     "exact_exponential_sum",
     "exact_shifted_power_sum",
     "gauss_rule",
-    "matrix_function_element",
     "measure",
     "recurrence",
     "relative_error",

@@ -19,9 +19,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import eig
 from .errors import NumericalError, ValidationError
 from .families import FamilySpec, measure, recurrence, require_count
-from .jacobi import build, matrix_function_element
+from .jacobi import JacobiMatrix, build
 from .rule import QuadratureRule, _RuleCache, derivative_weights, gauss_rule
 from .special import ln_gamma
 
@@ -191,15 +192,29 @@ def exact_shifted_power_sum(r: float, m_max: int) -> float:
 SPECTRAL_REFERENCE_SIZE = 200  # default truncation, table 3's oracle size
 
 
+# perfbench/tracing.py wraps this function by this name in this module.
+def matrix_function_element(j: JacobiMatrix, f: Callable[[float], float]) -> float:
+    """Element [f(J)]_{0,0} = sum_k L_{0,k} f(eps_k) L_{0,k}, the fsum over
+    the eigenpairs, read from the first eigenvector row alone (no O(N^3)
+    eigenvector matrix)."""
+    # eig.decompose is read at call time, so a wrapper patched onto it applies
+    dec = eig.decompose(j, mode="first_row")
+    values = []
+    for eps, l in zip(dec.eigenvalues.tolist(), dec.first_components.tolist()):
+        fe = f(eps)
+        if not math.isfinite(fe):
+            raise NumericalError(f"f is not finite at eigenvalue {eps!r}")
+        values.append(l * fe * l)
+    return math.fsum(values)
+
+
 def spectral_reference(
     family: FamilySpec, f: Callable[[float], float], size: int = SPECTRAL_REFERENCE_SIZE
 ) -> float:
-    """Reference value [f(J)]_{0,0} on a large truncation; the exact value of
-    the mixed integral-plus-sum functional in the squared spectral variable.
-
-    It is the fsum of L_{0,k} f(eps_k) L_{0,k} over the eigenpairs, read
-    from the first eigenvector row alone (no O(size^3) eigenvector matrix).
+    """Reference value [f(J)]_{0,0} on a truncation of dimension ``size``;
+    the exact value of the mixed integral-plus-sum functional in the squared
+    spectral variable.  It is not cached: each call decomposes J afresh.
     """
     require_count("size", size)
-    return matrix_function_element(build(recurrence(family), size), f, 0, 0)
+    return matrix_function_element(build(recurrence(family), size), f)
 

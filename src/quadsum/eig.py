@@ -1,18 +1,16 @@
 """Eigensolver for real symmetric tridiagonal matrices.
 
-Implicit-shift QL with Wilkinson-style shifts, with three modes: eigenvalues
-only, eigenvalues plus the first row of the eigenvector matrix (all that
-Golub-Welsch weights need), or the full orthonormal eigenvector matrix.
-Rotations applied to the first-row vector are scalar products, which keeps
-far-tail components relatively accurate well below the underflow threshold
-of squared weights.
+Implicit-shift QL with Wilkinson-style shifts, with two modes: eigenvalues
+only, or eigenvalues plus the first row of the eigenvector matrix (all that
+Golub-Welsch weights and the spectral element [f(J)]_{0,0} need).  Rotations
+applied to the first-row vector are scalar products, which keeps far-tail
+components relatively accurate well below the underflow threshold of
+squared weights.
 
 The sweep is a scalar loop, so it runs on Python floats (lists) rather than
 numpy arrays: reading and writing numpy elements one at a time boxes every
 value into a numpy scalar, which makes the loop about 4x slower, while the
-same IEEE double operations on Python floats return the same bits.  Full
-mode runs the same sweep on numpy vectors, the columns of the eigenvector
-matrix, doing on each element what first-row mode does on its float.
+same IEEE double operations on Python floats return the same bits.
 
 Three savings in the sweep leave every bit of d and e, and of each nonzero
 row entry, as the plain sweep computes them.  A sweep tests each
@@ -61,23 +59,21 @@ class ConvergenceError(NumericalError):
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Sorted eigenvalues with optional eigenvector data.
+    """Sorted eigenvalues with, in first-row mode, the first eigenvector row.
 
-    ``first_components`` holds L_{0,n} (normalized so each is >= 0);
-    ``full_matrix`` has the unit eigenvector of eigenvalues[n] in column n.
+    ``first_components`` holds L_{0,n} (normalized so each is >= 0).
     """
 
     eigenvalues: np.ndarray
     first_components: np.ndarray | None = None
-    full_matrix: np.ndarray | None = None
 
 
-def _ql_implicit(d: list[float], e: list[float], row: list | None) -> None:
+def _ql_implicit(d: list[float], e: list[float], row: list[float] | None) -> None:
     """In-place implicit-shift QL on diagonal d and off-diagonal e.
 
-    Rotations are accumulated on ``row`` when given: floats (a row of the
-    eigenvector matrix) or numpy vectors (its columns).  Deflation splits the
-    matrix where |e_i| <= eps (|d_i| + |d_{i+1}|).
+    Rotations are accumulated on ``row``, a row of the eigenvector matrix,
+    when given.  Deflation splits the matrix where
+    |e_i| <= eps (|d_i| + |d_{i+1}|).
 
     A sweep over [l, m] leaves e_i and d_i, d_{i+1} final for l < i < m, so
     it tests each such i for a split as it goes and records the first that
@@ -90,15 +86,14 @@ def _ql_implicit(d: list[float], e: list[float], row: list | None) -> None:
     largest possible threshold 2 eps G covers rounding in d and G.
 
     Row entries above ``top`` are exactly 0.0: ``top`` starts at the last
-    nonzero entry of a float row, and each sweep that reaches it makes one
+    nonzero entry of the row, and each sweep that reaches it makes one
     more entry nonzero, so rotations of the zero tail are skipped.  Such a
     rotation gives zeros, of either sign, and adding a zero to a nonzero
     product changes nothing, so every nonzero entry keeps its bits; an
     entry still zero at the end may read 0.0 where the plain sweep has -0.0,
-    and ``decompose`` raises on it either way.  Vector rows rotate
-    everywhere.  Both savings assume that no sweep quantity overflows,
-    which holds for G below ``_NORM_MAX``; above it every test and rotation
-    runs.
+    and ``decompose`` raises on it either way.  Both savings assume that no
+    sweep quantity overflows, which holds for G below ``_NORM_MAX``; above it
+    every test and rotation runs.
     """
     n = len(d)
     hypot, copysign, eps = math.hypot, math.copysign, _EPS
@@ -107,7 +102,7 @@ def _ql_implicit(d: list[float], e: list[float], row: list | None) -> None:
     bounded = norm < _NORM_MAX
     cutoff = 4.0 * eps * norm if bounded else math.inf
     top = -1 if row is None else n - 1
-    if bounded and top > 0 and not isinstance(row[0], np.ndarray):
+    if bounded and top > 0:
         while top > 0 and row[top] == 0.0:
             top -= 1
     start = 0
@@ -171,36 +166,27 @@ def _ql_implicit(d: list[float], e: list[float], row: list | None) -> None:
 def decompose(j: JacobiMatrix, mode: str = "values") -> EigenDecomposition:
     """Eigendecomposition of a Jacobi matrix.
 
-    mode is one of "values", "first_row", or "full".  Eigenvalues come back
-    ascending; eigenvector data is permuted alongside and sign-normalized so
-    every first component is nonnegative.
+    mode is "values" or "first_row".  Eigenvalues come back ascending; the
+    first row is permuted alongside, as absolute values.
     """
-    if mode not in ("values", "first_row", "full"):
+    if mode not in ("values", "first_row"):
         raise ValidationError(f"unknown mode {mode!r}")
-    n = j.dimension
     d = j.diag.tolist()
     e = j.offdiag.tolist() + [0.0]
-    row = None
-    if mode == "first_row":
-        row = [1.0] + [0.0] * (n - 1)
-    elif mode == "full":
-        row = list(np.eye(n))
+    row = None if mode == "values" else [1.0] + [0.0] * (len(d) - 1)
     _ql_implicit(d, e, row)
     d = np.array(d)
     order = np.argsort(d, kind="stable")
     d = d[order]
     if row is None:
         return EigenDecomposition(eigenvalues=d)
-    # the first row itself, or the eigenvector matrix with columns in order
-    vectors = np.array(row)[order].T
-    first = np.atleast_2d(vectors)[0]
+    first = np.array(row)[order]
     if not first.all():
         raise NumericalError(
             "eigenvector with exactly zero first component at index "
             f"{int(np.flatnonzero(first == 0.0)[0])}; matrix is numerically reducible"
         )
-    full = vectors * np.sign(first) if mode == "full" else None
-    return EigenDecomposition(d, np.abs(first), full)
+    return EigenDecomposition(d, np.abs(first))
 
 
 def eigenvalues(j: JacobiMatrix) -> np.ndarray:

@@ -350,11 +350,16 @@ class Krawtchouk(FamilySpec):
 
     def recurrence(self) -> RecurrenceStream:
         m, g = self.m, self.gamma
-        return RecurrenceStream(
-            a=lambda n: m * g + n * (1.0 - 2.0 * g),
-            b=lambda n: -math.sqrt((n + 1) * (m - n) * g * (1.0 - g)),
-            size=m + 1,
-        )
+
+        def b(n: int) -> float:
+            try:
+                return -math.sqrt((n + 1) * (m - n) * g * (1.0 - g))
+            except OverflowError:  # the int (n+1)(M-n) is too large for a float
+                raise ValidationError(
+                    f"krawtchouk coefficient b_{n} overflows a float at M={float(m):g}"
+                ) from None
+
+        return RecurrenceStream(a=lambda n: m * g + n * (1.0 - 2.0 * g), b=b, size=m + 1)
 
     def measure(self) -> MeasureSpec:
         # Binomial masses C(M,k) g^k (1-g)^{M-k}; the exponent on (1-g) uses

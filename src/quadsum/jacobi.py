@@ -1,18 +1,16 @@
-"""Finite Jacobi matrix truncations and the spectral matrix-function element
-used as the mixed-measure reference value."""
+"""Finite Jacobi matrix truncations."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .families import RecurrenceStream
 
-__all__ = ["JacobiMatrix", "build", "matrix_function_element"]
+__all__ = ["JacobiMatrix", "build"]
 
 
 @dataclass(frozen=True)
@@ -35,11 +33,23 @@ class JacobiMatrix:
                 f"off-diagonal must have length {d.size - 1}, got {e.shape}"
             )
         if not (np.isfinite(d).all() and np.isfinite(e).all()):
-            raise ValidationError("matrix entries must be finite")
+            raise ValidationError(
+                f"matrix entries must be finite, got {_first_nonfinite(d, e)}"
+            )
 
     @property
     def dimension(self) -> int:
         return self.diag.size
+
+
+def _first_nonfinite(d: np.ndarray, e: np.ndarray) -> str:
+    """``a_i = value`` or ``b_i = value`` for the first non-finite entry, read
+    in the order a_0, b_0, a_1, b_1, ...; called only when there is one."""
+    for i, a in enumerate(d.tolist()):
+        if not math.isfinite(a):
+            return f"a_{i} = {a!r}"
+        if i < e.size and not math.isfinite(e[i]):
+            return f"b_{i} = {float(e[i])!r}"
 
 
 def build(stream: RecurrenceStream, n: int) -> JacobiMatrix:
@@ -49,32 +59,3 @@ def build(stream: RecurrenceStream, n: int) -> JacobiMatrix:
     offdiag = np.array([stream.b(i) for i in range(n - 1)], dtype=float)
     return JacobiMatrix(diag, offdiag)
 
-
-def matrix_function_element(
-    j: JacobiMatrix, f: Callable[[float], float], n: int, m: int
-) -> float:
-    """Element [f(J)]_{n,m} = sum_k L_{n,k} f(eps_k) L_{m,k}.
-
-    The (0, 0) element needs only the first eigenvector row, which the
-    first-row eigensolver mode returns bit for bit equal to row 0 of the
-    full eigenvector matrix; any other element uses the full matrix.
-    """
-    from .eig import decompose  # deferred to avoid an import cycle
-
-    if not (0 <= n < j.dimension and 0 <= m < j.dimension):
-        raise ValidationError(
-            f"indices ({n}, {m}) out of range for dimension {j.dimension}"
-        )
-    if n == m == 0:
-        dec = decompose(j, mode="first_row")
-        row_n = row_m = dec.first_components
-    else:
-        dec = decompose(j, mode="full")
-        row_n, row_m = dec.full_matrix[n], dec.full_matrix[m]
-    values = []
-    for eps, l_n, l_m in zip(dec.eigenvalues, row_n, row_m):
-        fe = f(float(eps))
-        if not math.isfinite(fe):
-            raise NumericalError(f"f is not finite at eigenvalue {float(eps)!r}")
-        values.append(l_n * fe * l_m)
-    return math.fsum(values)

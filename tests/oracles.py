@@ -5,7 +5,9 @@ way: orthonormal polynomials by forward recurrence, exact matrix powers of
 the Jacobi matrix, and Gauss weights from eigenvalues alone.  Besides them,
 ``finite_support`` lists the points and masses of a finite discrete part,
 which the library reads only inside a sum, ``ql_implicit_reference`` is
-the plain QL sweep that the library's kernel must reproduce bit for bit, and
+the plain QL sweep that the library's kernel must reproduce bit for bit,
+``eigenvector_matrix`` is the whole eigenvector matrix, of which the library
+computes only the first row, and
 ``evaluate_reference`` is the expression tree walk that the compiled
 expression evaluators must reproduce bit for bit, and ``fmt_json_reference``
 and ``rule_csv_reference`` are the per-value JSON formatter and per-line CSV
@@ -203,6 +205,25 @@ def ql_implicit_reference(d: list[float], e: list[float], row: list | None) -> N
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
+
+
+def eigenvector_matrix(j: JacobiMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of J, ascending, and the orthonormal eigenvector matrix L
+    with the eigenvector of eigenvalues[k] in column k, signed so that row 0
+    is nonnegative.
+
+    It is ``ql_implicit_reference`` rotating the columns of the identity all
+    at once: entry i of its row is a vector holding, for each start e_k, what
+    a first-row sweep from e_k leaves at i.  So row k of L is the sweep from
+    e_k, put in eigenvalue order and signed like row 0, and the first-row
+    mode of ``decompose`` gives row 0 bit for bit.
+    """
+    d, e = j.diag.tolist(), j.offdiag.tolist() + [0.0]
+    columns = list(np.eye(j.dimension))
+    ql_implicit_reference(d, e, columns)
+    order = np.argsort(d, kind="stable")
+    vectors = np.array(columns)[order].T
+    return np.array(d)[order], vectors * np.sign(vectors[0])
 
 
 def evaluate_reference(e: Expr, x: float) -> float:

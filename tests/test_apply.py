@@ -13,6 +13,7 @@ from scipy.integrate import quad
 
 import quadsum.apply
 import quadsum.rule
+from oracles import eigenvector_matrix
 from quadsum.apply import (
     FUNCTIONAL_KINDS,
     Functional,
@@ -20,9 +21,10 @@ from quadsum.apply import (
     exact_exponential_sum,
     exact_shifted_power_sum,
     relative_error,
+    matrix_function_element,
     spectral_reference,
 )
-from quadsum.eig import EigenDecomposition, decompose
+from quadsum.eig import EigenDecomposition
 from quadsum.errors import NumericalError, ValidationError
 from quadsum.families import (
     Charlier,
@@ -37,7 +39,7 @@ from quadsum.families import (
     measure,
     recurrence,
 )
-from quadsum.jacobi import build, matrix_function_element
+from quadsum.jacobi import build
 from quadsum.rule import derivative_weights, gauss_rule
 from quadsum.special import ln_gamma
 
@@ -435,23 +437,9 @@ class TestContinuousPartEstimate:
 
 
 class TestMatrixElement:
-    def test_constant_function(self):
-        j = build(recurrence(Charlier(2.0)), 6)
-        assert matrix_function_element(j, lambda t: 1.0, 1, 1) == pytest.approx(1.0, abs=1e-13)
-        assert matrix_function_element(j, lambda t: 1.0, 0, 2) == pytest.approx(0.0, abs=1e-13)
-
-    def test_linear_function(self):
-        st = recurrence(Charlier(2.0))
-        got = matrix_function_element(build(recurrence(Charlier(2.0)), 6), lambda t: t, 0, 1)
-        assert got == pytest.approx(st.b(0), rel=1e-13)
-
     def test_square(self):
         j = build(recurrence(Charlier(2.0)), 5)
-        assert matrix_function_element(j, lambda t: t * t, 0, 0) == pytest.approx(6.0, rel=1e-12)
-
-    def test_index_validation(self):
-        with pytest.raises(ValidationError):
-            matrix_function_element(build(recurrence(Charlier(2.0)), 3), lambda t: t, 3, 0)
+        assert matrix_function_element(j, lambda t: t * t) == pytest.approx(6.0, rel=1e-12)
 
 
 class TestRelativeError:
@@ -498,12 +486,24 @@ class TestOracles:
     def test_spectral_reference_equals_full_row_zero_sum(self):
         # the first-row route must give the bits of the full-matrix route
         spec = ContinuousDualHahn(-3.5, 5.5, 5.5)
-        dec = decompose(build(recurrence(spec), 60), mode="full")
+        values, vectors = eigenvector_matrix(build(recurrence(spec), 60))
         full_sum = math.fsum(
-            l * _t3_f(float(eps)) * l
-            for eps, l in zip(dec.eigenvalues, dec.full_matrix[0])
+            l * _t3_f(float(eps)) * l for eps, l in zip(values, vectors[0])
         )
         assert spectral_reference(spec, _t3_f, 60) == full_sum
+
+    @pytest.mark.parametrize("alpha_plus_mu, pinned", [
+        (1.0, "-0x1.6747bd697486bp+19"),
+        (2.0, "-0x1.ffb030769fb8dp+18"),
+        (3.0, "-0x1.3a7ebb0e0be3fp+18"),
+        (4.0, "-0x1.5a27eac672942p+17"),
+        (5.0, "-0x1.5d93215eebb20p+16"),
+    ])
+    def test_table_three_references_keep_their_bits(self, alpha_plus_mu, pinned):
+        # table 3's five references at the default size, bit for bit
+        alpha = alpha_plus_mu + 3.5
+        value = spectral_reference(ContinuousDualHahn(-3.5, alpha, alpha), _t3_f)
+        assert value.hex() == pinned
 
     def test_spectral_reference_trivials(self):
         assert spectral_reference(CDH, lambda t: 1.0, 40) == pytest.approx(1.0, abs=1e-12)

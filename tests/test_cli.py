@@ -100,7 +100,11 @@ class TestRuleCommand:
         (("--family", "charlier", "--mu", "inf"), "charlier requires a finite mu, got mu=inf"),
         (("--family", "krawtchouk", "--M", str(10**400), "--gamma", "0.3"),
          "krawtchouk requires a finite M, got M too large for a float"),
-    ], ids=["infinite-mu", "huge-M"])
+        (("--family", "krawtchouk", "--M", str(10**308), "--gamma", "0.3"),
+         "krawtchouk coefficient b_1 overflows a float at M=1e+308"),
+        (("--family", "charlier", "--mu", "1e308"),
+         "matrix entries must be finite, got b_1 = -inf"),
+    ], ids=["infinite-mu", "huge-M", "overflowing-b", "overflowing-entry"])
     def test_non_finite_params_exit_2(self, capsys, command, params, message):
         code, out, err = run_cli(capsys, *command[:1], *params, "--n", "3", *command[1:])
         assert (code, out, err) == (2, "", f"error: {message}\n")

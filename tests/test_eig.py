@@ -2,7 +2,8 @@
 
 numpy.linalg.eigh on the dense matrix serves as the independent oracle
 throughout; the QL kernel is also checked bit for bit against the plain
-sweep in ``oracles.ql_implicit_reference``.
+sweep in ``oracles.ql_implicit_reference``, and the first row against the
+whole eigenvector matrix of ``oracles.eigenvector_matrix``.
 """
 
 import inspect
@@ -16,7 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import deleted_submatrix_eigenvalues, dense, ql_implicit_reference
+from oracles import (
+    deleted_submatrix_eigenvalues,
+    dense,
+    eigenvector_matrix,
+    ql_implicit_reference,
+)
 from quadsum import eig
 from quadsum.eig import _EPS, ConvergenceError, _ql_implicit, decompose, eigenvalues
 from quadsum.errors import NumericalError, ValidationError
@@ -41,8 +47,8 @@ class TestSmallCases:
     def test_one_by_one(self):
         j = JacobiMatrix(np.array([3.5]), np.array([]))
         assert eigenvalues(j).tolist() == [3.5]
-        dec = decompose(j, mode="full")
-        assert dec.full_matrix.tolist() == [[1.0]]
+        dec = decompose(j, mode="first_row")
+        assert dec.first_components.tolist() == [1.0]
 
     def test_charlier_two_by_two_values(self):
         # characteristic polynomial x^2 - 5x + 4 by hand
@@ -104,11 +110,9 @@ class TestDecompositionProperties:
         j = build(recurrence(Charlier(2.0)), 8)
         values_only = decompose(j, mode="values")
         assert values_only.first_components is None
-        assert values_only.full_matrix is None
         first = decompose(j, mode="first_row")
-        full = decompose(j, mode="full")
-        assert np.allclose(first.first_components, full.first_components, atol=1e-14)
-        assert np.allclose(full.full_matrix[0], full.first_components)
+        _, vectors = eigenvector_matrix(j)
+        assert np.allclose(first.first_components, vectors[0], atol=1e-14)
 
     def test_unknown_mode(self):
         j = build(recurrence(Charlier(2.0)), 3)
@@ -118,6 +122,8 @@ class TestDecompositionProperties:
     def test_argument_checks_raise_validation_error(self):
         with pytest.raises(ValidationError, match="unknown mode 'rows'"):
             decompose(build(recurrence(Charlier(2.0)), 3), mode="rows")
+        with pytest.raises(ValidationError, match="unknown mode 'full'"):
+            decompose(build(recurrence(Charlier(2.0)), 3), "full")
         with pytest.raises(ValidationError, match="dimension >= 2"):
             deleted_submatrix_eigenvalues(build(recurrence(Charlier(2.0)), 1))
 
@@ -129,15 +135,15 @@ class TestDecompositionProperties:
 
     def test_columns_orthonormal(self):
         j = build(recurrence(Charlier(2.0)), 12)
-        dec = decompose(j, mode="full")
-        gram = dec.full_matrix.T @ dec.full_matrix
+        _, vectors = eigenvector_matrix(j)
+        gram = vectors.T @ vectors
         assert np.max(np.abs(gram - np.eye(12))) < 1e-13
 
     def test_reconstruction_large(self):
         j = build(recurrence(ContinuousDualHahn(-3.5, 4.5, 4.5)), 200)
-        dec = decompose(j, mode="full")
-        rec = dec.full_matrix @ np.diag(dec.eigenvalues) @ dec.full_matrix.T
-        scale = 1.0 + np.max(np.abs(dec.eigenvalues))
+        values, vectors = eigenvector_matrix(j)
+        rec = vectors @ np.diag(values) @ vectors.T
+        scale = 1.0 + np.max(np.abs(values))
         assert np.max(np.abs(rec - dense(j))) <= 1e-10 * scale
 
     def test_offdiagonal_sign_flips_are_harmless(self):
@@ -168,18 +174,18 @@ class TestDecompositionProperties:
 
         spec = Charlier(2.0)
         st = recurrence(spec)
-        dec = decompose(build(st, 10), mode="full")
+        values, vectors = eigenvector_matrix(build(st, 10))
         for n in range(10):
             for k in range(10):
-                ratio = dec.full_matrix[n, k] / dec.full_matrix[0, k]
-                p = eval_poly(st, n, float(dec.eigenvalues[k]))
+                ratio = vectors[n, k] / vectors[0, k]
+                p = eval_poly(st, n, float(values[k]))
                 assert abs(p - ratio) <= 1e-10 * max(abs(p), abs(ratio), 1.0)
 
 
 class TestModeBitIdentity:
-    """first_row and full mode apply the same rotations elementwise, so the
-    eigenvalues and first components agree bit for bit; the spectral
-    reference relies on this."""
+    """The first-row sweep from e_k gives row k of the eigenvector matrix, the
+    plain sweep on the columns of the identity, bit for bit; so the first
+    row is row 0 of it, and every mode has the same eigenvalues."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -197,11 +203,11 @@ class TestModeBitIdentity:
     def test_first_row_equals_full_row_zero(self, spec, n):
         j = build(recurrence(spec), n)
         first = decompose(j, mode="first_row")
-        full = decompose(j, mode="full")
         values = decompose(j, mode="values")
-        assert np.array_equal(first.eigenvalues, full.eigenvalues)
-        assert np.array_equal(values.eigenvalues, full.eigenvalues)
-        assert np.array_equal(first.first_components, full.full_matrix[0])
+        full_values, full = eigenvector_matrix(j)
+        assert np.array_equal(first.eigenvalues, full_values)
+        assert np.array_equal(values.eigenvalues, full_values)
+        assert np.array_equal(first.first_components, full[0])
 
     @pytest.mark.parametrize(
         "spec",
@@ -217,11 +223,10 @@ class TestModeBitIdentity:
     )
     @pytest.mark.parametrize("n", [1, 2, 30])
     def test_full_rows_are_first_row_sweeps_from_unit_vectors(self, spec, n):
-        # full mode is the first-row sweep run on every row at once: row k of
-        # the eigenvector matrix is the sweep started from e_k, put in
-        # eigenvalue order and signed like row 0
+        # row k of the eigenvector matrix is the kernel's sweep started from
+        # e_k, put in eigenvalue order and signed like row 0
         j = build(recurrence(spec), n)
-        full = decompose(j, mode="full").full_matrix
+        _, full = eigenvector_matrix(j)
         rows = []
         for k in range(n):
             d, e = j.diag.tolist(), j.offdiag.tolist() + [0.0]
@@ -248,7 +253,7 @@ class TestModeBitIdentity:
         assert np.array_equal(np.array(e), e_ref)
         assert np.array_equal(np.array(row), row_ref)
 
-    @pytest.mark.parametrize("mode", ["values", "first_row", "full"])
+    @pytest.mark.parametrize("mode", ["values", "first_row"])
     def test_inputs_untouched_and_outputs_float_arrays(self, mode):
         j = build(recurrence(Meixner(2.0, 0.4)), 25)
         diag, offdiag = j.diag.copy(), j.offdiag.copy()
@@ -262,14 +267,11 @@ class TestModeBitIdentity:
             assert isinstance(a, np.ndarray)
             assert a.dtype == np.float64
             assert a.shape == (25,)
-        if mode == "full":
-            assert dec.full_matrix.dtype == np.float64
-            assert dec.full_matrix.shape == (25, 25)
 
 
 # -- the kernel against the plain sweep -------------------------------------
 
-_MODES = ("values", "first_row", "full")
+_MODES = ("values", "first_row")
 # A sweep over [0, 2] leaves e_1 far below the split threshold.
 _INTERIOR_SPLIT = ([-3.0, 0.0, -4.0], [2.0, 1e-12])
 # A sweep over [0, 3] leaves e_2 just below the threshold of diagonals of
@@ -282,11 +284,9 @@ _UNDERFLOW = ([0.0, 1e-320, 1e-320, 1e-320, 1e-320], [1e-320, 1e-310, 1e-310, 1.
 _NEAR_OVERFLOW = ([0.0, 5e307, -2e307, -4e307], [-8e307, -3e307, -9e307])
 
 
-def _start_row(n: int, mode: str, k: int = 0) -> list | None:
+def _start_row(n: int, mode: str, k: int = 0) -> list[float] | None:
     if mode == "values":
         return None
-    if mode == "full":
-        return list(np.eye(n))
     row = [0.0] * n
     row[k] = 1.0
     return row
@@ -294,7 +294,7 @@ def _start_row(n: int, mode: str, k: int = 0) -> list | None:
 
 def _run(kernel, diag, offdiag, row):
     d, e = list(diag), [*offdiag, 0.0]
-    row = None if row is None else [np.copy(x) if isinstance(x, np.ndarray) else x for x in row]
+    row = None if row is None else list(row)
     try:
         kernel(d, e, row)
         error = None
@@ -319,8 +319,6 @@ def _assert_kernel_matches_reference(diag, offdiag, row, cap=None):
     assert _bits(e) == _bits(e_ref)
     if row is None:
         assert out is None
-    elif isinstance(row[0], np.ndarray):
-        assert np.array(out).tobytes() == np.array(out_ref).tobytes()
     else:
         # The kernel leaves the zero tail of the row unrotated at +0.0, where
         # the reference's rotation of two zeros may give -0.0; every nonzero
@@ -446,7 +444,6 @@ class TestKernelMatchesReference:
     @example(matrix=_INTERIOR_SPLIT, mode="values", start=0, cap=None)
     @example(matrix=_INTERIOR_SPLIT, mode="first_row", start=0, cap=None)
     @example(matrix=_INTERIOR_SPLIT, mode="first_row", start=2, cap=None)
-    @example(matrix=_INTERIOR_SPLIT, mode="full", start=0, cap=None)
     @example(matrix=_INTERIOR_SPLIT, mode="first_row", start=0, cap=1)
     @example(matrix=_BORDERLINE_SPLIT, mode="values", start=0, cap=None)
     @example(matrix=_UNDERFLOW, mode="first_row", start=0, cap=None)

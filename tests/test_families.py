@@ -124,6 +124,20 @@ class TestRecurrence:
         assert st.b(0) == pytest.approx(-math.sqrt(0.5), rel=1e-15)
         assert st.size == 3
 
+    def test_krawtchouk_b_too_large_for_a_float(self):
+        # (n+1)(M-n) is an int; past the float range its product with gamma
+        # overflows, which is a validation error naming the coefficient
+        st = recurrence(Krawtchouk(10**308, 0.3))
+        assert st.b(0) == -math.sqrt(10**308 * 0.3 * (1.0 - 0.3))
+        with pytest.raises(ValidationError) as exc:
+            st.b(1)
+        assert str(exc.value) == "krawtchouk coefficient b_1 overflows a float at M=1e+308"
+        # a product that fits keeps the bits of the plain expression
+        m = 10**307
+        for n in range(5):
+            plain = -math.sqrt((n + 1) * (m - n) * 0.3 * (1.0 - 0.3))
+            assert recurrence(Krawtchouk(m, 0.3)).b(n) == plain
+
     def test_cdh_first_coefficients(self):
         # direct substitution: a0 = (mu+al)(mu+be) - mu^2, b0 = -sqrt((al+be))
         st = recurrence(ContinuousDualHahn(-3.5, 4.5, 4.5))

@@ -1,14 +1,16 @@
-"""Tests for Jacobi matrix truncations, powers, and matrix functions."""
+"""Tests for Jacobi matrix truncations, powers, and the spectral element
+[f(J)]_{0,0}."""
 
 import math
 
 import numpy as np
 import pytest
 
-from oracles import dense, power_element
+from oracles import dense, eigenvector_matrix, power_element
+from quadsum.apply import matrix_function_element
 from quadsum.errors import NumericalError, ValidationError
 from quadsum.families import Charlier, ContinuousDualHahn, Krawtchouk, Meixner, recurrence
-from quadsum.jacobi import JacobiMatrix, build, matrix_function_element
+from quadsum.jacobi import JacobiMatrix, build
 
 
 class TestBuild:
@@ -42,14 +44,20 @@ class TestBuild:
     def test_validation(self):
         with pytest.raises(ValidationError):
             JacobiMatrix(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
-        for diag, offdiag in [
-            ([1.0, math.inf], [1.0]),
-            ([math.nan, 2.0], [1.0]),
-            ([1.0, 2.0], [math.inf]),
-            ([1.0, 2.0], [math.nan]),
+        # the first non-finite entry is named, reading a_0, b_0, a_1, b_1, ...
+        for diag, offdiag, entry in [
+            ([1.0, math.inf], [1.0], "a_1 = inf"),
+            ([math.nan, 2.0], [1.0], "a_0 = nan"),
+            ([1.0, 2.0], [math.inf], "b_0 = inf"),
+            ([1.0, 2.0], [math.nan], "b_0 = nan"),
+            ([math.nan, 2.0], [-math.inf], "a_0 = nan"),
+            ([1.0, 2.0, 3.0], [1.0, -math.inf], "b_1 = -inf"),
+            ([1.0, 2.0, -math.inf], [math.nan, 1.0], "b_0 = nan"),
+            ([math.inf], [], "a_0 = inf"),
         ]:
-            with pytest.raises(ValidationError, match="matrix entries must be finite"):
+            with pytest.raises(ValidationError) as exc:
                 JacobiMatrix(np.array(diag), np.array(offdiag))
+            assert str(exc.value) == f"matrix entries must be finite, got {entry}"
 
 
 class TestPowerElement:
@@ -94,40 +102,38 @@ class TestPowerElement:
 class TestMatrixFunction:
     def test_identity_function(self):
         j = build(recurrence(Charlier(2.0)), 6)
-        assert matrix_function_element(j, lambda t: 1.0, 0, 0) == pytest.approx(1.0, abs=1e-13)
-        assert matrix_function_element(j, lambda t: 1.0, 0, 3) == pytest.approx(0.0, abs=1e-13)
+        assert matrix_function_element(j, lambda t: 1.0) == pytest.approx(1.0, abs=1e-13)
+        # off the diagonal, through the whole eigenvector matrix
+        _, vectors = eigenvector_matrix(j)
+        assert math.fsum(vectors[0] * vectors[3]) == pytest.approx(0.0, abs=1e-13)
 
     def test_linear_function_recovers_matrix(self):
         j = build(recurrence(Charlier(2.0)), 6)
-        assert matrix_function_element(j, lambda t: t, 0, 0) == pytest.approx(2.0, rel=1e-13)
-        assert matrix_function_element(j, lambda t: t, 0, 1) == pytest.approx(
+        assert matrix_function_element(j, lambda t: t) == pytest.approx(2.0, rel=1e-13)
+        values, vectors = eigenvector_matrix(j)
+        assert math.fsum(vectors[0] * values * vectors[1]) == pytest.approx(
             -math.sqrt(2.0), rel=1e-13
         )
 
     def test_square_cross_check(self):
         j = build(recurrence(Charlier(2.0)), 3)
-        assert matrix_function_element(j, lambda t: t * t, 0, 0) == pytest.approx(6.0, rel=1e-12)
+        assert matrix_function_element(j, lambda t: t * t) == pytest.approx(6.0, rel=1e-12)
 
     def test_power_consistency(self):
         st = recurrence(Meixner(2.0, 0.4))
         j = build(st, 12)
         for k in range(9):
-            mf = matrix_function_element(j, lambda t, k=k: t**k, 0, 0)
+            mf = matrix_function_element(j, lambda t, k=k: t**k)
             pw = power_element(st, k, 0, 0)
             assert abs(mf - pw) <= 1e-10 * max(1.0, abs(pw))
 
     def test_mixed_family_reference_values(self):
         j = build(recurrence(ContinuousDualHahn(-3.5, 4.5, 4.5)), 200)
-        assert matrix_function_element(j, lambda t: 1.0, 0, 0) == pytest.approx(1.0, abs=1e-12)
-        assert matrix_function_element(j, lambda t: t, 0, 0) == pytest.approx(-11.25, rel=1e-12)
-
-    def test_index_validation(self):
-        j = build(recurrence(Charlier(2.0)), 3)
-        with pytest.raises(ValidationError):
-            matrix_function_element(j, lambda t: t, 0, 3)
+        assert matrix_function_element(j, lambda t: 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert matrix_function_element(j, lambda t: t) == pytest.approx(-11.25, rel=1e-12)
 
     def test_nonfinite_function_value(self):
         j = build(recurrence(Charlier(2.0)), 3)
         with pytest.raises(NumericalError, match="not finite") as exc:
-            matrix_function_element(j, lambda t: math.inf, 0, 0)
+            matrix_function_element(j, lambda t: math.inf)
         assert str(exc.value) == "f is not finite at eigenvalue 0.5107114281899208"

@@ -34,7 +34,6 @@ _PUBLIC_NAMES = [
     "exact_exponential_sum",
     "exact_shifted_power_sum",
     "gauss_rule",
-    "matrix_function_element",
     "measure",
     "recurrence",
     "relative_error",
