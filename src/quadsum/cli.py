@@ -18,20 +18,33 @@ at the time), so a call's output does not depend on the calls before it.
 When argv[0] names a subcommand, ``main`` hands the rest of argv to that
 subcommand's parser, and leftover arguments are reported by the top-level
 parser, so the outcome equals the nested top-level parse in one argparse
-pass.  ``python -m quadsum`` runs ``main`` from a source checkout.
+pass.  A family option takes any value ``float`` reads: a negative one
+such as ``-inf`` or ``-1e-1``, which argparse would read as an option, is
+joined to its flag first.
+
+Two per-process stores of at most 64 entries each (``_STORE_SIZE``, least
+recently used out first) serve repeated in-process calls.  ``main`` keeps
+the namespace of each command line it parsed, keyed by argv.  ``sum`` keeps
+the trees it compiled, keyed by the ``--f`` text and the validated
+``--define`` pairs, so a repeated integrand is not parsed again.  Trees
+hold no reference cycles, so one dropped from the store is freed at once.
+An error, a usage error or --help is never stored: it is raised or printed
+again on every call.  ``python -m quadsum`` runs ``main`` from a source
+checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import re
 import sys
 from typing import Sequence
 
 from .apply import SPECTRAL_REFERENCE_SIZE, Functional, approximate
 from .errors import NumericalError, ValidationError
-from .exprlang import _ARITY, NUMBER_RE, ParseError, evaluate, parse
+from .exprlang import _ARITY, NUMBER_RE, Expr, ParseError, evaluate, parse
 from .families import FAMILIES, FamilySpec, recurrence
 from .jacobi import build
 from .rule import gauss_rule
@@ -45,8 +58,7 @@ _EXIT_VALIDATION = 2
 _EXIT_NUMERICAL = 3
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+_fmt = "{:.17g}".format  # format(x, ".17g") without a Python frame per value
 
 
 def _fmt_json(value) -> str:
@@ -136,10 +148,38 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER, _COMMANDS = _build_parsers()
 
 
-def _parse_argv(argv: Sequence[str]) -> argparse.Namespace:
+# argparse reads a token that starts with '-' as an option unless it looks
+# like "-1" or "-.5", so a family value such as "-inf" or "-1e-1" is joined
+# to its flag ("--mu=-inf") before parsing.
+_FAMILY_OPTIONS = frozenset(f"--{flag}" for flag in _FLAG_TYPES)
+
+
+def _reads_as_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    out = []
+    for i, token in enumerate(argv):
+        if token == "--":  # everything after it is positional
+            return out + argv[i:]
+        if out and out[-1] in _FAMILY_OPTIONS and token[:1] == "-" and _reads_as_float(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
     """``_PARSER.parse_args(argv)`` in one argparse pass when argv[0] names
     a subcommand: its parser reads the rest, and leftovers are reported by
-    the top-level parser, as the nested parse does."""
+    the top-level parser, as the nested parse does.  A family option takes
+    any value ``float`` reads, negative ones included."""
+    argv = _join_negative_values(argv)
     sub = _COMMANDS.get(argv[0]) if argv else None
     if sub is None:
         return _PARSER.parse_args(argv)
@@ -147,6 +187,19 @@ def _parse_argv(argv: Sequence[str]) -> argparse.Namespace:
     if extras:
         _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
+
+
+# The most parsed command lines, and the most compiled integrands, that a
+# process keeps.
+_STORE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_STORE_SIZE)
+def _parsed(argv: tuple[str, ...]) -> argparse.Namespace:
+    """``_parse_argv`` of a command line, kept per process: the parsers do
+    not change, so the namespace is a function of argv, and the commands
+    only read it.  A usage error or --help exits, so it is never stored."""
+    return _parse_argv(list(argv))
 
 
 # A --define value is a number of the expression language, optionally negated.
@@ -179,22 +232,26 @@ def _cmd_rule(args: argparse.Namespace) -> int:
     rule = gauss_rule(build(recurrence(family), args.n))
     nodes, weights = rule.nodes.tolist(), rule.weights.tolist()
     if args.format == "json":
-        doc = {
-            "family": args.family,
-            "params": params,
-            "n": args.n,
-            "nodes": nodes,
-            "weights": weights,
-        }
-        print(_fmt_json(doc))
+        # _fmt_json's bytes, with each float list formatted in one join
+        head = _fmt_json({"family": args.family, "params": params, "n": args.n})[:-1]
+        print(f'{head}, "nodes": [{", ".join(map(_fmt, nodes))}], '
+              f'"weights": [{", ".join(map(_fmt, weights))}]}}')
     else:
         print("\n".join(["node,weight", *map("{:.17g},{:.17g}".format, nodes, weights)]))
     return _EXIT_OK
 
 
+@functools.lru_cache(maxsize=_STORE_SIZE)
+def _compiled(text: str, defines: tuple[tuple[str, str], ...]) -> Expr:
+    """The compiled tree of ``--f`` text under validated ``--define`` pairs.
+    Trees are acyclic, so one pushed out of the store is freed at once; an
+    error is raised again on every call, never stored."""
+    return parse(text, dict(defines))
+
+
 def _cmd_sum(args: argparse.Namespace) -> int:
     family, _ = _family_from_args(args)
-    ast = parse(args.f, _parse_defines(args.define))
+    ast = _compiled(args.f, tuple(_parse_defines(args.define).items()))
     kind = "plain_sum" if args.mode == "plain" else "weighted_sum"
     value = approximate(Functional(kind, lambda x: evaluate(ast, x), family, args.n))
     print(_fmt(value))
@@ -247,7 +304,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
+    args = _parsed(tuple(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "rule":
             return _cmd_rule(args)

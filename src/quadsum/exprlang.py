@@ -18,7 +18,12 @@ deep.
 
 Each node is compiled when it is built: its ``run`` attribute is a closure
 over its children's closures, so ``evaluate`` runs one closure per node
-and never walks the tree or dispatches on node types again.
+and never walks the tree or dispatches on node types again.  A closure
+holds the operator and the child nodes, never its own node, so a tree has
+no reference cycle: a dropped tree is freed by reference counting, and a
+caller may keep parsed trees without leaving garbage for the cycle
+collector.  An evaluator that fails builds an equal node for its
+``EvalError``.
 """
 
 from __future__ import annotations
@@ -117,7 +122,7 @@ class BinaryOp:
     run: _Fn = _evaluator()
 
     def __post_init__(self):
-        _set(self, "run", _compile_binary(self, self.left.run, self.right.run))
+        _set(self, "run", _compile_binary(self.op, self.left, self.right))
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,7 @@ class Call:
     run: _Fn = _evaluator()
 
     def __post_init__(self):
-        _set(self, "run", _compile_call(self, *(a.run for a in self.args)))
+        _set(self, "run", _compile_call(self.name, self.args))
 
 
 Expr = Union[Number, Variable, Negate, BinaryOp, Call]
@@ -300,42 +305,56 @@ def parse(text: str, defines: dict[str, str] | None = None) -> Expr:
     return _Parser(text, names).parse()[0]
 
 
-def _power(node: Expr, base: float, exponent: float) -> float:
+def _power(node: Callable[[], Expr], base: float, exponent: float) -> float:
     try:
         return math.pow(base, exponent)
     except OverflowError:
         # An odd integer power keeps the sign of its base.
         return math.copysign(math.inf, base) if exponent % 2.0 == 1.0 else math.inf
     except ValueError:
-        raise EvalError(node, f"domain error raising {base!r} to power {exponent!r}")
+        raise EvalError(node(), f"domain error raising {base!r} to power {exponent!r}")
 
 
-def _compile_binary(e: BinaryOp, left: _Fn, right: _Fn) -> _Fn:
-    if e.op == "+":
+# An evaluator holds its node's children and operator, never the node: a
+# node holding its own evaluator would make every tree a reference cycle,
+# freed only by the cycle collector.  ``node`` rebuilds an equal node for an
+# error's message and ``.node`` when evaluation fails.
+def _compile_binary(op: str, left_node: Expr, right_node: Expr) -> _Fn:
+    left, right = left_node.run, right_node.run
+    if op == "+":
         return lambda x: left(x) + right(x)
-    if e.op == "-":
+    if op == "-":
         return lambda x: left(x) - right(x)
-    if e.op == "*":
+    if op == "*":
         return lambda x: left(x) * right(x)
-    if e.op == "/":
+
+    def node() -> Expr:
+        return BinaryOp(op, left_node, right_node)
+
+    if op == "/":
         def divide(x: float) -> float:
             num = left(x)
             den = right(x)
             if den == 0.0:
-                raise EvalError(e, "division by zero")
+                raise EvalError(node(), "division by zero")
             return num / den
 
         return divide
-    return lambda x: _power(e, left(x), right(x))
+    return lambda x: _power(node, left(x), right(x))
 
 
-def _compile_call(e: Call, arg: _Fn, *rest: _Fn) -> _Fn:
-    if e.name == "pow":
+def _compile_call(name: str, args: tuple[Expr, ...]) -> _Fn:
+    arg, *rest = (a.run for a in args)
+
+    def node() -> Expr:
+        return Call(name, args)
+
+    if name == "pow":
         exponent = rest[0]
-        return lambda x: _power(e, arg(x), exponent(x))
-    if e.name == "abs":
+        return lambda x: _power(node, arg(x), exponent(x))
+    if name == "abs":
         return lambda x: abs(arg(x))
-    if e.name == "exp":
+    if name == "exp":
         def exp(x: float) -> float:
             a = arg(x)
             try:
@@ -344,40 +363,40 @@ def _compile_call(e: Call, arg: _Fn, *rest: _Fn) -> _Fn:
                 return math.inf
 
         return exp
-    if e.name == "ln":
+    if name == "ln":
         def ln(x: float) -> float:
             a = arg(x)
             if a <= 0.0:
-                raise EvalError(e, f"ln of non-positive value {a!r}")
+                raise EvalError(node(), f"ln of non-positive value {a!r}")
             return math.log(a)
 
         return ln
-    if e.name == "sqrt":
+    if name == "sqrt":
         def sqrt(x: float) -> float:
             a = arg(x)
             if a < 0.0:
-                raise EvalError(e, f"sqrt of negative value {a!r}")
+                raise EvalError(node(), f"sqrt of negative value {a!r}")
             return math.sqrt(a)
 
         return sqrt
-    if e.name == "gamma":
+    if name == "gamma":
         def gamma(x: float) -> float:
             a = arg(x)
             try:
                 return _gamma(a)
             except ValidationError:
-                raise EvalError(e, f"gamma pole at {a!r}")
+                raise EvalError(node(), f"gamma pole at {a!r}")
 
         return gamma
-    if e.name == "lgamma":
+    if name == "lgamma":
         def lgamma(x: float) -> float:
             a = arg(x)
             if a <= 0.0:
-                raise EvalError(e, f"lgamma of non-positive value {a!r}")
+                raise EvalError(node(), f"lgamma of non-positive value {a!r}")
             return a if a != a else _ln_gamma(a)  # NaN passes through, as in ln
 
         return lgamma
-    raise TypeError(f"not an expression function: {e.name!r}")
+    raise TypeError(f"not an expression function: {name!r}")
 
 
 def evaluate(e: Expr, x: float) -> float:

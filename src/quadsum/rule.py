@@ -137,7 +137,10 @@ def derivative_weights(
     """
     out = []
     for x, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
-        rho = weight_fn(x)
+        try:
+            rho = weight_fn(x)
+        except OverflowError:  # e.g. exp of a log that lost its digits
+            rho = math.inf
         if not (math.isfinite(rho) and rho > 0.0):
             raise ValidationError(
                 f"weight function must be positive and finite at node {x!r}, "

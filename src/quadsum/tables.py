@@ -7,7 +7,11 @@ spectral reference values over a grid of orders and family parameters:
      Meixner rules,
   2. finite sum of (x+1) 3^{x+1}/Gamma(x+5) up to M=100 via Krawtchouk rules,
   3. mixed integral-plus-sum of y^3 e^{-y/2} in the squared variable via
-     continuous dual Hahn rules with mu = -3.5.
+     continuous dual Hahn rules with mu = -3.5.  Its reference is the
+     paper's spectral element [f(J)]_{0,0} of the 200-point matrix.  Against
+     adaptive quadrature of the density plus the exact point masses, that
+     reference is accurate to a relative 2e-15 at alpha+mu = 1 and 2, and
+     to 2e-14, 9e-13 and 2e-11 at alpha+mu = 3, 4 and 5.
 
 Each grid cell records the published relative error alongside the one
 computed here.  A cell passes if the computed error is within a factor of

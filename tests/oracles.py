@@ -247,7 +247,7 @@ def evaluate_reference(e: Expr, x: float) -> float:
             if right == 0.0:
                 raise EvalError(e, "division by zero")
             return left / right
-        return _power(e, left, right)
+        return _power(lambda: e, left, right)
     if isinstance(e, Call):
         args = [evaluate_reference(a, x) for a in e.args]
         if e.name == "exp":
@@ -274,7 +274,7 @@ def evaluate_reference(e: Expr, x: float) -> float:
             if args[0] <= 0.0:
                 raise EvalError(e, f"lgamma of non-positive value {args[0]!r}")
             return args[0] if math.isnan(args[0]) else ln_gamma(args[0])
-        return _power(e, args[0], args[1])  # pow
+        return _power(lambda: e, args[0], args[1])  # pow
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -114,6 +114,38 @@ class TestRuleCommand:
         assert code == 2
         assert "--beta" in err
 
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-1e-1", "-1E+2", "-1_0"])
+    def test_negative_value_reaches_the_library(self, capsys, value):
+        # argparse takes such a token for an option unless it is joined to its flag
+        argv = ("--family", "cdh", "--alpha", "1", "--beta", "2", "--n", "3")
+        joined = run_cli(capsys, "rule", f"--mu={value}", *argv)
+        assert run_cli(capsys, "rule", "--mu", value, *argv) == joined
+        assert "expected one argument" not in joined[2]
+
+    def test_negative_infinite_mu_names_the_bad_value(self, capsys):
+        assert run_cli(capsys, "rule", "--family", "cdh", "--mu", "-inf", "--alpha", "1",
+                       "--beta", "2", "--n", "3") == (
+            2, "", "error: continuous dual Hahn with mu < 0 requires alpha + mu, beta + mu > 0;"
+                   " violated by {'alpha': 1.0, 'beta': 2.0} with mu=-inf\n")
+
+    def test_exponent_spelling_prints_the_same_bytes(self, capsys):
+        argv = ("--alpha", "1", "--beta", "2", "--n", "3")
+        code, out, err = run_cli(capsys, "rule", "--family", "cdh", "--mu", "-1e-1", *argv)
+        assert (code, err) == (0, "") and out
+        assert run_cli(capsys, "rule", "--family", "cdh", "--mu", "-0.1", *argv) == (code, out, err)
+
+    def test_negative_value_of_an_integer_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rule", "--family", "krawtchouk", "--M", "-1e3", "--gamma", "0.3", "--n", "3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --M: invalid int value: '-1e3'\n")
+
+    def test_only_family_values_are_joined(self):
+        join = quadsum.cli._join_negative_values
+        assert join(["--mu", "-inf", "--n", "-1e3", "--f", "-inf"]) == [
+            "--mu=-inf", "--n", "-1e3", "--f", "-inf"]
+        assert join(["--mu", "-x", "--", "--mu", "-inf"]) == ["--mu", "-x", "--", "--mu", "-inf"]
+
 
 class TestSumCommand:
     def test_charlier_exponential(self, capsys):
@@ -274,6 +306,21 @@ class TestSumCommand:
         )
         assert (code, err) == (0, "")
         assert abs(float(out) - math.exp(3.0)) <= 1e-14 * math.exp(3.0)
+
+    @pytest.mark.parametrize("params, node", [
+        (("--family", "charlier", "--mu=1e200", "--n", "1", "--f", "exp(-x)"), "1e+200"),
+        (("--family", "krawtchouk", "--M=100000000000000000", "--gamma=1e-8", "--n", "40",
+          "--f", "1"), "999668575.26471"),
+    ], ids=["charlier", "krawtchouk"])
+    def test_overflowing_density_names_the_node(self, capsys, monkeypatch, params, node):
+        # the log of the mass lost its digits, so exp of it overflows at this node
+        cache = quadsum.rule._RuleCache()
+        monkeypatch.setattr(quadsum.apply, "_CACHE", cache)
+        for _ in range(2):
+            assert run_cli(capsys, "sum", *params, "--mode", "plain") == (
+                2, "", "error: weight function must be positive and finite at node "
+                       f"{node}, got inf\n")
+        assert cache._rules == {} and cache.nodes == 0
 
     def test_domain_error_exit_3(self, capsys):
         # ln is undefined at the low nodes of this rule
@@ -457,6 +504,159 @@ class TestParserReuse:
         assert exc.value.code == 2
         assert "bogus" in capsys.readouterr().err
         assert run_cli(capsys, *argv) == alone
+
+
+
+def _ci_sum_commands() -> list[list[str]]:
+    """The argv of each ``quadsum sum`` line of CI's console-script step."""
+    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+    commands = []
+    for line in workflow.read_text().splitlines():
+        if "quadsum sum " in line:
+            command = line.split("quadsum sum ", 1)[1].split(" ||")[0]
+            commands.append(["sum", *shlex.split(command.replace("$huge_m", str(10**400)))])
+    return commands
+
+
+def _sum_argv(f: str, *defines: str) -> list[str]:
+    return ["sum", "--family", "charlier", "--mu", "2", "--n", "6", "--f", f,
+            *(item for define in defines for item in ("--define", define))]
+
+
+class TestExpressionStore:
+    """``sum`` keeps the trees it parsed, keyed by the --f text and the
+    validated --define pairs, in a store of at most 64; a hit parses nothing
+    and prints the bytes of a miss."""
+
+    @pytest.fixture(autouse=True)
+    def empty_store(self):
+        quadsum.cli._compiled.cache_clear()
+        yield
+        quadsum.cli._compiled.cache_clear()
+
+    @pytest.fixture
+    def parse_calls(self, monkeypatch):
+        calls = []
+        parse = quadsum.cli.parse
+
+        def counting_parse(*args):
+            calls.append(args)
+            return parse(*args)
+
+        monkeypatch.setattr(quadsum.cli, "parse", counting_parse)
+        return calls
+
+    def test_hit_prints_the_bytes_of_a_miss(self, capsys, parse_calls):
+        commands = _ci_sum_commands()
+        assert len(commands) >= 9
+        for argv in commands:
+            quadsum.cli._compiled.cache_clear()
+            miss = run_cli(capsys, *argv)
+            parsed = len(parse_calls)
+            assert (argv, run_cli(capsys, *argv)) == (argv, miss)
+            assert len(parse_calls) == parsed  # the hit parsed nothing
+        assert [code for code, _, _ in map(lambda argv: run_cli(capsys, *argv), commands)] == [
+            0, 0, 0, 0, 0, 3, 2, 2, 2]
+
+    def test_miss_parses_through_the_module_name(self, capsys, parse_calls):
+        argv = _sum_argv("r*x/gamma(x+1)", "r=1.5")
+        first = run_cli(capsys, *argv)
+        assert parse_calls == [("r*x/gamma(x+1)", {"r": "1.5"})]
+        assert run_cli(capsys, *argv) == first
+        assert len(parse_calls) == 1
+        info = quadsum.cli._compiled.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_defines_are_part_of_the_key(self, capsys):
+        outputs = {r: run_cli(capsys, *_sum_argv("r^x", f"r={r}")) for r in ("2", "3", "2")}
+        assert outputs["2"] != outputs["3"]
+        assert outputs["3"] == run_cli(capsys, *_sum_argv("3^x"))
+        assert quadsum.cli._compiled.cache_info().currsize == 3
+
+    @pytest.mark.parametrize("f, defines", [
+        ("x+", ()),
+        ("foo(x)", ()),
+        ("x*r", ()),
+        ("x*r", ("r=1e999",)),
+        ("x*r", ("r=abc",)),
+        ("x*r", ("x=1",)),
+        ("x*r", ("r=1", "r=2")),
+        ("x*r", ("exp=1",)),
+    ])
+    def test_error_is_raised_again_and_never_stored(self, capsys, f, defines):
+        first = run_cli(capsys, *_sum_argv(f, *defines))
+        assert (first[0], first[1]) == (2, "") and first[2].startswith("error: ")
+        assert run_cli(capsys, *_sum_argv(f, *defines)) == first
+        assert quadsum.cli._compiled.cache_info().currsize == 0
+
+    def test_evaluation_error_from_a_stored_tree(self, capsys):
+        argv = _sum_argv("1+ln(x-100)")
+        first = run_cli(capsys, *argv)
+        assert first[0] == 3 and first[2].startswith("numerical failure: ln of non-positive")
+        assert run_cli(capsys, *argv) == first
+
+    def test_store_never_holds_more_than_its_bound(self, capsys):
+        assert quadsum.cli._STORE_SIZE == 64
+        for i in range(100):
+            assert run_cli(capsys, *_sum_argv(f"x+{i}"))[0] == 0
+            assert quadsum.cli._compiled.cache_info().currsize == min(i + 1, 64)
+        assert quadsum.cli._compiled.cache_info().maxsize == 64
+
+
+class TestCommandLineStore:
+    """``main`` keeps the namespace of each command line it parsed, at most
+    64; a usage error or --help is printed again on every call."""
+
+    @pytest.fixture(autouse=True)
+    def empty_store(self):
+        quadsum.cli._parsed.cache_clear()
+        yield
+        quadsum.cli._parsed.cache_clear()
+
+    @pytest.fixture
+    def parse_calls(self, monkeypatch):
+        calls = []
+        parse_argv = quadsum.cli._parse_argv
+
+        def counting_parse_argv(argv):
+            calls.append(argv)
+            return parse_argv(argv)
+
+        monkeypatch.setattr(quadsum.cli, "_parse_argv", counting_parse_argv)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ("rule", "--family", "cdh", "--mu", "-1e-1", "--alpha", "1", "--beta", "2", "--n", "3"),
+        ("rule", "--family", "krawtchouk", "--M", "8", "--gamma", "0.3", "--n", "5", "--format", "csv"),
+        (*_EXP_SUM, "--define", "r=2.5", "--mode", "weighted"),
+        ("sum", "--family", "charlier", "--mu", "2", "--n", "5", "--f", "ln(x-100)"),
+        ("rule", "--family", "charlier", "--mu", "1e308", "--n", "3"),
+        ("table", "1", "--format", "csv"),
+    ])
+    def test_repeated_command_line_is_parsed_once(self, capsys, parse_calls, argv):
+        first = run_cli(capsys, *argv)
+        args = vars(quadsum.cli._parsed(argv)).copy()
+        assert run_cli(capsys, *argv) == first
+        assert main(list(argv)) == first[0] and capsys.readouterr() == (first[1], first[2])
+        assert parse_calls == [list(argv)]
+        assert vars(quadsum.cli._parsed(argv)) == args  # the commands only read it
+
+    @pytest.mark.parametrize("argv", [
+        ("rule", "--family", "bogus", "--n", "2"),
+        ("rule", "--family", "charlier", "--mu", "2", "--n", "3", "extra"),
+        ("sum", "--help"),
+    ])
+    def test_usage_error_and_help_are_printed_every_time(self, capsys, argv):
+        first = _exit_output(capsys, argv)
+        assert first[0] in (0, 2) and first[1] + first[2]
+        assert _exit_output(capsys, argv) == first
+        assert quadsum.cli._parsed.cache_info().currsize == 0
+
+    def test_store_never_holds_more_than_its_bound(self, capsys):
+        for i in range(100):
+            assert run_cli(capsys, "rule", "--family", "charlier", "--mu", str(1 + i), "--n", "2")[0] == 0
+            assert quadsum.cli._parsed.cache_info().currsize == min(i + 1, 64)
+        assert quadsum.cli._parsed.cache_info().maxsize == quadsum.cli._STORE_SIZE == 64
 
 
 # argv lists that parse, or end in SystemExit, on both parse routes.

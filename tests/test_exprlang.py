@@ -1,7 +1,9 @@
 """Tests for the expression language."""
 
+import gc
 import math
 import struct
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import evaluate_reference
 from quadsum.exprlang import (
+    _ARITY,
     BinaryOp,
     MAX_DEPTH,
     Call,
@@ -244,6 +247,65 @@ class TestEvalErrors:
     def test_error_carries_subexpression(self):
         with pytest.raises(EvalError, match=r"ln\(x\)"):
             ev("2+ln(x)", -1.0)
+
+    # Each kind of error, at the node that raises it, with its exact text.
+    @pytest.mark.parametrize("text, x, node_text, message", [
+        ("2+1/(x-x)", 3.0, "(1.0/(x-x))", "division by zero"),
+        ("2*x^0.5", -2.0, "(x^0.5)", "domain error raising -2.0 to power 0.5"),
+        ("pow(x, 0.5)+1", -2.0, "pow(x, 0.5)", "domain error raising -2.0 to power 0.5"),
+        ("1+ln(x-1)", -1.0, "ln((x-1.0))", "ln of non-positive value -2.0"),
+        ("sqrt(x)-1", -4.0, "sqrt(x)", "sqrt of negative value -4.0"),
+        ("gamma(x)*2", -3.0, "gamma(x)", "gamma pole at -3.0"),
+        ("lgamma(-x)", 2.0, "lgamma((-x))", "lgamma of non-positive value -2.0"),
+    ])
+    def test_exact_message_and_equal_node(self, text, x, node_text, message):
+        tree = parse(text)
+        for _ in range(2):  # the same error from the same tree, every time
+            with pytest.raises(EvalError) as info:
+                evaluate(tree, x)
+            assert str(info.value) == f"{message} in {node_text!r}"
+            assert info.value.node == parse(node_text)
+            assert to_text(info.value.node) == node_text
+
+
+def _freed_without_the_cycle_collector(make):
+    """Whether the object ``make()`` returns is freed as soon as it is dropped,
+    with the cycle collector off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        ref = weakref.ref(make())
+        return ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestAcyclicTrees:
+    """A node's evaluator does not hold the node, so a tree is not a
+    reference cycle and is freed by reference counting alone."""
+
+    @pytest.mark.parametrize("text", [
+        "1/x", "x^2", "-x+1*2-x",
+        *(f"{name}({', '.join(['x'] * arity)})" for name, arity in _ARITY.items()),
+        "r*x/r^(x+1)",
+    ])
+    def test_dropped_tree_is_freed(self, text):
+        assert _freed_without_the_cycle_collector(lambda: parse(text, {"r": "1.5"}))
+
+    @pytest.mark.parametrize("text, x", [
+        ("1/(x-x)", 1.0), ("x^0.5", -1.0), ("pow(x, 0.5)", -1.0), ("ln(x)", -1.0),
+        ("sqrt(x)", -1.0), ("gamma(x)", 0.0), ("lgamma(x)", 0.0),
+    ])
+    def test_tree_is_freed_after_an_error(self, text, x):
+        def make():
+            tree = parse(text)
+            with pytest.raises(EvalError):
+                evaluate(tree, x)
+            return tree
+
+        assert _freed_without_the_cycle_collector(make)
 
 
 CORPUS = [

@@ -289,3 +289,11 @@ class TestDerivativeWeights:
             derivative_weights(r, lambda x: -1.0)
         with pytest.raises(ValidationError, match="positive"):
             derivative_weights(r, lambda x: math.nan)
+
+    def test_overflowing_weight_function_names_the_node(self):
+        r = gauss_rule(build(recurrence(Charlier(2.0)), 3))
+        with pytest.raises(ValidationError) as exc:
+            derivative_weights(r, lambda x: math.exp(1e4 * x))
+        assert str(exc.value) == (
+            "weight function must be positive and finite at node 0.5107114281899208, got inf"
+        )

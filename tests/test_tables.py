@@ -4,10 +4,12 @@ import math
 import re
 
 import pytest
+from scipy.integrate import quad
 
-from quadsum.apply import relative_error
+from quadsum.apply import relative_error, spectral_reference
 from quadsum.errors import ValidationError
-from quadsum.tables import cell_passes, run_table
+from quadsum.families import ContinuousDualHahn, measure
+from quadsum.tables import _t3_integrand, cell_passes, run_table
 
 
 class TestCellPolicy:
@@ -67,3 +69,31 @@ class TestRunTable:
     def test_oracle_size_ignored_by_tables_one_and_two(self):
         assert run_table(1, oracle_size=0).passed
         assert run_table(2, oracle_size=0).passed
+
+
+class TestTableThreeReference:
+    """Table 3's reference, the 200-point spectral element, against an
+    independent value: scipy ``quad`` of the continuous density plus the
+    exact sum over the point masses.  The errors measured on the five rows
+    are 2.1e-15, 1.2e-15, 1.9e-14, 9.3e-13 and 2.0e-11, so the reference
+    loses accuracy as alpha grows; the first two are at the independent
+    value's own rounding.  Each row is pinned within about a factor of two."""
+
+    @pytest.mark.parametrize("alpha_plus_mu, low, high", [
+        (1.0, 0.0, 4e-15),
+        (2.0, 0.0, 4e-15),
+        (3.0, 1e-14, 3e-14),
+        (4.0, 6e-13, 1.5e-12),
+        (5.0, 1.5e-11, 3e-11),
+    ])
+    def test_error_against_quad_and_the_point_masses(self, alpha_plus_mu, low, high):
+        mu = -3.5
+        alpha = alpha_plus_mu - mu
+        family = ContinuousDualHahn(mu, alpha, alpha)
+        spec = measure(family)
+        sigma = spec.continuous.density
+        integral, _ = quad(lambda x: sigma(x) * _t3_integrand(x * x), 0.0, math.inf,
+                           epsrel=1e-13, limit=200)
+        independent = integral + spec.discrete.weighted_sum(_t3_integrand)
+        error = abs(spectral_reference(family, _t3_integrand) - independent) / abs(independent)
+        assert low <= error <= high
