@@ -7,6 +7,9 @@ whose recurrence runs in y = x^2, in that squared variable), or the
 continuous part of a mixed measure alone.  The reference values (closed
 forms and the spectral element) and the relative-error metric used by the
 report tables live here too.
+
+``approximate`` holds the library's one rule store: ``gauss_rule`` itself
+computes on every call.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -23,7 +28,7 @@ from . import eig
 from .errors import NumericalError, ValidationError
 from .families import FamilySpec, measure, recurrence, require_count
 from .jacobi import JacobiMatrix, build
-from .rule import QuadratureRule, _RuleCache, derivative_weights, gauss_rule
+from .rule import QuadratureRule, derivative_weights, gauss_rule
 from .special import ln_gamma
 
 __all__ = [
@@ -90,6 +95,45 @@ def _node_sum(
     return total
 
 
+# Total nodes the store of ``approximate`` may hold.  A budget in nodes
+# rather than entries keeps its memory small when orders are large, and
+# still holds every rule of tables 1-3 (1802 nodes together).
+_CACHE_NODES = 4096
+
+
+class _RuleCache:
+    """Least-recently-used map from keys to values that hold a rule, bounded
+    by the total number of nodes held; safe to share between threads."""
+
+    def __init__(self):
+        self._rules: OrderedDict[Hashable, tuple[object, int]] = OrderedDict()
+        self._lock = threading.Lock()
+        self.nodes = 0
+
+    def get(self, key: Hashable):
+        """The value stored under key, or None."""
+        with self._lock:
+            entry = self._rules.get(key)
+            if entry is None:
+                return None
+            self._rules.move_to_end(key)
+            return entry[0]
+
+    def put(self, key: Hashable, value, nodes: int) -> None:
+        """Store value, which holds a rule of ``nodes`` nodes, unless that is
+        more than the whole budget."""
+        if nodes > _CACHE_NODES:
+            return
+        with self._lock:
+            if key in self._rules:  # stored by another thread meanwhile
+                return
+            self._rules[key] = (value, nodes)
+            self.nodes += nodes
+            while self.nodes > _CACHE_NODES:
+                _, (_, old) = self._rules.popitem(last=False)
+                self.nodes -= old
+
+
 # What a functional's family, order and density component fix, kept per
 # process: (measure, Gauss rule, weights of the node sum).
 _CACHE = _RuleCache()
@@ -120,13 +164,14 @@ def approximate(fn: Functional) -> float:
     continuous_part kind estimates the continuous component alone: the
     quadrature sum minus the exact finite discrete sum.
 
-    The measure, the rule and the node-sum weights (read-only) are kept per
-    process, keyed by the family's type and each parameter's type and
-    value, the order and the density component, so a repeated request runs
-    only the integrand loop.  The store is bounded and ordered like the
-    rule cache of ``gauss_rule``; a family that is not a frozen dataclass of
-    numbers and strings is computed every time, and a request that raises
-    stores nothing.
+    The measure, the rule and the node-sum weights are kept per process,
+    keyed by the family's type and each parameter's type and value, the
+    order and the density component, so a repeated request runs only the
+    integrand loop.  The store holds at most _CACHE_NODES (4096) nodes and
+    drops the least recently used entry first; a larger rule is computed
+    but not kept.  Its arrays never leave this function.  A family that is
+    not a frozen dataclass of numbers and strings is computed every time,
+    and a request that raises stores nothing.
     """
     components, density_of = _KINDS[fn.kind]
     family_key = _family_key(fn.family)
@@ -153,7 +198,6 @@ def approximate(fn: Functional) -> float:
                     f"{fn.kind} needs a discrete measure with a smooth mass continuation"
                 )
             weights = derivative_weights(rule, density)
-            weights.setflags(write=False)
         if key is not None:
             _CACHE.put(key, (spec, rule, weights), rule.order)
     value = _node_sum(rule, weights, fn.f)

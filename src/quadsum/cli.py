@@ -18,19 +18,18 @@ at the time), so a call's output does not depend on the calls before it.
 When argv[0] names a subcommand, ``main`` hands the rest of argv to that
 subcommand's parser, and leftover arguments are reported by the top-level
 parser, so the outcome equals the nested top-level parse in one argparse
-pass.  A family option takes any value ``float`` reads: a negative one
-such as ``-inf`` or ``-1e-1``, which argparse would read as an option, is
-joined to its flag first.
+pass.  A value that argparse would read as an option is joined to its flag
+first: a family value that ``float`` reads (``--mu -inf``, ``--bet
+-1e-1``), and any ``--f`` text that is not an option of the subcommand
+(``--f -x``).  Flags resolve as in argparse: exactly, or as the one long
+option they abbreviate.
 
-Two per-process stores of at most 64 entries each (``_STORE_SIZE``, least
-recently used out first) serve repeated in-process calls.  ``main`` keeps
-the namespace of each command line it parsed, keyed by argv.  ``sum`` keeps
-the trees it compiled, keyed by the ``--f`` text and the validated
-``--define`` pairs, so a repeated integrand is not parsed again.  Trees
-hold no reference cycles, so one dropped from the store is freed at once.
-An error, a usage error or --help is never stored: it is raised or printed
-again on every call.  ``python -m quadsum`` runs ``main`` from a source
-checkout.
+``main`` keeps the last 256 commands it prepared (``_STORE_SIZE``, least
+recently used out first), keyed by argv: a ``rule`` with its computed
+rule, a ``sum`` with its family and compiled integrand, a ``table`` with
+its arguments.  A repeated call still formats its output, and runs its
+node sum or table, every time.  An error, a usage error or --help is never
+stored.  ``python -m quadsum`` runs ``main`` from a source checkout.
 """
 
 from __future__ import annotations
@@ -40,14 +39,14 @@ import dataclasses
 import functools
 import re
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .apply import SPECTRAL_REFERENCE_SIZE, Functional, approximate
 from .errors import NumericalError, ValidationError
 from .exprlang import _ARITY, NUMBER_RE, Expr, ParseError, evaluate, parse
 from .families import FAMILIES, FamilySpec, recurrence
 from .jacobi import build
-from .rule import gauss_rule
+from .rule import QuadratureRule, gauss_rule
 from .tables import TABLE_NUMBERS, TableReport, run_table
 
 __all__ = ["main", "build_parser"]
@@ -149,8 +148,8 @@ _PARSER, _COMMANDS = _build_parsers()
 
 
 # argparse reads a token that starts with '-' as an option unless it looks
-# like "-1" or "-.5", so a family value such as "-inf" or "-1e-1" is joined
-# to its flag ("--mu=-inf") before parsing.
+# like "-1" or "-.5", so a family value that ``float`` reads, and any --f
+# text that is not an option of the subcommand, is joined to its flag.
 _FAMILY_OPTIONS = frozenset(f"--{flag}" for flag in _FLAG_TYPES)
 
 
@@ -162,12 +161,30 @@ def _reads_as_float(token: str) -> bool:
     return True
 
 
-def _join_negative_values(argv: list[str]) -> list[str]:
+def _option(options, token: str) -> str | None:
+    """The option argparse reads token as: the flag before any '=' exactly,
+    the one long option it abbreviates, or -h with letters attached."""
+    flag = token.partition("=")[0]
+    if flag in options:
+        return flag
+    if flag[:2] == "--":
+        matches = [option for option in options if option.startswith(flag)]
+        return matches[0] if len(matches) == 1 else None
+    return "-h" if token[:2] == "-h" else None
+
+
+def _join_dash_values(sub: argparse.ArgumentParser, args: list[str]) -> list[str]:
+    """The arguments of subcommand ``sub`` with "--mu -inf" read as
+    "--mu=-inf" and "--f -x" as "--f=-x"."""
+    options = sub._option_string_actions
     out = []
-    for i, token in enumerate(argv):
+    for i, token in enumerate(args):
         if token == "--":  # everything after it is positional
-            return out + argv[i:]
-        if out and out[-1] in _FAMILY_OPTIONS and token[:1] == "-" and _reads_as_float(token):
+            return out + args[i:]
+        prev = out[-1] if out else ""
+        flag = _option(options, prev) if token[:1] == prev[:1] == "-" and "=" not in prev else None
+        if (flag in _FAMILY_OPTIONS and _reads_as_float(token)
+                or flag == "--f" and _option(options, token) is None):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -176,30 +193,17 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 def _parse_argv(argv: list[str]) -> argparse.Namespace:
     """``_PARSER.parse_args(argv)`` in one argparse pass when argv[0] names
-    a subcommand: its parser reads the rest, and leftovers are reported by
-    the top-level parser, as the nested parse does.  A family option takes
-    any value ``float`` reads, negative ones included."""
-    argv = _join_negative_values(argv)
+    a subcommand: its parser reads the rest, with dash-led values joined to
+    their flags, and leftovers are reported by the top-level parser, as the
+    nested parse does."""
     sub = _COMMANDS.get(argv[0]) if argv else None
     if sub is None:
         return _PARSER.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    args, extras = sub.parse_known_args(_join_dash_values(sub, argv[1:]),
+                                        argparse.Namespace(command=argv[0]))
     if extras:
         _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
-
-
-# The most parsed command lines, and the most compiled integrands, that a
-# process keeps.
-_STORE_SIZE = 64
-
-
-@functools.lru_cache(maxsize=_STORE_SIZE)
-def _parsed(argv: tuple[str, ...]) -> argparse.Namespace:
-    """``_parse_argv`` of a command line, kept per process: the parsers do
-    not change, so the namespace is a function of argv, and the commands
-    only read it.  A usage error or --help exits, so it is never stored."""
-    return _parse_argv(list(argv))
 
 
 # A --define value is a number of the expression language, optionally negated.
@@ -227,13 +231,11 @@ def _parse_defines(defines: Sequence[str]) -> dict[str, str]:
     return values
 
 
-def _cmd_rule(args: argparse.Namespace) -> int:
-    family, params = _family_from_args(args)
-    rule = gauss_rule(build(recurrence(family), args.n))
+def _run_rule(fmt: str, head: dict, rule: QuadratureRule) -> int:
     nodes, weights = rule.nodes.tolist(), rule.weights.tolist()
-    if args.format == "json":
+    if fmt == "json":
         # _fmt_json's bytes, with each float list formatted in one join
-        head = _fmt_json({"family": args.family, "params": params, "n": args.n})[:-1]
+        head = _fmt_json(head)[:-1]
         print(f'{head}, "nodes": [{", ".join(map(_fmt, nodes))}], '
               f'"weights": [{", ".join(map(_fmt, weights))}]}}')
     else:
@@ -241,20 +243,8 @@ def _cmd_rule(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-@functools.lru_cache(maxsize=_STORE_SIZE)
-def _compiled(text: str, defines: tuple[tuple[str, str], ...]) -> Expr:
-    """The compiled tree of ``--f`` text under validated ``--define`` pairs.
-    Trees are acyclic, so one pushed out of the store is freed at once; an
-    error is raised again on every call, never stored."""
-    return parse(text, dict(defines))
-
-
-def _cmd_sum(args: argparse.Namespace) -> int:
-    family, _ = _family_from_args(args)
-    ast = _compiled(args.f, tuple(_parse_defines(args.define).items()))
-    kind = "plain_sum" if args.mode == "plain" else "weighted_sum"
-    value = approximate(Functional(kind, lambda x: evaluate(ast, x), family, args.n))
-    print(_fmt(value))
+def _run_sum(kind: str, family: FamilySpec, ast: Expr, n: int) -> int:
+    print(_fmt(approximate(Functional(kind, lambda x: evaluate(ast, x), family, n))))
     return _EXIT_OK
 
 
@@ -274,9 +264,9 @@ def _table_csv(report: TableReport) -> str:
     return "\n".join(lines)
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    report = run_table(args.which, oracle_size=args.oracle_k)
-    if args.format == "json":
+def _run_table(which: int, oracle_k: int, fmt: str) -> int:
+    report = run_table(which, oracle_size=oracle_k)
+    if fmt == "json":
         doc = {
             "table": report.table,
             "title": report.title,
@@ -303,14 +293,32 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return _EXIT_OK if report.passed else _EXIT_TOLERANCE
 
 
+# The most prepared commands a process keeps: about half of a mixed
+# in-process workload repeats an earlier command line, and 256 entries hold
+# nearly all of those repeats where 64 lose a quarter of them.
+_STORE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_STORE_SIZE)
+def _prepared(argv: tuple[str, ...]) -> Callable[[], int]:
+    """The command argv asks for, ready to run; an argv that exits or
+    raises while it is prepared is never stored."""
+    args = _parse_argv(list(argv))
+    if args.command == "table":
+        return functools.partial(_run_table, args.which, args.oracle_k, args.format)
+    family, params = _family_from_args(args)
+    if args.command == "rule":
+        rule = gauss_rule(build(recurrence(family), args.n))
+        head = {"family": args.family, "params": params, "n": args.n}
+        return functools.partial(_run_rule, args.format, head, rule)
+    ast = parse(args.f, _parse_defines(args.define))
+    kind = "plain_sum" if args.mode == "plain" else "weighted_sum"
+    return functools.partial(_run_sum, kind, family, ast, args.n)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parsed(tuple(sys.argv[1:] if argv is None else argv))
     try:
-        if args.command == "rule":
-            return _cmd_rule(args)
-        if args.command == "sum":
-            return _cmd_sum(args)
-        return _cmd_table(args)
+        return _prepared(tuple(sys.argv[1:] if argv is None else argv))()
     except (ValidationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION

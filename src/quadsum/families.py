@@ -450,7 +450,8 @@ class Wilson(FamilySpec):
         # only at n = 0 (s = 1 and s = 2).  Both singularities are
         # removable: t2 carries a factor n, and at s = 1 the factor
         # (n+s-1)/(2n+s-1) in a_0 and b_0 is 1.  The cancelled forms are
-        # used only there, so regular parameters keep their bits.
+        # used only there, so regular parameters keep their bits.  2n+s-2
+        # rounds to 0 at n = 1 when s is below half an ulp of 2; it is s.
         degenerate = s == 1.0
 
         def a(n: int) -> float:
@@ -470,7 +471,7 @@ class Wilson(FamilySpec):
                 * (n + nu + al - 1.0)
                 * (n + nu + be - 1.0)
                 * (n + al + be - 1.0)
-                / ((2.0 * n + s - 1.0) * (2.0 * n + s - 2.0))
+                / ((2.0 * n + s - 1.0) * (2.0 * n + s - 2.0 or s))
             )
             return t1 + t2 - mu * mu
 

