@@ -8,25 +8,24 @@ continuous part of a mixed measure alone.  The reference values (closed
 forms and the spectral element) and the relative-error metric used by the
 report tables live here too.
 
-``approximate`` holds the library's one rule store: ``gauss_rule`` itself
-computes on every call.
+``approximate`` holds the library's one rule store, a ``functools.lru_cache``
+of prepared functionals: ``gauss_rule`` itself computes on every call.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import Callable
 
 import numpy as np
 
 from . import eig
 from .errors import NumericalError, ValidationError
-from .families import FamilySpec, measure, recurrence, require_count
+from .families import FamilySpec, MeasureSpec, measure, recurrence, require_count
 from .jacobi import JacobiMatrix, build
 from .rule import QuadratureRule, derivative_weights, gauss_rule
 from .special import ln_gamma
@@ -95,48 +94,11 @@ def _node_sum(
     return total
 
 
-# Total nodes the store of ``approximate`` may hold.  A budget in nodes
-# rather than entries keeps its memory small when orders are large, and
-# still holds every rule of tables 1-3 (1802 nodes together).
-_CACHE_NODES = 4096
-
-
-class _RuleCache:
-    """Least-recently-used map from keys to values that hold a rule, bounded
-    by the total number of nodes held; safe to share between threads."""
-
-    def __init__(self):
-        self._rules: OrderedDict[Hashable, tuple[object, int]] = OrderedDict()
-        self._lock = threading.Lock()
-        self.nodes = 0
-
-    def get(self, key: Hashable):
-        """The value stored under key, or None."""
-        with self._lock:
-            entry = self._rules.get(key)
-            if entry is None:
-                return None
-            self._rules.move_to_end(key)
-            return entry[0]
-
-    def put(self, key: Hashable, value, nodes: int) -> None:
-        """Store value, which holds a rule of ``nodes`` nodes, unless that is
-        more than the whole budget."""
-        if nodes > _CACHE_NODES:
-            return
-        with self._lock:
-            if key in self._rules:  # stored by another thread meanwhile
-                return
-            self._rules[key] = (value, nodes)
-            self.nodes += nodes
-            while self.nodes > _CACHE_NODES:
-                _, (_, old) = self._rules.popitem(last=False)
-                self.nodes -= old
-
-
-# What a functional's family, order and density component fix, kept per
-# process: (measure, Gauss rule, weights of the node sum).
-_CACHE = _RuleCache()
+# The most entries each per-process store keeps, here and in ``cli.main``:
+# about half of a mixed in-process workload repeats an earlier command
+# line, and 256 entries hold nearly all of those repeats where 64 lose a
+# quarter of them.
+_STORE_SIZE = 256
 
 
 def _family_key(family: FamilySpec) -> tuple | None:
@@ -156,6 +118,35 @@ def _family_key(family: FamilySpec) -> tuple | None:
     return tuple(key)
 
 
+@functools.lru_cache(maxsize=_STORE_SIZE)
+def _prepared(
+    key: tuple | None, family: FamilySpec, order: int, kind: str
+) -> tuple[MeasureSpec, QuadratureRule, np.ndarray]:
+    """The family's measure, its Gauss rule of the given order and the
+    weights of the node sum of this kind, after every check of the kind.
+    ``key`` is ``_family_key(family)``, which tells families apart; the
+    family is an argument only so that this function can compute, since
+    equal keys mean equal families (equal types and reprs, and no NaN)."""
+    components, density_of = _KINDS[kind]
+    spec = measure(family)
+    if (spec.continuous is not None, spec.discrete is not None) != components:
+        raise ValidationError(f"kind {kind!r} requires {_REQUIRES[components]}")
+    if kind == "continuous_part" and not spec.discrete.finite:
+        raise ValidationError(
+            "continuous-part estimate requires a finite discrete component"
+        )
+    rule = gauss_rule(build(recurrence(family), order))
+    weights = rule.weights
+    if density_of is not None:
+        density = getattr(spec, density_of).density
+        if density is None:
+            raise ValidationError(
+                f"{kind} needs a discrete measure with a smooth mass continuation"
+            )
+        weights = derivative_weights(rule, density)
+    return spec, rule, weights
+
+
 def approximate(fn: Functional) -> float:
     """N-point quadrature approximation of the functional.
 
@@ -164,44 +155,20 @@ def approximate(fn: Functional) -> float:
     continuous_part kind estimates the continuous component alone: the
     quadrature sum minus the exact finite discrete sum.
 
-    The measure, the rule and the node-sum weights are kept per process,
-    keyed by the family's type and each parameter's type and value, the
-    order and the density component, so a repeated request runs only the
-    integrand loop.  The store holds at most _CACHE_NODES (4096) nodes and
-    drops the least recently used entry first; a larger rule is computed
-    but not kept.  Its arrays never leave this function.  A family that is
-    not a frozen dataclass of numbers and strings is computed every time,
-    and a request that raises stores nothing.
+    The measure, the rule and the node-sum weights are kept per process in
+    a ``functools.lru_cache`` of _STORE_SIZE (256) entries, keyed by the
+    family's type and each parameter's type and value, the order and the
+    kind, so a repeated request runs only the integrand loop.  A rule of
+    any order is kept, and the least recently used entry goes first.  The
+    arrays never leave this function.  A family that is not a frozen
+    dataclass of numbers and strings is computed every time, and a request
+    that raises stores nothing.
     """
-    components, density_of = _KINDS[fn.kind]
-    family_key = _family_key(fn.family)
-    key = None if family_key is None else (family_key, fn.order, density_of)
-    cached = None if key is None else _CACHE.get(key)
-    if cached is None:
-        spec = measure(fn.family)
-    else:
-        spec, rule, weights = cached
-    if (spec.continuous is not None, spec.discrete is not None) != components:
-        raise ValidationError(f"kind {fn.kind!r} requires {_REQUIRES[components]}")
-    subtract_discrete = fn.kind == "continuous_part"
-    if subtract_discrete and not spec.discrete.finite:
-        raise ValidationError(
-            "continuous-part estimate requires a finite discrete component"
-        )
-    if cached is None:
-        rule = gauss_rule(build(recurrence(fn.family), fn.order))
-        weights = rule.weights
-        if density_of is not None:
-            density = getattr(spec, density_of).density
-            if density is None:
-                raise ValidationError(
-                    f"{fn.kind} needs a discrete measure with a smooth mass continuation"
-                )
-            weights = derivative_weights(rule, density)
-        if key is not None:
-            _CACHE.put(key, (spec, rule, weights), rule.order)
+    key = _family_key(fn.family)
+    prepare = _prepared if key is not None else _prepared.__wrapped__
+    spec, rule, weights = prepare(key, fn.family, fn.order, fn.kind)
     value = _node_sum(rule, weights, fn.f)
-    if subtract_discrete:
+    if fn.kind == "continuous_part":
         value -= spec.discrete.weighted_sum(fn.f)
     return value
 

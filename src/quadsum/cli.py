@@ -24,12 +24,12 @@ first: a family value that ``float`` reads (``--mu -inf``, ``--bet
 (``--f -x``).  Flags resolve as in argparse: exactly, or as the one long
 option they abbreviate.
 
-``main`` keeps the last 256 commands it prepared (``_STORE_SIZE``, least
-recently used out first), keyed by argv: a ``rule`` with its computed
-rule, a ``sum`` with its family and compiled integrand, a ``table`` with
-its arguments.  A repeated call still formats its output, and runs its
-node sum or table, every time.  An error, a usage error or --help is never
-stored.  ``python -m quadsum`` runs ``main`` from a source checkout.
+``main`` keeps the last 256 commands it prepared (``apply._STORE_SIZE``,
+the bound of ``approximate``'s store too; least recently used out first),
+keyed by argv: a ``rule`` with its computed rule, a ``sum`` with its family
+and compiled integrand, a ``table`` with its arguments.  A repeated call
+still formats its output, and runs its node sum or table, every time.  An
+error, a usage error or --help is never stored.  ``python -m quadsum`` runs ``main`` from a source checkout.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import re
 import sys
 from typing import Callable, Sequence
 
-from .apply import SPECTRAL_REFERENCE_SIZE, Functional, approximate
+from .apply import _STORE_SIZE, SPECTRAL_REFERENCE_SIZE, Functional, approximate
 from .errors import NumericalError, ValidationError
 from .exprlang import _ARITY, NUMBER_RE, Expr, ParseError, evaluate, parse
 from .families import FAMILIES, FamilySpec, recurrence
@@ -95,6 +95,9 @@ def _family_from_args(args: argparse.Namespace) -> tuple[FamilySpec, dict]:
         if value is None:
             raise ValidationError(f"family {args.family!r} requires --{flag}")
         params[flag] = kwargs[f.name] = value
+    for flag in _FLAG_TYPES:
+        if flag not in params and getattr(args, flag) is not None:
+            raise ValidationError(f"family {args.family!r} takes no --{flag}")
     return FAMILIES[args.family](**kwargs), params
 
 
@@ -291,12 +294,6 @@ def _run_table(which: int, oracle_k: int, fmt: str) -> int:
     else:
         print(_table_csv(report))
     return _EXIT_OK if report.passed else _EXIT_TOLERANCE
-
-
-# The most prepared commands a process keeps: about half of a mixed
-# in-process workload repeats an earlier command line, and 256 entries hold
-# nearly all of those repeats where 64 lose a quarter of them.
-_STORE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_STORE_SIZE)

@@ -178,9 +178,11 @@ class FamilySpec:
 
 
 def _require_finite(family: str, **params: float) -> None:
-    """Reject a parameter that does not convert to a finite float: an
-    infinity, or an int too large for a float."""
+    """Reject a parameter that is a bool or does not convert to a finite
+    float: an infinity, or an int too large for a float."""
     for name, value in params.items():
+        if isinstance(value, bool):
+            raise ValidationError(f"{family} requires a number {name}, got {name}={value!r}")
         try:
             finite = math.isfinite(value)
         except OverflowError:
@@ -340,8 +342,12 @@ class Krawtchouk(FamilySpec):
     kind = "krawtchouk"
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or not (isinstance(self.m, int) and self.m >= 1):
+        if isinstance(self.m, bool) or not (
+            isinstance(self.m, numbers.Integral) and self.m >= 1
+        ):
             raise ValidationError(f"krawtchouk requires integer M >= 1, got M={self.m!r}")
+        # a Python int, so that (n+1)(M-n) never wraps as a numpy integer would
+        object.__setattr__(self, "m", int(self.m))
         _require_finite("krawtchouk", M=self.m)
         if not 0.0 < self.gamma < 1.0:
             raise ValidationError(

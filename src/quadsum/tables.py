@@ -178,6 +178,8 @@ def run_table(which: int, oracle_size: int = SPECTRAL_REFERENCE_SIZE) -> TableRe
     ``oracle_size`` is the truncation used for the spectral reference of
     table 3 (ignored by tables 1 and 2); table 3 requires an integer >= 1.
     """
+    if isinstance(which, bool) or which not in TABLE_NUMBERS:
+        raise ValidationError(f"unknown table {which!r}; expected one of {TABLE_NUMBERS}")
     if which == 3 and (
         isinstance(oracle_size, bool)
         or not (isinstance(oracle_size, numbers.Integral) and oracle_size >= 1)
@@ -208,16 +210,14 @@ def run_table(which: int, oracle_size: int = SPECTRAL_REFERENCE_SIZE) -> TableRe
             "plain_sum",
             lambda family: exact_shifted_power_sum(3.0, _T2_M),
         )
-    if which == 3:
-        return _grid(
-            3,
-            "relative error of the N-point approximation of the mixed "
-            "integral-plus-sum of y^3 e^{-y/2} in the squared variable",
-            _T3_N,
-            _T3_ROWS,
-            lambda p: ContinuousDualHahn(p["mu"], p["alpha"], p["alpha"]),
-            _t3_integrand,
-            "mixed",
-            lambda family: spectral_reference(family, _t3_integrand, oracle_size),
-        )
-    raise ValidationError(f"unknown table {which!r}; expected one of {TABLE_NUMBERS}")
+    return _grid(
+        3,
+        "relative error of the N-point approximation of the mixed "
+        "integral-plus-sum of y^3 e^{-y/2} in the squared variable",
+        _T3_N,
+        _T3_ROWS,
+        lambda p: ContinuousDualHahn(p["mu"], p["alpha"], p["alpha"]),
+        _t3_integrand,
+        "mixed",
+        lambda family: spectral_reference(family, _t3_integrand, oracle_size),
+    )

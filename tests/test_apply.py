@@ -1,5 +1,6 @@
 """Tests for functional application and the reference values."""
 
+import functools
 import math
 import random
 import sys
@@ -227,8 +228,10 @@ class StatefulCharlier(Charlier):
 
 class TestApproximateCache:
     @pytest.fixture(autouse=True)
-    def empty_caches(self, monkeypatch):
-        monkeypatch.setattr(quadsum.apply, "_CACHE", quadsum.apply._RuleCache())
+    def empty_caches(self):
+        quadsum.apply._prepared.cache_clear()
+        yield
+        quadsum.apply._prepared.cache_clear()
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -245,9 +248,7 @@ class TestApproximateCache:
 
     @staticmethod
     def held():
-        cache = quadsum.apply._CACHE
-        assert cache.nodes == sum(nodes for _, nodes in cache._rules.values())
-        return cache.nodes
+        return quadsum.apply._prepared.cache_info().currsize
 
     @staticmethod
     def builds(calls):
@@ -260,10 +261,11 @@ class TestApproximateCache:
         calls.clear()
         for _ in range(2):
             assert approximate(fn).hex() == fresh.hex()
+        key = quadsum.apply._family_key(fn.family)
+        _, rule, weights = quadsum.apply._prepared(key, fn.family, fn.order, fn.kind)
         assert calls == []  # the hits ran only the integrand loop
-        (_, rule, weights), = [entry for entry, _ in quadsum.apply._CACHE._rules.values()]
         assert (weights is rule.weights) == (not fn.kind.startswith("plain"))
-        assert self.held() == fn.order
+        assert (rule.order, self.held()) == (fn.order, 1)
 
     def test_failing_density_is_not_stored(self, calls):
         # Charlier(2)'s density underflows to 0.0 at the far nodes of N=180
@@ -286,49 +288,49 @@ class TestApproximateCache:
         assert calls.count("gauss_rule") == 2
         assert self.held() == 0
 
-    def test_kind_is_checked_on_a_hit(self, calls):
+    def test_kind_is_checked_before_the_rule(self, calls):
         approximate(Functional("weighted_sum", lambda x: 1.0, Charlier(2.0), 3))
-        for _ in range(2):  # same key (family, order, no density): a hit each time
+        for _ in range(2):  # a miss each time, stopped before any build
             with pytest.raises(ValidationError, match="purely continuous"):
                 approximate(Functional("weighted_integral", lambda x: 1.0, Charlier(2.0), 3))
         assert self.builds(calls) == [3]
+        assert calls.count("measure") == 3
+        assert self.held() == 1
 
     def test_failing_integrand_on_a_hit_raises_again(self):
         fn = Functional("weighted_sum", lambda x: math.inf, Charlier(2.0), 3)
         for _ in range(2):
             with pytest.raises(NumericalError, match="not finite at node"):
                 approximate(fn)
-        assert self.held() == 3  # the rule is good; only the integrand failed
+        assert self.held() == 1  # the rule is good; only the integrand failed
 
-    def test_node_budget_and_lru_order(self, monkeypatch, calls):
-        monkeypatch.setattr(quadsum.apply, "_CACHE_NODES", 10)
+    def test_lru_order_and_entry_bound(self, calls):
+        size = quadsum.apply._STORE_SIZE
+        assert size == 256 and quadsum.apply._prepared.cache_info().maxsize == size
 
-        def run(mu, order):
-            return approximate(Functional("weighted_sum", lambda x: x, Charlier(mu), order))
+        def run(mu):
+            return approximate(Functional("weighted_sum", lambda x: x, Charlier(mu), 1))
 
-        first = run(2.0, 4)
-        run(3.0, 4)
-        assert self.held() == 8
-        assert run(2.0, 4) == first  # now the most recently used
-        run(2.0, 3)  # 11 nodes: evicts the least recently used, (3.0, 4)
-        assert self.held() == 7
-        assert self.builds(calls) == [4, 4, 3]
-        run(2.0, 4)
-        run(3.0, 4)  # a miss again; evicts (2.0, 3), the oldest now
-        assert self.builds(calls) == [4, 4, 3, 4]
-        assert self.held() == 8
-        run(2.0, 4)
-        run(2.0, 11)  # larger than the budget: returned, not kept
-        assert self.held() == 8
-        run(2.0, 11)
-        assert self.builds(calls) == [4, 4, 3, 4, 11, 11]
+        for i in range(size):
+            assert run(1.0 + i) == 1.0 + i
+        assert self.held() == size
+        run(1.0)  # a hit, now the most recently used
+        run(1.0 + size)  # a miss; evicts the least recently used, mu = 2
+        assert self.held() == size
+        assert self.builds(calls) == [1] * (size + 1)
+        run(1.0)
+        run(1.0 + size)
+        assert self.builds(calls) == [1] * (size + 1)
+        assert run(2.0) == 2.0  # a miss again
+        assert self.builds(calls) == [1] * (size + 2)
+        assert self.held() == size
 
     def test_threads_share_the_cache(self, monkeypatch):
-        monkeypatch.setattr(quadsum.apply, "_CACHE_NODES", 60)  # forces evictions
         fns = [Functional(kind, _t1_f, Charlier(1.0 + 0.1 * (i % 3)), 2 + i)
                for i in range(30) for kind in ("weighted_sum", "plain_sum")]
         expected = [approximate(fn) for fn in fns]
-        monkeypatch.setattr(quadsum.apply, "_CACHE", quadsum.apply._RuleCache())
+        small = functools.lru_cache(maxsize=16)(quadsum.apply._prepared.__wrapped__)
+        monkeypatch.setattr(quadsum.apply, "_prepared", small)  # forces evictions
         errors = []
 
         def worker(seed):
@@ -353,13 +355,17 @@ class TestApproximateCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert 0 < self.held() <= 60
+        assert 0 < small.cache_info().currsize <= 16
+        assert small.cache_info().hits > 0
 
     def test_parameter_types_and_values_get_distinct_entries(self, calls):
-        for family in (Charlier(2), Charlier(2.0), Charlier(np.float64(2.0))):
+        families = (Charlier(2), Charlier(2.0), Charlier(np.float64(2.0)),
+                    Charlier(np.float32(2.0)))
+        for family in families:
             for _ in range(2):
                 approximate(Functional("weighted_sum", lambda x: x, family, 4))
-        assert self.builds(calls) == [4, 4, 4]
+        assert self.builds(calls) == [4, 4, 4, 4]
+        assert self.held() == 4
         # -0.0 and 0.0 are equal but give different bits
         sign = lambda x: math.copysign(1.0, x)
         for _ in range(2):
@@ -385,7 +391,7 @@ class TestApproximateCache:
         for family in (mutable, stateful, custom):
             assert mean(family) == mean(Charlier(3.0))
         assert self.builds(calls) == [3] * 8
-        assert self.held() == 6  # Charlier(2.0) and Charlier(3.0)
+        assert self.held() == 2  # Charlier(2.0) and Charlier(3.0)
 
 
 class TestContinuousPartEstimate:

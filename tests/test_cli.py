@@ -365,15 +365,14 @@ class TestSumCommand:
         (("--family", "krawtchouk", "--M=100000000000000000", "--gamma=1e-8", "--n", "40",
           "--f", "1"), "999668575.26471"),
     ], ids=["charlier", "krawtchouk"])
-    def test_overflowing_density_names_the_node(self, capsys, monkeypatch, params, node):
+    def test_overflowing_density_names_the_node(self, capsys, params, node):
         # the log of the mass lost its digits, so exp of it overflows at this node
-        cache = quadsum.apply._RuleCache()
-        monkeypatch.setattr(quadsum.apply, "_CACHE", cache)
+        quadsum.apply._prepared.cache_clear()
         for _ in range(2):
             assert run_cli(capsys, "sum", *params, "--mode", "plain") == (
                 2, "", "error: weight function must be positive and finite at node "
                        f"{node}, got inf\n")
-        assert cache._rules == {} and cache.nodes == 0
+        assert quadsum.apply._prepared.cache_info().currsize == 0
 
     def test_domain_error_exit_3(self, capsys):
         # ln is undefined at the low nodes of this rule
@@ -508,6 +507,18 @@ class TestFamilyContract:
             code, out, err = run_cli(capsys, "rule", "--family", family, *rest, "--n", "3")
             assert (code, out) == (2, "")
             assert err == f"error: family {family!r} requires {argv[i]}\n"
+
+    @pytest.mark.parametrize("family", sorted(_FAMILY_ARGV))
+    def test_each_flag_the_family_does_not_take_is_named(self, capsys, family):
+        argv = _FAMILY_ARGV[family]
+        for flag, type_ in quadsum.cli._FLAG_TYPES.items():
+            if f"--{flag}" in argv:
+                continue
+            extra = (f"--{flag}", "3" if type_ is int else "0.5")
+            for command in (("rule",), ("sum", "--f", "x")):
+                code, out, err = run_cli(capsys, command[0], "--family", family, *argv, *extra,
+                                         "--n", "3", *command[1:])
+                assert (code, out, err) == (2, "", f"error: family {family!r} takes no --{flag}\n")
 
     def test_unknown_family_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -72,6 +72,27 @@ class TestValidation:
         assert str(exc.value) == "krawtchouk requires integer M >= 1, got M=True"
 
     @pytest.mark.parametrize("make, message", [
+        (lambda: Charlier(True), "charlier requires a number mu, got mu=True"),
+        (lambda: Meixner(True, 0.5), "meixner requires a number mu, got mu=True"),
+        (lambda: ContinuousDualHahn(True, True, True),
+         "continuous dual Hahn requires a number mu, got mu=True"),
+        (lambda: ContinuousDualHahn(1.0, 2.0, True),
+         "continuous dual Hahn requires a number beta, got beta=True"),
+        (lambda: Wilson(1.0, True, 1.0, 1.0), "wilson requires a number nu, got nu=True"),
+    ], ids=["charlier", "meixner", "cdh-all", "cdh-beta", "wilson-nu"])
+    def test_bool_parameter_is_rejected(self, make, message):
+        with pytest.raises(ValidationError) as exc:
+            make()
+        assert str(exc.value) == message
+
+    def test_krawtchouk_takes_any_integral_m_as_an_int(self):
+        family = Krawtchouk(np.int64(100), 0.3)
+        assert type(family.m) is int and family == Krawtchouk(100, 0.3)
+        # (n+1)(M-n) = 2(2^62 - 1) would wrap as an int64
+        big = recurrence(Krawtchouk(np.int64(2**62), 0.3))
+        assert big.b(1) == recurrence(Krawtchouk(2**62, 0.3)).b(1) < 0.0
+
+    @pytest.mark.parametrize("make, message", [
         (lambda: Charlier(math.inf), "charlier requires a finite mu, got mu=inf"),
         (lambda: Charlier(10**400), "charlier requires a finite mu, got mu too large for a float"),
         (lambda: Meixner(math.inf, 0.3), "meixner requires a finite mu, got mu=inf"),

@@ -56,6 +56,10 @@ class TestRunTable:
         with pytest.raises(ValidationError):
             run_table(4)
 
+    def test_table_number_is_not_a_bool(self):
+        with pytest.raises(ValidationError, match="unknown table True"):
+            run_table(True)
+
     @pytest.mark.parametrize("size", [0, -1])
     def test_table_three_rejects_oracle_size_below_one(self, size):
         with pytest.raises(ValidationError, match=f"oracle_size >= 1, got {size}"):
