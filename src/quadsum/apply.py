@@ -9,12 +9,13 @@ forms and the spectral element) and the relative-error metric used by the
 report tables live here too.
 
 ``approximate`` holds the library's one rule store, a ``functools.lru_cache``
-of prepared functionals: ``gauss_rule`` itself computes on every call.
+of prepared functionals keyed by the built-in family itself (its parameters
+are canonical floats, so ``Charlier(2)`` and ``Charlier(2.0)`` are one
+entry), the order and the kind: ``gauss_rule`` itself computes on every call.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import numbers
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import eig
 from .errors import NumericalError, ValidationError
-from .families import FamilySpec, MeasureSpec, measure, recurrence, require_count
+from .families import FAMILIES, FamilySpec, MeasureSpec, measure, recurrence, require_count
 from .jacobi import JacobiMatrix, build
 from .rule import QuadratureRule, derivative_weights, gauss_rule
 from .special import ln_gamma
@@ -101,32 +102,14 @@ def _node_sum(
 _STORE_SIZE = 256
 
 
-def _family_key(family: FamilySpec) -> tuple | None:
-    """The family's type with each field's type and repr (which tells -0.0
-    from 0.0), or None when the family cannot promise to stay the same: it
-    is not a frozen dataclass of its own type, or a field is not a number or
-    a string (a callable may read state that changes)."""
-    params = type(family).__dict__.get("__dataclass_params__")
-    if params is None or not params.frozen:
-        return None
-    key = [type(family)]
-    for f in dataclasses.fields(family):
-        value = getattr(family, f.name)
-        if not isinstance(value, (numbers.Number, str)):
-            return None
-        key.append((type(value), repr(value)))
-    return tuple(key)
-
-
 @functools.lru_cache(maxsize=_STORE_SIZE)
 def _prepared(
-    key: tuple | None, family: FamilySpec, order: int, kind: str
+    family: FamilySpec, order: int, kind: str
 ) -> tuple[MeasureSpec, QuadratureRule, np.ndarray]:
     """The family's measure, its Gauss rule of the given order and the
     weights of the node sum of this kind, after every check of the kind.
-    ``key`` is ``_family_key(family)``, which tells families apart; the
-    family is an argument only so that this function can compute, since
-    equal keys mean equal families (equal types and reprs, and no NaN)."""
+    Stored only for a built-in family, whose canonical parameters make
+    equal families compute equal bits."""
     components, density_of = _KINDS[kind]
     spec = measure(family)
     if (spec.continuous is not None, spec.discrete is not None) != components:
@@ -157,16 +140,15 @@ def approximate(fn: Functional) -> float:
 
     The measure, the rule and the node-sum weights are kept per process in
     a ``functools.lru_cache`` of _STORE_SIZE (256) entries, keyed by the
-    family's type and each parameter's type and value, the order and the
-    kind, so a repeated request runs only the integrand loop.  A rule of
-    any order is kept, and the least recently used entry goes first.  The
-    arrays never leave this function.  A family that is not a frozen
-    dataclass of numbers and strings is computed every time, and a request
-    that raises stores nothing.
+    family itself, the order and the kind, so a repeated request runs only
+    the integrand loop.  A rule of any order is kept, and the least
+    recently used entry goes first.  The arrays never leave this function.
+    Only a family whose type is one of ``FAMILIES`` is stored; any other
+    (a Custom family, a subclass, a user-defined one) is computed every
+    time, and a request that raises stores nothing.
     """
-    key = _family_key(fn.family)
-    prepare = _prepared if key is not None else _prepared.__wrapped__
-    spec, rule, weights = prepare(key, fn.family, fn.order, fn.kind)
+    prepare = _prepared if type(fn.family) in FAMILIES.values() else _prepared.__wrapped__
+    spec, rule, weights = prepare(fn.family, fn.order, fn.kind)
     value = _node_sum(rule, weights, fn.f)
     if fn.kind == "continuous_part":
         value -= spec.discrete.weighted_sum(fn.f)
@@ -183,7 +165,7 @@ def relative_error(exact: float, approx: float) -> float:
 
 def exact_exponential_sum(r: float) -> float:
     """Closed form e^r of the infinite sum of r^k / k! over k >= 0."""
-    if not r > 0.0:
+    if isinstance(r, bool) or not r > 0.0:
         raise ValidationError(f"requires r > 0, got {r!r}")
     return math.exp(r)
 
@@ -191,8 +173,10 @@ def exact_exponential_sum(r: float) -> float:
 def exact_shifted_power_sum(r: float, m_max: int) -> float:
     """Closed form of sum_{k=0}^{M} (k+1) r^{k+1} / Gamma(k+r+2):
     1/Gamma(r) - r^{M+2}/Gamma(M+r+2), evaluated in log space."""
-    if not r > 0.0:
+    if isinstance(r, bool) or not r > 0.0:
         raise ValidationError(f"requires r > 0, got {r!r}")
+    if isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral):
+        raise ValidationError(f"requires an integer m_max, got {m_max!r}")
     if m_max < 0:
         raise ValidationError(f"requires m_max >= 0, got {m_max!r}")
     lead = math.exp(-ln_gamma(r))

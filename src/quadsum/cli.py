@@ -35,7 +35,6 @@ error, a usage error or --help is never stored.  ``python -m quadsum`` runs ``ma
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import re
 import sys
@@ -44,7 +43,7 @@ from typing import Callable, Sequence
 from .apply import _STORE_SIZE, SPECTRAL_REFERENCE_SIZE, Functional, approximate
 from .errors import NumericalError, ValidationError
 from .exprlang import _ARITY, NUMBER_RE, Expr, ParseError, evaluate, parse
-from .families import FAMILIES, FamilySpec, recurrence
+from .families import FAMILIES, FamilySpec, parameters, recurrence
 from .jacobi import build
 from .rule import QuadratureRule, gauss_rule
 from .tables import TABLE_NUMBERS, TableReport, run_table
@@ -78,23 +77,21 @@ def _fmt_json(value) -> str:
     raise TypeError(f"cannot serialize {value!r}")
 
 
-# The command-line name and constructor field of each family parameter.
+# The command-line flag and constructor field of each family parameter.
 _FAMILY_FLAGS = {
-    kind: [(f.metadata.get("flag", f.name), f) for f in dataclasses.fields(cls)]
-    for kind, cls in FAMILIES.items()
+    kind: [(flag, name) for name, flag, _ in parameters(cls)] for kind, cls in FAMILIES.items()
 }
-_FLAG_TYPES = {flag: int if f.type in (int, "int") else float
-               for flags in _FAMILY_FLAGS.values() for flag, f in flags}
+_FLAG_TYPES = {flag: type_ for cls in FAMILIES.values() for _, flag, type_ in parameters(cls)}
 
 
 def _family_from_args(args: argparse.Namespace) -> tuple[FamilySpec, dict]:
     params = {}
     kwargs = {}
-    for flag, f in _FAMILY_FLAGS[args.family]:
+    for flag, name in _FAMILY_FLAGS[args.family]:
         value = getattr(args, flag)
         if value is None:
             raise ValidationError(f"family {args.family!r} requires --{flag}")
-        params[flag] = kwargs[f.name] = value
+        params[flag] = kwargs[name] = value
     for flag in _FLAG_TYPES:
         if flag not in params and getattr(args, flag) is not None:
             raise ValidationError(f"family {args.family!r} takes no --{flag}")

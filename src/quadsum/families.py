@@ -8,17 +8,23 @@ x in [0, inf) and, for mu < 0, finitely many point masses at y = -(k+mu)^2.
 A Custom family wraps an explicit recurrence stream and measure.  Each
 family class owns its ``recurrence()`` and ``measure()``, and ``FAMILIES``,
 which maps each built-in family's command-line name to its class, is the
-list the CLI builds its family options from.  A discrete part is its point
-and mass functions, for every family, so building a measure evaluates no
-mass: a finite support is read and checked, by the one positivity check of
-the library, only when ``DiscretePart.weighted_sum`` sums over it.
+list the CLI builds its family options from.  A built-in family stores each
+parameter as a Python float (M as an int) when it is constructed, so it
+computes in double whatever number type it was given, and equal families
+compute equal bits.  A discrete part is its point and mass functions, for
+every family, so building a measure evaluates no mass: a finite support is
+read and checked, by the one positivity check of the library, only when
+``DiscretePart.weighted_sum`` sums over it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Callable
 
 from .errors import NumericalError, ValidationError
@@ -41,6 +47,7 @@ __all__ = [
     "Wilson",
     "Custom",
     "FAMILIES",
+    "parameters",
     "recurrence",
     "measure",
 ]
@@ -177,20 +184,36 @@ class FamilySpec:
         raise NotImplementedError
 
 
-def _require_finite(family: str, **params: float) -> None:
-    """Reject a parameter that is a bool or does not convert to a finite
-    float: an infinity, or an int too large for a float."""
-    for name, value in params.items():
-        if isinstance(value, bool):
-            raise ValidationError(f"{family} requires a number {name}, got {name}={value!r}")
+@functools.cache
+def parameters(cls: type[FamilySpec]) -> tuple[tuple[str, str, type], ...]:
+    """(field name, command-line flag, int or float) of each parameter of a
+    family class; the flag is the field's ``metadata["flag"]`` or its name."""
+    return tuple((f.name, f.metadata.get("flag", f.name), int if f.type in (int, "int") else float)
+                 for f in dataclasses.fields(cls))
+
+
+def _canonicalize(family: FamilySpec, name: str) -> None:
+    """Store each parameter of a built-in family, after its range checks, as
+    a Python float, or an int one (a size) as a Python int >= 1, so that
+    (n+1)(M-n) never wraps; a bool, a value of another type, and one that is
+    not a finite float (an infinity, or an int too large for a float) are
+    rejected, naming the parameter by its flag."""
+    for field_name, flag, type_ in parameters(type(family)):
+        value = getattr(family, field_name)
+        if type_ is int and (isinstance(value, bool) or not (
+                isinstance(value, numbers.Integral) and value >= 1)):
+            raise ValidationError(f"{name} requires integer {flag} >= 1, got {flag}={value!r}")
+        if isinstance(value, bool) or not isinstance(value, (numbers.Real, Decimal)):
+            raise ValidationError(f"{name} requires a number {flag}, got {flag}={value!r}")
         try:
             finite = math.isfinite(value)
         except OverflowError:
             raise ValidationError(
-                f"{family} requires a finite {name}, got {name} too large for a float"
+                f"{name} requires a finite {flag}, got {flag} too large for a float"
             ) from None
         if not finite:
-            raise ValidationError(f"{family} requires a finite {name}, got {name}={value!r}")
+            raise ValidationError(f"{name} requires a finite {flag}, got {flag}={value!r}")
+        object.__setattr__(family, field_name, type_(value))
 
 
 def _lattice_measure(ln_mass: Callable[[float], float], size: int | None) -> MeasureSpec:
@@ -256,9 +279,12 @@ def _squared_variable_measure(
     )
 
 
-def _require_squared_variable_params(name: str, mu: float, others: dict[str, float]) -> None:
-    """The parameter rule of the squared-variable families: mu != 0, and every
-    other parameter p has p > 0 if mu > 0, or p + mu > 0 if mu < 0."""
+def _require_squared_variable_params(family: FamilySpec, name: str) -> None:
+    """The parameter rule of the squared-variable families, checked before
+    their canonical form is stored: mu != 0, and every other parameter p
+    has p > 0 if mu > 0, or p + mu > 0 if mu < 0."""
+    mu = family.mu
+    others = {flag: getattr(family, f) for f, flag, _ in parameters(type(family))[1:]}
     if mu == 0.0:
         raise ValidationError(f"{name} requires mu != 0")
     if mu > 0.0:
@@ -270,7 +296,7 @@ def _require_squared_variable_params(name: str, mu: float, others: dict[str, flo
         tail = f" with mu={mu!r}"
     if bad:
         raise ValidationError(f"{name} with {rule}; violated by {bad!r}{tail}")
-    _require_finite(name, mu=mu, **others)
+    _canonicalize(family, name)
 
 
 @dataclass(frozen=True)
@@ -281,7 +307,7 @@ class Charlier(FamilySpec):
     def __post_init__(self):
         if not self.mu > 0.0:
             raise ValidationError(f"charlier requires mu > 0, got mu={self.mu!r}")
-        _require_finite("charlier", mu=self.mu)
+        _canonicalize(self, "charlier")
 
     def recurrence(self) -> RecurrenceStream:
         mu = self.mu
@@ -313,7 +339,7 @@ class Meixner(FamilySpec):
             raise ValidationError(
                 f"meixner requires 0 < beta < 1, got beta={self.beta!r}"
             )
-        _require_finite("meixner", mu=self.mu)
+        _canonicalize(self, "meixner")
 
     def recurrence(self) -> RecurrenceStream:
         mu, beta = self.mu, self.beta
@@ -342,17 +368,11 @@ class Krawtchouk(FamilySpec):
     kind = "krawtchouk"
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or not (
-            isinstance(self.m, numbers.Integral) and self.m >= 1
-        ):
-            raise ValidationError(f"krawtchouk requires integer M >= 1, got M={self.m!r}")
-        # a Python int, so that (n+1)(M-n) never wraps as a numpy integer would
-        object.__setattr__(self, "m", int(self.m))
-        _require_finite("krawtchouk", M=self.m)
         if not 0.0 < self.gamma < 1.0:
             raise ValidationError(
                 f"krawtchouk requires 0 < gamma < 1, got gamma={self.gamma!r}"
             )
+        _canonicalize(self, "krawtchouk")
 
     def recurrence(self) -> RecurrenceStream:
         m, g = self.m, self.gamma
@@ -394,9 +414,7 @@ class ContinuousDualHahn(FamilySpec):
     kind = "cdh"
 
     def __post_init__(self):
-        _require_squared_variable_params(
-            "continuous dual Hahn", self.mu, {"alpha": self.alpha, "beta": self.beta}
-        )
+        _require_squared_variable_params(self, "continuous dual Hahn")
 
     def recurrence(self) -> RecurrenceStream:
         mu, al, be = self.mu, self.alpha, self.beta
@@ -445,9 +463,7 @@ class Wilson(FamilySpec):
     kind = "wilson"
 
     def __post_init__(self):
-        _require_squared_variable_params(
-            "wilson", self.mu, {"nu": self.nu, "alpha": self.alpha, "beta": self.beta}
-        )
+        _require_squared_variable_params(self, "wilson")
 
     def recurrence(self) -> RecurrenceStream:
         mu, nu, al, be = self.mu, self.nu, self.alpha, self.beta

@@ -178,7 +178,8 @@ def run_table(which: int, oracle_size: int = SPECTRAL_REFERENCE_SIZE) -> TableRe
     ``oracle_size`` is the truncation used for the spectral reference of
     table 3 (ignored by tables 1 and 2); table 3 requires an integer >= 1.
     """
-    if isinstance(which, bool) or which not in TABLE_NUMBERS:
+    if (isinstance(which, bool) or not isinstance(which, numbers.Integral)
+            or which not in TABLE_NUMBERS):
         raise ValidationError(f"unknown table {which!r}; expected one of {TABLE_NUMBERS}")
     if which == 3 and (
         isinstance(oracle_size, bool)

@@ -261,8 +261,7 @@ class TestApproximateCache:
         calls.clear()
         for _ in range(2):
             assert approximate(fn).hex() == fresh.hex()
-        key = quadsum.apply._family_key(fn.family)
-        _, rule, weights = quadsum.apply._prepared(key, fn.family, fn.order, fn.kind)
+        _, rule, weights = quadsum.apply._prepared(fn.family, fn.order, fn.kind)
         assert calls == []  # the hits ran only the integrand loop
         assert (weights is rule.weights) == (not fn.kind.startswith("plain"))
         assert (rule.order, self.held()) == (fn.order, 1)
@@ -358,15 +357,18 @@ class TestApproximateCache:
         assert 0 < small.cache_info().currsize <= 16
         assert small.cache_info().hits > 0
 
-    def test_parameter_types_and_values_get_distinct_entries(self, calls):
+    def test_parameter_types_share_one_entry(self, calls):
         families = (Charlier(2), Charlier(2.0), Charlier(np.float64(2.0)),
                     Charlier(np.float32(2.0)))
+        fresh = approximate(Functional("weighted_sum", _t1_f, Charlier(2.0), 4))
         for family in families:
+            assert type(family.mu) is float
             for _ in range(2):
-                approximate(Functional("weighted_sum", lambda x: x, family, 4))
-        assert self.builds(calls) == [4, 4, 4, 4]
-        assert self.held() == 4
-        # -0.0 and 0.0 are equal but give different bits
+                assert approximate(Functional("weighted_sum", _t1_f, family, 4)).hex() == fresh.hex()
+        assert self.builds(calls) == [4]
+        assert self.held() == 1
+        # -0.0 and 0.0 are equal but give different bits; a user-defined
+        # family is computed every time, so each gets its own
         sign = lambda x: math.copysign(1.0, x)
         for _ in range(2):
             assert approximate(Functional("weighted_sum", sign, Shifted(0.0), 1)) == 1.0
@@ -486,6 +488,22 @@ class TestOracles:
             brute = float(mp.fsum((k + 1) * mp.mpf(r) ** (k + 1) / mp.gamma(k + r + 2)
                                   for k in range(m + 1)))
         assert exact_shifted_power_sum(r, m) == pytest.approx(brute, rel=1e-14)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: exact_exponential_sum(True), "requires r > 0, got True"),
+        (lambda: exact_shifted_power_sum(True, 3), "requires r > 0, got True"),
+        (lambda: exact_shifted_power_sum(3.0, True), "requires an integer m_max, got True"),
+        (lambda: exact_shifted_power_sum(3.0, 2.5), "requires an integer m_max, got 2.5"),
+        (lambda: exact_shifted_power_sum(3.0, 2.0), "requires an integer m_max, got 2.0"),
+        (lambda: exact_shifted_power_sum(3.0, -1), "requires m_max >= 0, got -1"),
+    ], ids=["exp-bool-r", "power-bool-r", "bool-m", "fractional-m", "float-m", "negative-m"])
+    def test_closed_forms_reject_a_bool_or_fractional_argument(self, call, message):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_closed_form_takes_a_numpy_integer_m(self):
+        assert exact_shifted_power_sum(3.0, np.int64(7)) == exact_shifted_power_sum(3.0, 7)
 
     def test_spectral_reference_equals_full_row_zero_sum(self):
         # the first-row route must give the bits of the full-matrix route

@@ -1,17 +1,24 @@
 """Tests for the polynomial family catalog."""
 
+import dataclasses
 import math
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import quadsum.apply
 from oracles import eval_poly, finite_support
 from quadsum import families
 from quadsum.apply import Functional, approximate
 from quadsum.errors import NumericalError, ValidationError
 from quadsum.families import (
+    FAMILIES,
     Charlier,
     ContinuousDualHahn,
     ContinuousPart,
@@ -131,6 +138,97 @@ class TestValidation:
         with pytest.raises(ValidationError) as exc:
             make()
         assert str(exc.value) == message
+
+
+@st.composite
+def _valid_family(draw):
+    """A built-in family's class, its parameters as float32-exact Python
+    numbers (M an int), a rule order it admits and the kind it answers."""
+    cls = draw(st.sampled_from(sorted(FAMILIES.values(), key=lambda c: c.kind)))
+    unit = st.floats(0.0625, 0.9375, width=32)
+    if cls in (Charlier, Meixner):
+        params = [draw(st.floats(0.125, 20.0, width=32))]
+        if cls is Meixner:
+            params.append(draw(unit))
+    elif cls is Krawtchouk:
+        params = [draw(st.integers(1, 60)), draw(unit)]
+    else:
+        mu = draw(st.sampled_from([-2.75, -1.5, -1.0, -0.25, 0.5, 1.0, 2.25]))
+        others = len(dataclasses.fields(cls)) - 1
+        params = [mu] + [float(np.float32(max(0.0, -mu) + draw(st.floats(0.125, 5.0))))
+                         for _ in range(others)]
+    n = draw(st.integers(1, 8))
+    if cls is Krawtchouk:
+        n = min(n, params[0] + 1)
+    kind = ("weighted_sum" if cls in (Charlier, Meixner, Krawtchouk)
+            else "mixed" if params[0] < 0.0 else "weighted_integral")
+    return cls, params, n, kind
+
+
+def _variants(value):
+    """The number types a parameter may be given in, each equal to value."""
+    if isinstance(value, int):
+        return [value, np.int64(value)]
+    out = [value, np.float64(value), np.float32(value)]
+    return out + [int(value)] if value.is_integer() else out
+
+
+def _bits(family, n):
+    rule = gauss_rule(build(recurrence(family), n))
+    return rule.nodes.tobytes(), rule.weights.tobytes()
+
+
+class TestCanonicalParameters:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(case=_valid_family())
+    def test_every_number_type_gives_the_float_family(self, case):
+        cls, params, n, kind = case
+        base = cls(*params)
+        assert [type(v) for v in dataclasses.astuple(base)] == [type(v) for v in params]
+        options = [_variants(v) for v in params]
+        # the i-th type of each parameter, shifted by its position to mix types
+        variants = [cls(*(opts[(i + j) % len(opts)] for j, opts in enumerate(options)))
+                    for i in range(4)]
+        quadsum.apply._prepared.cache_clear()
+        expected = approximate(Functional(kind, lambda x: x, base, n))
+        for family in variants:
+            assert family == base and hash(family) == hash(base)
+            assert dataclasses.astuple(family) == dataclasses.astuple(base)
+            assert [type(v) for v in dataclasses.astuple(family)] == [type(v) for v in params]
+            assert _bits(family, n) == _bits(base, n)
+            assert approximate(Functional(kind, lambda x: x, family, n)).hex() == expected.hex()
+        assert quadsum.apply._prepared.cache_info().currsize == 1
+
+    def test_float32_parameters_compute_in_double(self):
+        family = Meixner(np.float32(2.0), np.float32(0.5))
+        assert (type(family.mu), type(family.beta)) == (float, float)
+        assert _bits(family, 10) == _bits(Meixner(2.0, 0.5), 10)
+
+    def test_decimal_and_fraction_parameters_approximate(self):
+        expected = approximate(Functional("weighted_sum", lambda x: x, Meixner(2.0, 0.5), 6))
+        for family in (Meixner(Decimal("2"), 0.5), Meixner(Fraction(2), Fraction(1, 2))):
+            assert family == Meixner(2.0, 0.5)
+            assert approximate(Functional("weighted_sum", lambda x: x, family, 6)) == expected
+
+    def test_integer_parameters_are_stored_as_floats(self):
+        assert Charlier(2).mu == 2.0 and type(Charlier(2).mu) is float
+        assert type(Krawtchouk(np.int64(3), 0.5).m) is int
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Meixner(np.complex128(2.0), 0.5),
+         "meixner requires a number mu, got mu=np.complex128(2+0j)"),
+        (lambda: Krawtchouk(np.float64(3.0), 0.5),
+         "krawtchouk requires integer M >= 1, got M=np.float64(3.0)"),
+    ], ids=["complex-mu", "float-m"])
+    def test_parameter_of_another_type_is_rejected(self, make, message):
+        with pytest.raises(ValidationError) as exc:
+            make()
+        assert str(exc.value) == message
+
+    def test_parameters_give_flags_and_types(self):
+        assert families.parameters(Krawtchouk) == (("m", "M", int), ("gamma", "gamma", float))
+        assert families.parameters(Wilson) == tuple(
+            (name, name, float) for name in ("mu", "nu", "alpha", "beta"))
 
 
 class TestRecurrence:

@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -59,6 +60,15 @@ class TestRunTable:
     def test_table_number_is_not_a_bool(self):
         with pytest.raises(ValidationError, match="unknown table True"):
             run_table(True)
+
+    @pytest.mark.parametrize("which", [1.0, np.float64(2.0), "1"])
+    def test_table_number_must_be_an_integer(self, which):
+        with pytest.raises(ValidationError) as exc:
+            run_table(which)
+        assert str(exc.value) == f"unknown table {which!r}; expected one of (1, 2, 3)"
+
+    def test_numpy_integer_table_number(self):
+        assert run_table(np.int64(1)) == run_table(1)
 
     @pytest.mark.parametrize("size", [0, -1])
     def test_table_three_rejects_oracle_size_below_one(self, size):
