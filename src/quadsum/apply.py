@@ -26,7 +26,8 @@ import numpy as np
 
 from . import eig
 from .errors import NumericalError, ValidationError
-from .families import FAMILIES, FamilySpec, MeasureSpec, measure, recurrence, require_count
+from .families import (FAMILIES, FamilySpec, MeasureSpec, _finite_real, measure, recurrence,
+                       require_count)
 from .jacobi import JacobiMatrix, build
 from .rule import QuadratureRule, derivative_weights, gauss_rule
 from .special import ln_gamma
@@ -165,7 +166,8 @@ def relative_error(exact: float, approx: float) -> float:
 
 def exact_exponential_sum(r: float) -> float:
     """Closed form e^r of the infinite sum of r^k / k! over k >= 0."""
-    if isinstance(r, bool) or not r > 0.0:
+    r = _finite_real(r, "r", "exact_exponential_sum")
+    if not r > 0.0:
         raise ValidationError(f"requires r > 0, got {r!r}")
     return math.exp(r)
 
@@ -173,7 +175,8 @@ def exact_exponential_sum(r: float) -> float:
 def exact_shifted_power_sum(r: float, m_max: int) -> float:
     """Closed form of sum_{k=0}^{M} (k+1) r^{k+1} / Gamma(k+r+2):
     1/Gamma(r) - r^{M+2}/Gamma(M+r+2), evaluated in log space."""
-    if isinstance(r, bool) or not r > 0.0:
+    r = _finite_real(r, "r", "exact_shifted_power_sum")
+    if not r > 0.0:
         raise ValidationError(f"requires r > 0, got {r!r}")
     if isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral):
         raise ValidationError(f"requires an integer m_max, got {m_max!r}")

@@ -35,6 +35,7 @@ error, a usage error or --help is never stored.  ``python -m quadsum`` runs ``ma
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import re
 import sys
@@ -46,7 +47,7 @@ from .exprlang import _ARITY, NUMBER_RE, Expr, ParseError, evaluate, parse
 from .families import FAMILIES, FamilySpec, parameters, recurrence
 from .jacobi import build
 from .rule import QuadratureRule, gauss_rule
-from .tables import TABLE_NUMBERS, TableReport, run_table
+from .tables import TABLE_NUMBERS, TableCell, TableReport, run_table
 
 __all__ = ["main", "build_parser"]
 
@@ -77,25 +78,23 @@ def _fmt_json(value) -> str:
     raise TypeError(f"cannot serialize {value!r}")
 
 
-# The command-line flag and constructor field of each family parameter.
-_FAMILY_FLAGS = {
-    kind: [(flag, name) for name, flag, _ in parameters(cls)] for kind, cls in FAMILIES.items()
-}
-_FLAG_TYPES = {flag: type_ for cls in FAMILIES.values() for _, flag, type_ in parameters(cls)}
+# The parameters of each family, each named by its flag, its constructor
+# keyword and its JSON key, and the type of each flag.
+_FAMILY_FLAGS = {kind: [name for name, _ in parameters(cls)] for kind, cls in FAMILIES.items()}
+_FLAG_TYPES = {name: type_ for cls in FAMILIES.values() for name, type_ in parameters(cls)}
 
 
 def _family_from_args(args: argparse.Namespace) -> tuple[FamilySpec, dict]:
     params = {}
-    kwargs = {}
-    for flag, name in _FAMILY_FLAGS[args.family]:
+    for flag in _FAMILY_FLAGS[args.family]:
         value = getattr(args, flag)
         if value is None:
             raise ValidationError(f"family {args.family!r} requires --{flag}")
-        params[flag] = kwargs[name] = value
+        params[flag] = value
     for flag in _FLAG_TYPES:
         if flag not in params and getattr(args, flag) is not None:
             raise ValidationError(f"family {args.family!r} takes no --{flag}")
-    return FAMILIES[args.family](**kwargs), params
+    return FAMILIES[args.family](**params), params
 
 
 def _formatter(prog: str) -> argparse.HelpFormatter:
@@ -248,19 +247,24 @@ def _run_sum(kind: str, family: FamilySpec, ast: Expr, n: int) -> int:
     return _EXIT_OK
 
 
+# The output columns of a table cell: its TableCell fields in order, keyed
+# as in the JSON cells and the CSV header ("pass" is the field ``passed``);
+# a CSV row leaves out the params dict.
+_CELL_COLUMNS = {("pass" if f.name == "passed" else f.name): f.name
+                 for f in dataclasses.fields(TableCell)}
+_CSV_COLUMNS = {key: name for key, name in _CELL_COLUMNS.items() if key != "params"}
+
+
+def _csv_value(value) -> str:
+    if isinstance(value, str):
+        return value.replace(",", ";")
+    return "" if value is None else _fmt_json(value)
+
+
 def _table_csv(report: TableReport) -> str:
-    lines = ["label,n,approx,exact,rel_error,published,pass,error"]
+    lines = [",".join(_CSV_COLUMNS)]
     for c in report.cells:
-        lines.append(",".join([
-            c.label.replace(",", ";"),
-            str(c.n),
-            _fmt(c.approx) if c.approx is not None else "",
-            _fmt(c.exact) if c.exact is not None else "",
-            _fmt(c.rel_error) if c.rel_error is not None else "",
-            _fmt(c.published),
-            "true" if c.passed else "false",
-            (c.error or "").replace(",", ";"),
-        ]))
+        lines.append(",".join(_csv_value(getattr(c, name)) for name in _CSV_COLUMNS.values()))
     return "\n".join(lines)
 
 
@@ -272,20 +276,8 @@ def _run_table(which: int, oracle_k: int, fmt: str) -> int:
             "title": report.title,
             "n_values": list(report.n_values),
             "pass": report.passed,
-            "cells": [
-                {
-                    "label": c.label,
-                    "params": c.params,
-                    "n": c.n,
-                    "approx": c.approx,
-                    "exact": c.exact,
-                    "rel_error": c.rel_error,
-                    "published": c.published,
-                    "pass": c.passed,
-                    "error": c.error,
-                }
-                for c in report.cells
-            ],
+            "cells": [{key: getattr(c, name) for key, name in _CELL_COLUMNS.items()}
+                      for c in report.cells],
         }
         print(_fmt_json(doc))
     else:

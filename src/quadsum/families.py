@@ -9,12 +9,12 @@ A Custom family wraps an explicit recurrence stream and measure.  Each
 family class owns its ``recurrence()`` and ``measure()``, and ``FAMILIES``,
 which maps each built-in family's command-line name to its class, is the
 list the CLI builds its family options from.  A built-in family stores each
-parameter as a Python float (M as an int) when it is constructed, so it
-computes in double whatever number type it was given, and equal families
-compute equal bits.  A discrete part is its point and mass functions, for
-every family, so building a measure evaluates no mass: a finite support is
-read and checked, by the one positivity check of the library, only when
-``DiscretePart.weighted_sum`` sums over it.
+parameter as a Python float (M as an int) before its range checks read it,
+so it computes in double whatever number type it was given, and equal
+families compute equal bits.  A discrete part is its point and mass
+functions, so building a measure evaluates no mass: a finite support is read
+and checked, by the one positivity check of the library, only when
+``DiscretePart.weighted_sum`` sums over it; an infinite one is never summed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import dataclasses
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable
 
@@ -31,9 +31,6 @@ from .errors import NumericalError, ValidationError
 from .special import ln_abs_gamma_sq, ln_gamma, ln_pochhammer_signed
 
 __all__ = [
-    "SUM_REL_TAIL",
-    "SUM_MAX_TERMS",
-    "SUM_RUN_LENGTH",
     "require_count",
     "RecurrenceStream",
     "ContinuousPart",
@@ -51,14 +48,6 @@ __all__ = [
     "recurrence",
     "measure",
 ]
-
-
-# Cutoff for sums over infinite discrete measures: accumulation stops once
-# SUM_RUN_LENGTH consecutive terms fall below SUM_REL_TAIL times the running
-# total of absolute terms; reaching SUM_MAX_TERMS first raises NumericalError.
-SUM_REL_TAIL = 1e-18
-SUM_MAX_TERMS = 1_000_000
-SUM_RUN_LENGTH = 3
 
 
 def require_count(name: str, n: int) -> None:
@@ -124,39 +113,21 @@ class DiscretePart:
         return self.size is not None
 
     def weighted_sum(self, f: Callable[[float], float]) -> float:
-        """Sum of xi_k f(x_k) over the support, truncated per the SUM_*
-        constants if infinite; a non-finite term raises NumericalError naming
-        its point, and so does reaching SUM_MAX_TERMS before the tail test
-        stops the sum.  A finite support is checked before f is called: a
-        mass that is not positive or points that do not increase raise."""
-        if self.finite:
-            points = [self.point_at(k) for k in range(self.size)]
-            masses = [self.mass_at(k) for k in range(self.size)]
-            for k, xi in enumerate(masses):
-                if not xi > 0.0:
-                    raise NumericalError(f"discrete mass xi_{k} = {xi!r} is not positive")
-            if any(points[k] >= points[k + 1] for k in range(self.size - 1)):
-                raise NumericalError("discrete points are not strictly increasing")
-            return math.fsum(_finite_term(xi * f(x), x) for x, xi in zip(points, masses))
-        total = 0.0
-        abs_total = 0.0
-        small_run = 0
-        for k in range(SUM_MAX_TERMS):
-            x = self.point_at(k)
-            term = _finite_term(self.mass_at(k) * f(x), x)
-            total += term
-            abs_total += abs(term)
-            if abs(term) < SUM_REL_TAIL * abs_total:
-                small_run += 1
-                if small_run >= SUM_RUN_LENGTH:
-                    break
-            else:
-                small_run = 0
-        else:
-            raise NumericalError(
-                f"infinite sum did not converge within SUM_MAX_TERMS = {SUM_MAX_TERMS} terms"
-            )
-        return total
+        """Exact sum of xi_k f(x_k) over a finite support; an infinite one
+        raises ValidationError, since no truncation of it is exact.  The
+        support is checked before f is called: a mass that is not positive
+        or points that do not increase raise NumericalError, and so does a
+        non-finite term, naming its point."""
+        if not self.finite:
+            raise ValidationError("weighted_sum requires a finite discrete support")
+        points = [self.point_at(k) for k in range(self.size)]
+        masses = [self.mass_at(k) for k in range(self.size)]
+        for k, xi in enumerate(masses):
+            if not xi > 0.0:
+                raise NumericalError(f"discrete mass xi_{k} = {xi!r} is not positive")
+        if any(points[k] >= points[k + 1] for k in range(self.size - 1)):
+            raise NumericalError("discrete points are not strictly increasing")
+        return math.fsum(_finite_term(xi * f(x), x) for x, xi in zip(points, masses))
 
 
 @dataclass(frozen=True)
@@ -185,35 +156,40 @@ class FamilySpec:
 
 
 @functools.cache
-def parameters(cls: type[FamilySpec]) -> tuple[tuple[str, str, type], ...]:
-    """(field name, command-line flag, int or float) of each parameter of a
-    family class; the flag is the field's ``metadata["flag"]`` or its name."""
-    return tuple((f.name, f.metadata.get("flag", f.name), int if f.type in (int, "int") else float)
+def parameters(cls: type[FamilySpec]) -> tuple[tuple[str, type], ...]:
+    """(name, int or float) of each parameter of a family class; the name is its
+    constructor keyword, attribute, command-line flag and JSON key."""
+    return tuple((f.name, int if f.type in (int, "int") else float)
                  for f in dataclasses.fields(cls))
 
 
-def _canonicalize(family: FamilySpec, name: str) -> None:
-    """Store each parameter of a built-in family, after its range checks, as
-    a Python float, or an int one (a size) as a Python int >= 1, so that
-    (n+1)(M-n) never wraps; a bool, a value of another type, and one that is
-    not a finite float (an infinity, or an int too large for a float) are
-    rejected, naming the parameter by its flag."""
-    for field_name, flag, type_ in parameters(type(family)):
-        value = getattr(family, field_name)
-        if type_ is int and (isinstance(value, bool) or not (
-                isinstance(value, numbers.Integral) and value >= 1)):
-            raise ValidationError(f"{name} requires integer {flag} >= 1, got {flag}={value!r}")
-        if isinstance(value, bool) or not isinstance(value, (numbers.Real, Decimal)):
-            raise ValidationError(f"{name} requires a number {flag}, got {flag}={value!r}")
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:
-            raise ValidationError(
-                f"{name} requires a finite {flag}, got {flag} too large for a float"
-            ) from None
-        if not finite:
-            raise ValidationError(f"{name} requires a finite {flag}, got {flag}={value!r}")
-        object.__setattr__(family, field_name, type_(value))
+def _finite_real(value, name: str, owner: str, type_: type = float):
+    """value as a Python float, or as a Python int (a size, >= 1 as its family
+    checks, so (n+1)(M-n) never wraps) if type_ is int.  A bool, a value of
+    another type, and one that is not a finite float (an infinity, a NaN, a
+    number too large for a float) raise ValidationError naming owner and name."""
+    if type_ is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValidationError(f"{owner} requires integer {name} >= 1, got {name}={value!r}")
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, Decimal)):
+        raise ValidationError(f"{owner} requires a number {name}, got {name}={value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValidationError(
+            f"{owner} requires a finite {name}, got {name} too large for a float"
+        ) from None
+    except ValueError:  # Decimal("sNaN") does not convert to a float
+        finite = False
+    if not finite:
+        raise ValidationError(f"{owner} requires a finite {name}, got {name}={value!r}")
+    return type_(value)
+
+
+def _canonicalize(family: FamilySpec, owner: str) -> None:
+    """Store each parameter of a built-in family as ``_finite_real`` returns
+    it, before any range check reads it: equal families compute equal bits."""
+    for name, type_ in parameters(type(family)):
+        object.__setattr__(family, name, _finite_real(getattr(family, name), name, owner, type_))
 
 
 def _lattice_measure(ln_mass: Callable[[float], float], size: int | None) -> MeasureSpec:
@@ -280,11 +256,11 @@ def _squared_variable_measure(
 
 
 def _require_squared_variable_params(family: FamilySpec, name: str) -> None:
-    """The parameter rule of the squared-variable families, checked before
-    their canonical form is stored: mu != 0, and every other parameter p
-    has p > 0 if mu > 0, or p + mu > 0 if mu < 0."""
+    """The parameter rule of the squared-variable families, checked on their
+    canonical floats: mu != 0, and every other parameter p has p > 0 if
+    mu > 0, or p + mu > 0 if mu < 0."""
     mu = family.mu
-    others = {flag: getattr(family, f) for f, flag, _ in parameters(type(family))[1:]}
+    others = {p: getattr(family, p) for p, _ in parameters(type(family))[1:]}
     if mu == 0.0:
         raise ValidationError(f"{name} requires mu != 0")
     if mu > 0.0:
@@ -296,7 +272,6 @@ def _require_squared_variable_params(family: FamilySpec, name: str) -> None:
         tail = f" with mu={mu!r}"
     if bad:
         raise ValidationError(f"{name} with {rule}; violated by {bad!r}{tail}")
-    _canonicalize(family, name)
 
 
 @dataclass(frozen=True)
@@ -305,9 +280,9 @@ class Charlier(FamilySpec):
     kind = "charlier"
 
     def __post_init__(self):
+        _canonicalize(self, "charlier")
         if not self.mu > 0.0:
             raise ValidationError(f"charlier requires mu > 0, got mu={self.mu!r}")
-        _canonicalize(self, "charlier")
 
     def recurrence(self) -> RecurrenceStream:
         mu = self.mu
@@ -333,13 +308,13 @@ class Meixner(FamilySpec):
     kind = "meixner"
 
     def __post_init__(self):
+        _canonicalize(self, "meixner")
         if not self.mu > 0.0:
             raise ValidationError(f"meixner requires mu > 0, got mu={self.mu!r}")
         if not 0.0 < self.beta < 1.0:
             raise ValidationError(
                 f"meixner requires 0 < beta < 1, got beta={self.beta!r}"
             )
-        _canonicalize(self, "meixner")
 
     def recurrence(self) -> RecurrenceStream:
         mu, beta = self.mu, self.beta
@@ -362,20 +337,21 @@ class Meixner(FamilySpec):
 
 @dataclass(frozen=True)
 class Krawtchouk(FamilySpec):
-    # The spectrum size is spelled M on the command line and in its output.
-    m: int = field(metadata={"flag": "M"})
+    M: int
     gamma: float
     kind = "krawtchouk"
 
     def __post_init__(self):
+        _canonicalize(self, "krawtchouk")
         if not 0.0 < self.gamma < 1.0:
             raise ValidationError(
                 f"krawtchouk requires 0 < gamma < 1, got gamma={self.gamma!r}"
             )
-        _canonicalize(self, "krawtchouk")
+        if self.M < 1:
+            raise ValidationError(f"krawtchouk requires integer M >= 1, got M={self.M!r}")
 
     def recurrence(self) -> RecurrenceStream:
-        m, g = self.m, self.gamma
+        m, g = self.M, self.gamma
 
         def b(n: int) -> float:
             try:
@@ -390,7 +366,7 @@ class Krawtchouk(FamilySpec):
     def measure(self) -> MeasureSpec:
         # Binomial masses C(M,k) g^k (1-g)^{M-k}; the exponent on (1-g) uses
         # the spectrum size M, which is what makes the masses sum to one.
-        m, g = self.m, self.gamma
+        m, g = self.M, self.gamma
         c = ln_gamma(m + 1.0)
         ln_g, ln_q = math.log(g), math.log1p(-g)
 
@@ -414,6 +390,7 @@ class ContinuousDualHahn(FamilySpec):
     kind = "cdh"
 
     def __post_init__(self):
+        _canonicalize(self, "continuous dual Hahn")
         _require_squared_variable_params(self, "continuous dual Hahn")
 
     def recurrence(self) -> RecurrenceStream:
@@ -463,6 +440,7 @@ class Wilson(FamilySpec):
     kind = "wilson"
 
     def __post_init__(self):
+        _canonicalize(self, "wilson")
         _require_squared_variable_params(self, "wilson")
 
     def recurrence(self) -> RecurrenceStream:

@@ -21,6 +21,7 @@ from oracles import (
     finite_support,
     gauss_rule_eigenvalue_only,
     power_element,
+    truncated_sum,
 )
 from quadsum.apply import exact_shifted_power_sum, matrix_function_element
 from quadsum.eig import eigenvalues
@@ -184,13 +185,13 @@ def test_criterion_06_cross_algorithm_weights():
 
 
 def test_criterion_07_orthonormality():
-    # discrete: infinite (truncated) and finite exact summation
+    # discrete: infinite (the 200-term oracle sum) and finite exact summation
     spec = Charlier(2.0)
     st = recurrence(spec)
     d = measure(spec).discrete
     for n in range(6):
         for m in range(n + 1):
-            s = d.weighted_sum(lambda x: eval_poly(st, n, x) * eval_poly(st, m, x))
+            s = truncated_sum(d, lambda x: eval_poly(st, n, x) * eval_poly(st, m, x))
             assert abs(s - (1.0 if n == m else 0.0)) <= 1e-10
 
     spec = Krawtchouk(20, 0.3)

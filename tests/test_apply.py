@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 from dataclasses import dataclass
+from decimal import Decimal
 
 import mpmath as mp
 import numpy as np
@@ -490,8 +491,10 @@ class TestOracles:
         assert exact_shifted_power_sum(r, m) == pytest.approx(brute, rel=1e-14)
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: exact_exponential_sum(True), "requires r > 0, got True"),
-        (lambda: exact_shifted_power_sum(True, 3), "requires r > 0, got True"),
+        (lambda: exact_exponential_sum(True),
+         "exact_exponential_sum requires a number r, got r=True"),
+        (lambda: exact_shifted_power_sum(True, 3),
+         "exact_shifted_power_sum requires a number r, got r=True"),
         (lambda: exact_shifted_power_sum(3.0, True), "requires an integer m_max, got True"),
         (lambda: exact_shifted_power_sum(3.0, 2.5), "requires an integer m_max, got 2.5"),
         (lambda: exact_shifted_power_sum(3.0, 2.0), "requires an integer m_max, got 2.0"),
@@ -501,6 +504,20 @@ class TestOracles:
         with pytest.raises(ValidationError) as exc:
             call()
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value, shown", [
+        ("3", "number r, got r='3'"),
+        (None, "number r, got r=None"),
+        (3j, "number r, got r=3j"),
+        (Decimal("sNaN"), "finite r, got r=Decimal('sNaN')"),
+        (math.inf, "finite r, got r=inf"),
+    ], ids=["str", "none", "complex", "decimal-snan", "inf"])
+    def test_closed_forms_reject_a_value_that_is_not_a_finite_real(self, value, shown):
+        for name, call in (("exact_exponential_sum", lambda: exact_exponential_sum(value)),
+                           ("exact_shifted_power_sum", lambda: exact_shifted_power_sum(value, 3))):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == f"{name} requires a {shown}"
 
     def test_closed_form_takes_a_numpy_integer_m(self):
         assert exact_shifted_power_sum(3.0, np.int64(7)) == exact_shifted_power_sum(3.0, 7)

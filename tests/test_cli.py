@@ -140,8 +140,11 @@ class TestRuleCommand:
     def test_negative_infinite_mu_names_the_bad_value(self, capsys):
         assert run_cli(capsys, "rule", "--family", "cdh", "--mu", "-inf", "--alpha", "1",
                        "--beta", "2", "--n", "3") == (
-            2, "", "error: continuous dual Hahn with mu < 0 requires alpha + mu, beta + mu > 0;"
-                   " violated by {'alpha': 1.0, 'beta': 2.0} with mu=-inf\n")
+            2, "", "error: continuous dual Hahn requires a finite mu, got mu=-inf\n")
+
+    def test_nan_parameter_is_not_finite(self, capsys):
+        assert run_cli(capsys, "rule", "--family", "meixner", "--mu", "2", "--beta", "nan",
+                       "--n", "3") == (2, "", "error: meixner requires a finite beta, got beta=nan\n")
 
     def test_exponent_spelling_prints_the_same_bytes(self, capsys):
         argv = ("--alpha", "1", "--beta", "2", "--n", "3")
@@ -1006,7 +1009,7 @@ def _main_argv(draw):
         return ["table", which, "--format", draw(st.sampled_from(["json", "csv"])), *extra]
     family = draw(st.sampled_from(sorted(_FAMILY_ARGV)))
     argv = [command, "--family", family]
-    for flag, _ in quadsum.cli._FAMILY_FLAGS[family]:
+    for flag in quadsum.cli._FAMILY_FLAGS[family]:
         value = draw(_SWEEP_COUNTS if quadsum.cli._FLAG_TYPES[flag] is int else _SWEEP_REALS)
         argv += [f"--{flag}", value]
     argv += ["--n", str(draw(st.integers(1, 40)))]

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import quadsum.apply
-from oracles import eval_poly, finite_support
+from oracles import eval_poly, finite_support, truncated_sum
 from quadsum import families
 from quadsum.apply import Functional, approximate
 from quadsum.errors import NumericalError, ValidationError
@@ -94,7 +93,7 @@ class TestValidation:
 
     def test_krawtchouk_takes_any_integral_m_as_an_int(self):
         family = Krawtchouk(np.int64(100), 0.3)
-        assert type(family.m) is int and family == Krawtchouk(100, 0.3)
+        assert type(family.M) is int and family == Krawtchouk(100, 0.3)
         # (n+1)(M-n) = 2(2^62 - 1) would wrap as an int64
         big = recurrence(Krawtchouk(np.int64(2**62), 0.3))
         assert big.b(1) == recurrence(Krawtchouk(2**62, 0.3)).b(1) < 0.0
@@ -212,7 +211,7 @@ class TestCanonicalParameters:
 
     def test_integer_parameters_are_stored_as_floats(self):
         assert Charlier(2).mu == 2.0 and type(Charlier(2).mu) is float
-        assert type(Krawtchouk(np.int64(3), 0.5).m) is int
+        assert type(Krawtchouk(np.int64(3), 0.5).M) is int
 
     @pytest.mark.parametrize("make, message", [
         (lambda: Meixner(np.complex128(2.0), 0.5),
@@ -225,10 +224,42 @@ class TestCanonicalParameters:
             make()
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Charlier("2"), "charlier requires a number mu, got mu='2'"),
+        (lambda: Charlier(None), "charlier requires a number mu, got mu=None"),
+        (lambda: Charlier(2 + 0j), "charlier requires a number mu, got mu=(2+0j)"),
+        (lambda: Krawtchouk(10, "0.3"), "krawtchouk requires a number gamma, got gamma='0.3'"),
+        (lambda: Meixner(Decimal("NaN"), 0.5),
+         "meixner requires a finite mu, got mu=Decimal('NaN')"),
+        (lambda: Meixner(Decimal("sNaN"), 0.5),
+         "meixner requires a finite mu, got mu=Decimal('sNaN')"),
+        (lambda: Charlier(math.nan), "charlier requires a finite mu, got mu=nan"),
+        (lambda: Krawtchouk(10, -math.inf),
+         "krawtchouk requires a finite gamma, got gamma=-inf"),
+        (lambda: ContinuousDualHahn(-math.inf, 1.0, 2.0),
+         "continuous dual Hahn requires a finite mu, got mu=-inf"),
+        (lambda: Wilson(1.0, 1.0, Decimal("sNaN"), 1.0),
+         "wilson requires a finite alpha, got alpha=Decimal('sNaN')"),
+    ], ids=["str", "none", "complex", "str-gamma", "decimal-nan", "decimal-snan", "nan",
+            "minus-inf-gamma", "cdh-minus-inf-mu", "wilson-snan"])
+    def test_range_checks_see_only_canonical_values(self, make, message):
+        with pytest.raises(ValidationError) as exc:
+            make()
+        assert str(exc.value) == message
+
+    def test_decimal_parameters_meet_the_squared_variable_rule(self):
+        assert ContinuousDualHahn(Decimal("-3.5"), 4.5, 4.5) == ContinuousDualHahn(-3.5, 4.5, 4.5)
+        with pytest.raises(ValidationError) as exc:
+            ContinuousDualHahn(Decimal("-3.5"), Decimal("3"), 4.5)
+        assert str(exc.value) == ("continuous dual Hahn with mu < 0 requires alpha + mu, "
+                                  "beta + mu > 0; violated by {'alpha': 3.0} with mu=-3.5")
+
     def test_parameters_give_flags_and_types(self):
-        assert families.parameters(Krawtchouk) == (("m", "M", int), ("gamma", "gamma", float))
+        # a parameter's flag is its name: keyword, attribute and JSON key
+        assert families.parameters(Krawtchouk) == (("M", int), ("gamma", float))
         assert families.parameters(Wilson) == tuple(
-            (name, name, float) for name in ("mu", "nu", "alpha", "beta"))
+            (name, float) for name in ("mu", "nu", "alpha", "beta"))
+        assert Krawtchouk(M=100, gamma=0.3).M == 100
 
 
 class TestRecurrence:
@@ -327,7 +358,7 @@ class TestMeasures:
 
     def test_meixner_total_mass(self):
         d = measure(Meixner(2.0, 0.4)).discrete
-        assert d.weighted_sum(lambda x: 1.0) == pytest.approx(1.0, abs=1e-13)
+        assert truncated_sum(d, lambda x: 1.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_krawtchouk_total_mass_and_size(self):
         d = measure(Krawtchouk(20, 0.3)).discrete
@@ -415,45 +446,27 @@ class TestMeasures:
 
 
 class TestTruncationPolicy:
-    def test_default_policy_terminates(self):
-        d = measure(Charlier(2.0)).discrete
-        total = d.weighted_sum(lambda x: 1.0)
-        assert total == pytest.approx(1.0, abs=1e-13)
+    """weighted_sum never truncates: it sums a finite support exactly and
+    refuses an infinite one, whose sums the tests take from the oracle."""
 
-    def test_max_terms_cap(self, monkeypatch):
-        d = measure(Charlier(2.0)).discrete
-        monkeypatch.setattr(families, "SUM_MAX_TERMS", 3)
-        # three terms cannot meet the tail test: an error, not a truncated total
-        with pytest.raises(NumericalError, match="SUM_MAX_TERMS = 3 terms"):
-            d.weighted_sum(lambda x: 1.0)
-
-    def test_sum_converging_on_its_last_allowed_term(self, monkeypatch):
-        d = measure(Charlier(2.0)).discrete
-        points = []
-        total = d.weighted_sum(lambda x: points.append(x) or 1.0)
-        monkeypatch.setattr(families, "SUM_MAX_TERMS", len(points))
-        assert d.weighted_sum(lambda x: 1.0) == total
-        assert total == pytest.approx(1.0, abs=1e-13)
+    def test_infinite_support_is_a_validation_error(self):
+        calls = []
+        for family in (Charlier(2), Meixner(2.0, 0.4)):
+            with pytest.raises(ValidationError) as exc:
+                measure(family).discrete.weighted_sum(lambda x: calls.append(x) or 1.0)
+            assert str(exc.value) == "weighted_sum requires a finite discrete support"
+        assert calls == []
 
     def test_nan_integrand_fails_at_first_point(self):
-        d = measure(Charlier(2.0)).discrete
-        start = time.perf_counter()
+        d = measure(Krawtchouk(5, 0.3)).discrete
         with pytest.raises(NumericalError, match="point 0.0"):
             d.weighted_sum(lambda x: math.nan)
-        assert time.perf_counter() - start < 0.5
 
     def test_infinite_terms_on_finite_measure(self):
         d = measure(Krawtchouk(5, 0.3)).discrete
         f = lambda x: math.inf if x == 2.0 else (-math.inf if x == 4.0 else 1.0)
         with pytest.raises(NumericalError, match="point 2.0"):
             d.weighted_sum(f)
-
-    def test_zero_hits_do_not_stop_early(self):
-        # an integrand vanishing at isolated points must not trigger the cutoff
-        d = measure(Charlier(2.0)).discrete
-        f = lambda x: 0.0 if x == 1.0 else 1.0
-        total = d.weighted_sum(f)
-        assert total == pytest.approx(1.0 - d.mass_at(1), abs=1e-13)
 
 
 class TestEvalPoly:
@@ -487,7 +500,7 @@ class TestOrthonormality:
         d = measure(spec).discrete
         for n in range(6):
             for m in range(n + 1):
-                s = d.weighted_sum(lambda x: eval_poly(st, n, x) * eval_poly(st, m, x))
+                s = truncated_sum(d, lambda x: eval_poly(st, n, x) * eval_poly(st, m, x))
                 assert s == pytest.approx(1.0 if n == m else 0.0, abs=1e-10)
 
     def test_krawtchouk_finite(self):
