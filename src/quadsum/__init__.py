@@ -9,8 +9,6 @@ sums, and mixed integral-plus-sum functionals.
 from .apply import (
     Functional,
     approximate,
-    exact_exponential_sum,
-    exact_shifted_power_sum,
     relative_error,
     spectral_reference,
 )
@@ -56,8 +54,6 @@ __all__ = [
     "decompose",
     "derivative_weights",
     "eigenvalues",
-    "exact_exponential_sum",
-    "exact_shifted_power_sum",
     "gauss_rule",
     "measure",
     "recurrence",

@@ -4,9 +4,8 @@ A Functional pairs an integrand with a family, an order, and a kind saying
 what is being approximated: a weighted or plain integral, a weighted or
 plain (possibly infinite) sum, a mixed integral-plus-sum (for the families
 whose recurrence runs in y = x^2, in that squared variable), or the
-continuous part of a mixed measure alone.  The reference values (closed
-forms and the spectral element) and the relative-error metric used by the
-report tables live here too.
+continuous part of a mixed measure alone.  The spectral reference value
+and the relative-error metric used by the report tables live here too.
 
 ``approximate`` holds the library's one rule store, a ``functools.lru_cache``
 of prepared functionals keyed by the built-in family itself (its parameters
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,19 +24,15 @@ import numpy as np
 
 from . import eig
 from .errors import NumericalError, ValidationError
-from .families import (FAMILIES, FamilySpec, MeasureSpec, _finite_real, measure, recurrence,
-                       require_count)
+from .families import FAMILIES, FamilySpec, MeasureSpec, measure, recurrence, require_count
 from .jacobi import JacobiMatrix, build
 from .rule import QuadratureRule, derivative_weights, gauss_rule
-from .special import ln_gamma
 
 __all__ = [
     "FUNCTIONAL_KINDS",
     "Functional",
     "approximate",
     "relative_error",
-    "exact_exponential_sum",
-    "exact_shifted_power_sum",
     "spectral_reference",
     "SPECTRAL_REFERENCE_SIZE",
 ]
@@ -162,29 +156,6 @@ def relative_error(exact: float, approx: float) -> float:
     if den == 0.0:
         raise ValidationError("degenerate denominator: exact + approx == 0")
     return abs(exact - approx) / den
-
-
-def exact_exponential_sum(r: float) -> float:
-    """Closed form e^r of the infinite sum of r^k / k! over k >= 0."""
-    r = _finite_real(r, "r", "exact_exponential_sum")
-    if not r > 0.0:
-        raise ValidationError(f"requires r > 0, got {r!r}")
-    return math.exp(r)
-
-
-def exact_shifted_power_sum(r: float, m_max: int) -> float:
-    """Closed form of sum_{k=0}^{M} (k+1) r^{k+1} / Gamma(k+r+2):
-    1/Gamma(r) - r^{M+2}/Gamma(M+r+2), evaluated in log space."""
-    r = _finite_real(r, "r", "exact_shifted_power_sum")
-    if not r > 0.0:
-        raise ValidationError(f"requires r > 0, got {r!r}")
-    if isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral):
-        raise ValidationError(f"requires an integer m_max, got {m_max!r}")
-    if m_max < 0:
-        raise ValidationError(f"requires m_max >= 0, got {m_max!r}")
-    lead = math.exp(-ln_gamma(r))
-    tail = math.exp((m_max + 2) * math.log(r) - ln_gamma(m_max + r + 2.0))
-    return lead - tail
 
 
 SPECTRAL_REFERENCE_SIZE = 200  # default truncation, table 3's oracle size

@@ -7,9 +7,10 @@ Subcommands:
   table  regenerate one of the bundled reference tables with pass/fail cells
 
 Exit codes: 0 ok, 1 tolerance failure in table mode, 2 usage or validation
-error, 3 numerical failure (an overflowing sum included).  All reals are
-printed with 17 significant digits, so identical invocations produce
-byte-identical output.
+error, 3 numerical failure (an overflowing sum included), 4 the output could
+not be written (a full disk, a closed stdout, or a reader that went away,
+which alone exits with no message).  All reals are printed with 17
+significant digits, so identical invocations produce byte-identical output.
 
 The parsers are built once, at import, and ``main`` reuses them for every
 call: parsing leaves a parser unchanged (the ``--define`` list is copied
@@ -37,6 +38,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import re
 import sys
 from typing import Callable, Sequence
@@ -55,6 +57,7 @@ _EXIT_OK = 0
 _EXIT_TOLERANCE = 1
 _EXIT_VALIDATION = 2
 _EXIT_NUMERICAL = 3
+_EXIT_OUTPUT = 4
 
 
 _fmt = "{:.17g}".format  # format(x, ".17g") without a Python frame per value
@@ -302,15 +305,36 @@ def _prepared(argv: tuple[str, ...]) -> Callable[[], int]:
     return functools.partial(_run_sum, kind, family, ast, args.n)
 
 
+def _drop_stdout() -> None:
+    """Point stdout's descriptor, if any, at os.devnull, so the interpreter's
+    flush at exit drops what a failed write left buffered, and succeeds."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        return _prepared(tuple(sys.argv[1:] if argv is None else argv))()
+        code = _prepared(tuple(sys.argv[1:] if argv is None else argv))()
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
+        sys.stdout.flush()  # a write that fails only when flushed fails here
+        return code
     except (ValidationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
+    except OSError as exc:
+        _drop_stdout()
+        if not isinstance(exc, BrokenPipeError):  # else the reader is gone
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return _EXIT_OUTPUT
 
 
 if __name__ == "__main__":

@@ -44,6 +44,9 @@ _EPS = float(np.finfo(float).eps)
 _MAX_SWEEPS = 50
 # Largest Gershgorin bound for which no sweep quantity can overflow.
 _NORM_MAX = 2.0**1000
+# The first row starts as 2^1000 e_0 and keeps that norm, so no entry
+# overflows, and tail entries stay nonzero down to 2^-2074, not 2^-1074.
+_ROW_EXP = 1000
 
 
 class ConvergenceError(NumericalError):
@@ -173,7 +176,7 @@ def decompose(j: JacobiMatrix, mode: str = "values") -> EigenDecomposition:
         raise ValidationError(f"unknown mode {mode!r}")
     d = j.diag.tolist()
     e = j.offdiag.tolist() + [0.0]
-    row = None if mode == "values" else [1.0] + [0.0] * (len(d) - 1)
+    row = None if mode == "values" else [2.0**_ROW_EXP] + [0.0] * (len(d) - 1)
     _ql_implicit(d, e, row)
     d = np.array(d)
     order = np.argsort(d, kind="stable")
@@ -186,7 +189,7 @@ def decompose(j: JacobiMatrix, mode: str = "values") -> EigenDecomposition:
             "eigenvector with exactly zero first component at index "
             f"{int(np.flatnonzero(first == 0.0)[0])}; matrix is numerically reducible"
         )
-    return EigenDecomposition(d, np.abs(first))
+    return EigenDecomposition(d, np.ldexp(np.abs(first), -_ROW_EXP))
 
 
 def eigenvalues(j: JacobiMatrix) -> np.ndarray:

@@ -23,7 +23,7 @@ from oracles import (
     power_element,
     truncated_sum,
 )
-from quadsum.apply import exact_shifted_power_sum, matrix_function_element
+from quadsum.apply import matrix_function_element
 from quadsum.eig import eigenvalues
 from quadsum.families import (
     Charlier,
@@ -98,13 +98,14 @@ def test_criterion_03_finite_sum_krawtchouk(table2):
     report, elapsed = table2
     assert len(report.cells) == 20
     _assert_cells(report.cells)
-    # closed-form reference cross-checked against brute-force summation in
-    # 40-digit arithmetic, independent of the library's gamma
+    # the table's exact value cross-checked against brute-force summation
+    # in 40-digit arithmetic, independent of the library's gamma
     with mp.workdps(40):
         brute = float(mp.fsum((k + 1) * mp.mpf(3) ** (k + 1) / mp.gamma(k + 3 + 2)
                               for k in range(101)))
-    closed = exact_shifted_power_sum(3.0, 100)
-    assert abs(closed - brute) <= 1e-14 * abs(brute)
+    exact = {c.exact for c in report.cells}
+    assert len(exact) == 1
+    assert abs(exact.pop() - brute) <= 1e-14 * abs(brute)
     assert elapsed < 2.0, f"table 2 took {elapsed:.2f}s"
     print("\nACCEPTANCE 3: PASS - table 2 within tolerance, reference cross-checked, "
           f"{elapsed * 1e3:.0f} ms")

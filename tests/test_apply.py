@@ -1,4 +1,4 @@
-"""Tests for functional application and the reference values."""
+"""Tests for functional application and the spectral reference value."""
 
 import functools
 import math
@@ -6,9 +6,7 @@ import random
 import sys
 import threading
 from dataclasses import dataclass
-from decimal import Decimal
 
-import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -20,8 +18,6 @@ from quadsum.apply import (
     FUNCTIONAL_KINDS,
     Functional,
     approximate,
-    exact_exponential_sum,
-    exact_shifted_power_sum,
     relative_error,
     matrix_function_element,
     spectral_reference,
@@ -114,7 +110,7 @@ class TestApproximate:
 
     def test_plain_sum_reproduces_exponential(self):
         v = approximate(Functional("plain_sum", _t1_f, Charlier(2.0), 7))
-        err = relative_error(exact_exponential_sum(3.0), v)
+        err = relative_error(math.exp(3.0), v)
         assert 4.165e-11 / 5.0 <= err <= 4.165e-11 * 5.0
 
     def test_weighted_integral_on_continuous_family(self):
@@ -465,63 +461,6 @@ class TestRelativeError:
 
 
 class TestOracles:
-    def test_exponential_sum(self):
-        assert exact_exponential_sum(3.0) == math.exp(3.0)
-        assert exact_exponential_sum(1.0) == math.exp(1.0)
-        with pytest.raises(ValidationError):
-            exact_exponential_sum(0.0)
-
-    def test_shifted_power_sum_small_m(self):
-        r = 3.0
-        expected = 1.0 / math.gamma(r) - r**2 / math.gamma(r + 2.0)
-        assert exact_shifted_power_sum(r, 0) == pytest.approx(expected, rel=1e-14)
-
-    def test_shifted_power_sum_is_half_at_m100(self):
-        # the subtracted tail is ~1e-117, far below double resolution, so the
-        # result is bit-identical to the leading term 1/Gamma(3) ~ 0.5
-        value = exact_shifted_power_sum(3.0, 100)
-        assert value == pytest.approx(0.5, rel=1e-14)
-        assert value == math.exp(-ln_gamma(3.0))
-
-    def test_shifted_power_sum_brute_force(self):
-        r, m = 3.0, 100
-        with mp.workdps(40):
-            brute = float(mp.fsum((k + 1) * mp.mpf(r) ** (k + 1) / mp.gamma(k + r + 2)
-                                  for k in range(m + 1)))
-        assert exact_shifted_power_sum(r, m) == pytest.approx(brute, rel=1e-14)
-
-    @pytest.mark.parametrize("call, message", [
-        (lambda: exact_exponential_sum(True),
-         "exact_exponential_sum requires a number r, got r=True"),
-        (lambda: exact_shifted_power_sum(True, 3),
-         "exact_shifted_power_sum requires a number r, got r=True"),
-        (lambda: exact_shifted_power_sum(3.0, True), "requires an integer m_max, got True"),
-        (lambda: exact_shifted_power_sum(3.0, 2.5), "requires an integer m_max, got 2.5"),
-        (lambda: exact_shifted_power_sum(3.0, 2.0), "requires an integer m_max, got 2.0"),
-        (lambda: exact_shifted_power_sum(3.0, -1), "requires m_max >= 0, got -1"),
-    ], ids=["exp-bool-r", "power-bool-r", "bool-m", "fractional-m", "float-m", "negative-m"])
-    def test_closed_forms_reject_a_bool_or_fractional_argument(self, call, message):
-        with pytest.raises(ValidationError) as exc:
-            call()
-        assert str(exc.value) == message
-
-    @pytest.mark.parametrize("value, shown", [
-        ("3", "number r, got r='3'"),
-        (None, "number r, got r=None"),
-        (3j, "number r, got r=3j"),
-        (Decimal("sNaN"), "finite r, got r=Decimal('sNaN')"),
-        (math.inf, "finite r, got r=inf"),
-    ], ids=["str", "none", "complex", "decimal-snan", "inf"])
-    def test_closed_forms_reject_a_value_that_is_not_a_finite_real(self, value, shown):
-        for name, call in (("exact_exponential_sum", lambda: exact_exponential_sum(value)),
-                           ("exact_shifted_power_sum", lambda: exact_shifted_power_sum(value, 3))):
-            with pytest.raises(ValidationError) as exc:
-                call()
-            assert str(exc.value) == f"{name} requires a {shown}"
-
-    def test_closed_form_takes_a_numpy_integer_m(self):
-        assert exact_shifted_power_sum(3.0, np.int64(7)) == exact_shifted_power_sum(3.0, 7)
-
     def test_spectral_reference_equals_full_row_zero_sum(self):
         # the first-row route must give the bits of the full-matrix route
         spec = ContinuousDualHahn(-3.5, 5.5, 5.5)

@@ -2,10 +2,12 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -66,6 +68,16 @@ class TestRuleCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [float(r["node"]) for r in rows] == pytest.approx([1.0, 4.0], rel=1e-14)
         assert float(rows[0]["weight"]) == pytest.approx(2.0 / 3.0, rel=1e-14)
+
+    def test_charlier_at_400_points(self, capsys):
+        # past the order where an unscaled first eigenvector row underflows to
+        # an exact zero; 195 weights print 0.0, positive weights whose squares
+        # are below the double range
+        code, out, _ = run_cli(capsys, "rule", "--family", "charlier", "--mu", "2", "--n", "400")
+        assert code == 0
+        weights = json.loads(out)["weights"]
+        assert weights.count(0.0) == 195
+        assert abs(math.fsum(weights) - 1.0) <= 1e-12
 
     def test_determinism(self, capsys):
         args = ("rule", "--family", "meixner", "--mu", "2", "--beta", "0.4", "--n", "9")
@@ -403,6 +415,11 @@ class TestTableCommand:
             )
             assert recomputed == pytest.approx(cell["rel_error"], rel=1e-12, abs=1e-17)
 
+    def test_table_three_with_a_400_point_reference(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "3", "--oracle-k", "400")
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
     def test_table_one_csv_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "table", "1", "--format", "csv")
         assert code == 0
@@ -580,7 +597,8 @@ def _ci_commands() -> list[list[str]]:
     commands = []
     for line in workflow.read_text().splitlines():
         if "quadsum " in line:
-            command = line.split("quadsum ", 1)[1].split(" ||")[0].split(" >")[0]
+            # the command ends at the first "||", "|", ">" or "2>"
+            command = re.split(r" (?:\|\|?|2?>)", line.split("quadsum ", 1)[1])[0]
             for python, value in (("$huge_m", 10**400), ("$(python -c 'print(10**308)')", 10**308)):
                 command = command.replace(python, str(value))
             commands.append(shlex.split(command))
@@ -971,6 +989,76 @@ class TestFixedWidthUsage:
             "quadsum rule: error: argument --family: invalid choice: 'bogus' (choose from "
             "'cdh', 'charlier', 'krawtchouk', 'meixner', 'wilson')\n",
         )
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose ``method`` ("write" or "flush") raises ``error``."""
+
+    def __init__(self, method: str, error: OSError):
+        super().__init__()
+        setattr(self, method, self._fail)
+        self.error = error
+
+    def _fail(self, *args):
+        raise self.error
+
+
+_ENOSPC = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+_OUTPUT_CASES = (
+    ("rule", "--family", "charlier", "--mu", "2", "--n", "2"),
+    ("sum", "--family", "charlier", "--mu", "2", "--n", "7", "--f", "3^x/gamma(x+1)"),
+    ("table", "1", "--format", "csv"),
+)
+
+
+class TestOutputFailure:
+    """Output that cannot be written exits 4: with one stderr line, or with
+    none when the reader went away (a broken pipe)."""
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize("argv", _OUTPUT_CASES, ids=lambda argv: argv[0])
+    def test_full_device(self, capsys, monkeypatch, argv, method):
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(method, _ENOSPC))
+        assert main(list(argv)) == 4
+        assert capsys.readouterr().err == (
+            "error: cannot write output: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("argv", _OUTPUT_CASES, ids=lambda argv: argv[0])
+    def test_broken_pipe_is_silent(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", _FailingStdout("write", BrokenPipeError(errno.EPIPE, "")))
+        assert main(list(argv)) == 4
+        assert capsys.readouterr().err == ""
+
+    def test_closed_stdout(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(list(_OUTPUT_CASES[0])) == 4
+        assert capsys.readouterr().err == "error: cannot write output: stdout is closed\n"
+
+    def test_an_error_before_output_keeps_its_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _FailingStdout("write", _ENOSPC))
+        assert main(["rule", "--family", "charlier", "--mu", "inf", "--n", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: charlier requires a finite mu")
+
+    def test_fresh_process_exits_4_without_a_flush_error_at_exit(self):
+        # the interpreter flushes stdout again at exit; that flush must not
+        # fail on the text the failed write left in the buffer
+        src = str(Path(quadsum.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        command = [sys.executable, "-m", "quadsum", "table", "1"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            broken = subprocess.run(command, env=env, stdout=write_end,
+                                    stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (broken.returncode, broken.stderr) == (4, b"")
+        if os.path.exists("/dev/full"):
+            with open("/dev/full", "wb") as full:
+                failed = subprocess.run(command, env=env, stdout=full,
+                                        stderr=subprocess.PIPE, timeout=120)
+            assert (failed.returncode, failed.stderr) == (
+                4, b"error: cannot write output: [Errno 28] No space left on device\n")
 
 
 def test_readme_cli_examples_exit_0(capsys):

@@ -31,8 +31,6 @@ _PUBLIC_NAMES = [
     "decompose",
     "derivative_weights",
     "eigenvalues",
-    "exact_exponential_sum",
-    "exact_shifted_power_sum",
     "gauss_rule",
     "measure",
     "recurrence",

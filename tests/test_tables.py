@@ -2,7 +2,9 @@
 
 import math
 import re
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,7 +12,8 @@ from scipy.integrate import quad
 from quadsum.apply import relative_error, spectral_reference
 from quadsum.errors import ValidationError
 from quadsum.families import ContinuousDualHahn, measure
-from quadsum.tables import _t3_integrand, cell_passes, run_table
+from quadsum.special import ln_gamma
+from quadsum.tables import _T1_EXACT, _T2_EXACT, _t3_integrand, cell_passes, run_table
 
 
 class TestCellPolicy:
@@ -85,13 +88,47 @@ class TestRunTable:
         assert run_table(2, oracle_size=0).passed
 
 
+class TestExactValues:
+    """The exact values of tables 1 and 2 against independent computations."""
+
+    def test_table_one_is_e_cubed_rounded(self):
+        with mp.workdps(50):
+            assert _T1_EXACT == float(mp.e**3)
+        assert {c.exact for c in run_table(1).cells} == {_T1_EXACT}
+
+    def test_table_two_is_the_rational_sum_rounded(self):
+        exact = sum(Fraction((k + 1) * 3 ** (k + 1), math.factorial(k + 4)) for k in range(101))
+        assert exact == Fraction(1, 2) - Fraction(3**102, math.factorial(104))
+        assert _T2_EXACT == float(exact)
+        assert {c.exact for c in run_table(2).cells} == {_T2_EXACT}
+        # the log-space closed form 1/Gamma(3) - 3^102/Gamma(105) is two ulps high
+        closed = math.exp(-ln_gamma(3.0)) - math.exp(102 * math.log(3.0) - ln_gamma(105.0))
+        assert closed == _T2_EXACT + 2 * math.ulp(_T2_EXACT)
+
+
 class TestTableThreeReference:
-    """Table 3's reference, the 200-point spectral element, against an
-    independent value: scipy ``quad`` of the continuous density plus the
-    exact sum over the point masses.  The errors measured on the five rows
-    are 2.1e-15, 1.2e-15, 1.9e-14, 9.3e-13 and 2.0e-11, so the reference
-    loses accuracy as alpha grows; the first two are at the independent
-    value's own rounding.  Each row is pinned within about a factor of two."""
+    """Table 3's reference, the spectral element, against an independent
+    value: scipy ``quad`` of the continuous density plus the exact sum over
+    the point masses.  At the default 200 points the errors measured on the
+    five rows are 2.1e-15, 1.2e-15, 1.9e-14, 9.3e-13 and 2.0e-11, so the
+    reference loses accuracy as alpha grows; the first two are at the
+    independent value's own rounding.  At 400 points, past the size where
+    an unscaled first row underflows to an exact zero, all five are at that
+    rounding: 4.1e-15, 2.2e-16, 9.0e-16, 1.3e-15 and 8.1e-16.  Each row is
+    pinned within about a factor of two."""
+
+    @staticmethod
+    def _error(alpha_plus_mu: float, size: int) -> float:
+        mu = -3.5
+        alpha = alpha_plus_mu - mu
+        family = ContinuousDualHahn(mu, alpha, alpha)
+        spec = measure(family)
+        sigma = spec.continuous.density
+        integral, _ = quad(lambda x: sigma(x) * _t3_integrand(x * x), 0.0, math.inf,
+                           epsrel=1e-13, limit=200)
+        independent = integral + spec.discrete.weighted_sum(_t3_integrand)
+        reference = spectral_reference(family, _t3_integrand, size)
+        return abs(reference - independent) / abs(independent)
 
     @pytest.mark.parametrize("alpha_plus_mu, low, high", [
         (1.0, 0.0, 4e-15),
@@ -101,13 +138,14 @@ class TestTableThreeReference:
         (5.0, 1.5e-11, 3e-11),
     ])
     def test_error_against_quad_and_the_point_masses(self, alpha_plus_mu, low, high):
-        mu = -3.5
-        alpha = alpha_plus_mu - mu
-        family = ContinuousDualHahn(mu, alpha, alpha)
-        spec = measure(family)
-        sigma = spec.continuous.density
-        integral, _ = quad(lambda x: sigma(x) * _t3_integrand(x * x), 0.0, math.inf,
-                           epsrel=1e-13, limit=200)
-        independent = integral + spec.discrete.weighted_sum(_t3_integrand)
-        error = abs(spectral_reference(family, _t3_integrand) - independent) / abs(independent)
-        assert low <= error <= high
+        assert low <= self._error(alpha_plus_mu, 200) <= high
+
+    @pytest.mark.parametrize("alpha_plus_mu, low, high", [
+        (1.0, 2e-15, 8e-15),
+        (2.0, 1e-16, 4.5e-16),
+        (3.0, 4.5e-16, 1.8e-15),
+        (4.0, 6.5e-16, 2.6e-15),
+        (5.0, 4e-16, 1.6e-15),
+    ])
+    def test_error_at_400_points(self, alpha_plus_mu, low, high):
+        assert low <= self._error(alpha_plus_mu, 400) <= high
