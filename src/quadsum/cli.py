@@ -7,10 +7,11 @@ Subcommands:
   table  regenerate one of the bundled reference tables with pass/fail cells
 
 Exit codes: 0 ok, 1 tolerance failure in table mode, 2 usage or validation
-error, 3 numerical failure (an overflowing sum included), 4 the output could
-not be written (a full disk, a closed stdout, or a reader that went away,
-which alone exits with no message).  All reals are printed with 17
-significant digits, so identical invocations produce byte-identical output.
+error, 3 numerical failure (an overflowing sum included), 4 the output, help
+included, could not be written (a full disk, a closed stdout, or a reader
+that went away, which alone exits with no message).  All reals are printed
+with 17 significant digits, so identical invocations produce byte-identical
+output.
 
 The parsers are built once, at import, and ``main`` reuses them for every
 call: parsing leaves a parser unchanged (the ``--define`` list is copied
@@ -41,7 +42,7 @@ import functools
 import os
 import re
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TextIO
 
 from .apply import _STORE_SIZE, SPECTRAL_REFERENCE_SIZE, Functional, approximate
 from .errors import NumericalError, ValidationError
@@ -100,6 +101,19 @@ def _family_from_args(args: argparse.Namespace) -> tuple[FamilySpec, dict]:
     return FAMILIES[args.family](**params), params
 
 
+def _stdout() -> TextIO:
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
+    return sys.stdout
+
+
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        # argparse drops an OSError from writing the help; raise it, so that
+        # main reports it as a failed write of output
+        (file or _stdout()).write(self.format_help())
+
+
 def _formatter(prog: str) -> argparse.HelpFormatter:
     # A fixed width, so usage errors and --help wrap the same way on every
     # terminal; 78 is argparse's own width when COLUMNS is unset.
@@ -116,7 +130,7 @@ def _add_family_command(commands, name: str, summary: str) -> argparse.ArgumentP
 
 
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadsum",
         description="Gauss quadrature rules for integrals, sums, and mixed measures.",
         formatter_class=_formatter,
@@ -319,10 +333,13 @@ def _drop_stdout() -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        code = _prepared(tuple(sys.argv[1:] if argv is None else argv))()
-        if sys.stdout is None:
-            raise OSError("stdout is closed")
-        sys.stdout.flush()  # a write that fails only when flushed fails here
+        try:
+            code = _prepared(tuple(sys.argv[1:] if argv is None else argv))()
+        except SystemExit as exc:
+            if exc.code == 0:  # --help was written to stdout
+                _stdout().flush()
+            raise
+        _stdout().flush()  # a write that fails only when flushed fails here
         return code
     except (ValidationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

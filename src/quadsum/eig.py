@@ -21,6 +21,12 @@ orthogonally similar to J (up to rounding), so it is at most ||J||_2 <= G
 in size, and a larger off-diagonal cannot pass |e_i| <= eps (|d_i| +
 |d_{i+1}|).  And first-row mode skips rotations of the row's tail that is
 still exactly zero.
+
+Each sweep runs as two loops of the same rotation, split where that zero
+tail begins: the first leaves the row alone (the whole sweep in values
+mode), the second rotates it.  So no rotation tests which part it is in,
+and both loops carry i + 1, and the second the row entry it moves down, in
+locals instead of indexing for them again.
 """
 
 from __future__ import annotations
@@ -97,6 +103,12 @@ def _ql_implicit(d: list[float], e: list[float], row: list[float] | None) -> Non
     and ``decompose`` raises on it either way.  Both savings assume that no
     sweep quantity overflows, which holds for G below ``_NORM_MAX``; above it
     every test and rotation runs.
+
+    A sweep runs i from m - 1 down to l, with k = i + 1, in two loops: over
+    i > top it rotates d and e only, then over i <= top it also rotates the
+    row.  The second loop keeps the new row[k] in ``y`` and writes it when
+    it moves on, or when a rotation underflows to zero and the sweep
+    breaks, so each rotation reads one row entry and writes one.
     """
     n = len(d)
     hypot, copysign, eps = math.hypot, math.copysign, _EPS
@@ -131,17 +143,17 @@ def _ql_implicit(d: list[float], e: list[float], row: list[float] | None) -> Non
             s = c = 1.0
             p = 0.0
             start = m
-            dn = d[m]  # d[i + 1] as it was before this sweep
-            for i in range(m - 1, l - 1, -1):
+            dn = d[m]  # d[k] as it was before this sweep
+            k = m  # i + 1
+            h = 1.0  # nonzero until a rotation underflows
+            # Two loops of the same rotation; only the second rotates the row.
+            for i in range(m - 1, top if top >= l else l - 1, -1):
                 ei = e[i]
                 f = s * ei
                 b = c * ei
                 h = hypot(f, g)
-                e[i + 1] = h
+                e[k] = h
                 if h == 0.0:
-                    d[i + 1] = dn - p
-                    e[m] = 0.0
-                    start = 0
                     break
                 s = f / h
                 c = g / h
@@ -149,19 +161,43 @@ def _ql_implicit(d: list[float], e: list[float], row: list[float] | None) -> Non
                 dn = d[i]
                 r = (dn - g) * s + 2.0 * c * b
                 p = s * r
-                d[i + 1] = g + p
+                d[k] = g + p
                 g = c * r - b
-                if h <= cutoff and i < m - 1 and h <= eps * (abs(d[i + 1]) + abs(d[i + 2])):
-                    start = i + 1
-                if i <= top:
+                if h <= cutoff and k < m and h <= eps * (abs(d[k]) + abs(d[k + 1])):
+                    start = k
+                k = i
+            if h and k > l:  # the first loop stopped at top + 1
+                y = row[k]
+                for i in range(k - 1, l - 1, -1):
+                    ei = e[i]
+                    f = s * ei
+                    b = c * ei
+                    h = hypot(f, g)
+                    e[k] = h
+                    if h == 0.0:
+                        break
+                    s = f / h
+                    c = g / h
+                    g = dn - p
+                    dn = d[i]
+                    r = (dn - g) * s + 2.0 * c * b
+                    p = s * r
+                    d[k] = g + p
+                    g = c * r - b
+                    if h <= cutoff and k < m and h <= eps * (abs(d[k]) + abs(d[k + 1])):
+                        start = k
                     x = row[i]
-                    f = row[i + 1]
-                    row[i + 1] = s * x + c * f
-                    row[i] = c * x - s * f
-            else:
+                    row[k] = s * x + c * y
+                    y = c * x - s * y
+                    k = i
+                row[k] = y
+            e[m] = 0.0
+            if h:
                 d[l] -= p
                 e[l] = g
-                e[m] = 0.0
+            else:  # the rotation at k - 1 underflowed to zero
+                d[k] = dn - p
+                start = 0
             if l <= top < m:
                 top += 1
 

@@ -720,7 +720,7 @@ class TestCommandLineStore:
             quadsum.cli._prepared.cache_clear()
             miss = _outcome(capsys, argv)
             stored = quadsum.cli._prepared.cache_info().currsize == 1
-            assert stored or miss[0] != 0
+            assert stored or miss[0] != 0 or "--help" in argv
             del preparing_calls[:]
             assert (argv, _outcome(capsys, argv)) == (argv, miss)
             if stored:  # the hit prepared nothing
@@ -1059,6 +1059,45 @@ class TestOutputFailure:
                                         stderr=subprocess.PIPE, timeout=120)
             assert (failed.returncode, failed.stderr) == (
                 4, b"error: cannot write output: [Errno 28] No space left on device\n")
+
+
+_HELP_CASES = (("--help",), ("rule", "--help"))
+
+
+class TestHelpOutputFailure:
+    """--help written to a working stdout exits 0 with argparse's help
+    bytes; help that cannot be written exits 4, as any other output does."""
+
+    @pytest.mark.parametrize("argv", _HELP_CASES, ids=" ".join)
+    def test_help_exits_0(self, capsys, argv):
+        parser = quadsum.cli._COMMANDS.get(argv[0], quadsum.cli._PARSER)
+        assert _exit_output(capsys, argv) == (0, parser.format_help(), "")
+
+    # argparse drops an error from writing the help, which is where an
+    # unbuffered stdout fails; a buffered one fails at the flush after it
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize("argv", _HELP_CASES, ids=" ".join)
+    def test_full_device(self, capsys, monkeypatch, argv, method):
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(method, _ENOSPC))
+        assert main(list(argv)) == 4
+        assert capsys.readouterr().err == (
+            "error: cannot write output: [Errno 28] No space left on device\n")
+
+    def test_closed_stdout(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["--help"]) == 4
+        assert capsys.readouterr().err == "error: cannot write output: stdout is closed\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_fresh_process_to_dev_full(self, unbuffered):
+        src = str(Path(quadsum.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        with open("/dev/full", "wb") as full:
+            failed = subprocess.run([sys.executable, "-m", "quadsum", "rule", "--help"], env=env,
+                                    stdout=full, stderr=subprocess.PIPE, timeout=120)
+        assert (failed.returncode, failed.stderr) == (
+            4, b"error: cannot write output: [Errno 28] No space left on device\n")
 
 
 def test_readme_cli_examples_exit_0(capsys):

@@ -434,6 +434,25 @@ class TestKernelMatchesReference:
         row = _start_row(n, mode, 0 if start % 2 else start % n)
         _assert_kernel_matches_reference(j.diag.tolist(), j.offdiag.tolist(), row)
 
+    # The orders rule_sweep runs, which the strategy above never reaches: a
+    # rule at up to N = 300, the row started as decompose starts it, and
+    # nodes only at N = 800.
+    @pytest.mark.parametrize(
+        "spec,n,mode",
+        [
+            (Charlier(2.0), 300, "first_row"),
+            (Meixner(2.0, 0.4), 300, "first_row"),
+            (Krawtchouk(400, 0.3), 300, "first_row"),
+            (ContinuousDualHahn(1.5, 2.0, 3.0), 300, "first_row"),
+            (Wilson(1.0, 1.2, 1.5, 2.0), 300, "first_row"),
+            (Charlier(2.0), 800, "values"),
+        ],
+    )
+    def test_large_orders(self, spec, n, mode):
+        j = build(recurrence(spec), n)
+        row = None if mode == "values" else [2.0**eig._ROW_EXP] + [0.0] * (n - 1)
+        _assert_kernel_matches_reference(j.diag.tolist(), j.offdiag.tolist(), row)
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         matrix=_random_tridiagonals(),
@@ -447,6 +466,9 @@ class TestKernelMatchesReference:
     @example(matrix=_INTERIOR_SPLIT, mode="first_row", start=0, cap=1)
     @example(matrix=_BORDERLINE_SPLIT, mode="values", start=0, cap=None)
     @example(matrix=_UNDERFLOW, mode="first_row", start=0, cap=None)
+    # the break at i = 1 where the sweep also rotates the row (top >= 1)
+    @example(matrix=_UNDERFLOW, mode="first_row", start=4, cap=None)
+    @example(matrix=_UNDERFLOW, mode="first_row", start=2, cap=None)
     @example(matrix=_NEAR_OVERFLOW, mode="first_row", start=1, cap=None)
     def test_random_tridiagonals(self, matrix, mode, start, cap):
         diag, offdiag = matrix
