@@ -24,7 +24,9 @@ import numpy as np
 
 from . import eig
 from .errors import NumericalError, ValidationError
-from .families import FAMILIES, FamilySpec, MeasureSpec, measure, recurrence, require_count
+from .families import (
+    FAMILIES, FamilySpec, MeasureSpec, finite_fsum, measure, recurrence, require_count,
+)
 from .jacobi import JacobiMatrix, build
 from .rule import QuadratureRule, derivative_weights, gauss_rule
 
@@ -81,13 +83,7 @@ def _node_sum(
         if not math.isfinite(fx):
             raise NumericalError(f"integrand is not finite at node {x!r}")
         terms.append(w * fx)
-    try:
-        total = math.fsum(terms)
-    except (OverflowError, ValueError):  # ValueError: inf - inf from overflowed terms
-        total = math.inf
-    if not math.isfinite(total):
-        raise NumericalError("quadrature sum overflows the float range")
-    return total
+    return finite_fsum(terms, "quadrature sum")
 
 
 # The most entries each per-process store keeps, here and in ``cli.main``:
@@ -174,7 +170,7 @@ def matrix_function_element(j: JacobiMatrix, f: Callable[[float], float]) -> flo
         if not math.isfinite(fe):
             raise NumericalError(f"f is not finite at eigenvalue {eps!r}")
         values.append(l * fe * l)
-    return math.fsum(values)
+    return finite_fsum(values, "spectral sum")
 
 
 def spectral_reference(

@@ -213,7 +213,19 @@ def decompose(j: JacobiMatrix, mode: str = "values") -> EigenDecomposition:
     d = j.diag.tolist()
     e = j.offdiag.tolist() + [0.0]
     row = None if mode == "values" else [2.0**_ROW_EXP] + [0.0] * (len(d) - 1)
+    # Entries below 2^998 keep the Gershgorin bound below _NORM_MAX; larger
+    # ones are scaled by a power of two to below 2^997 and the eigenvalues
+    # scaled back, which leaves the first row as it is.
+    scale = max(math.frexp(max(map(abs, d)))[1], math.frexp(max(map(abs, e)))[1]) - 997
+    if scale > 1:
+        d = [math.ldexp(x, -scale) for x in d]
+        e = [math.ldexp(x, -scale) for x in e]
     _ql_implicit(d, e, row)
+    if scale > 1:
+        try:
+            d = [math.ldexp(x, scale) for x in d]
+        except OverflowError:
+            raise NumericalError("an eigenvalue overflows the float range") from None
     d = np.array(d)
     order = np.argsort(d, kind="stable")
     d = d[order]

@@ -94,6 +94,18 @@ def _finite_term(term: float, x: float) -> float:
     return term
 
 
+def finite_fsum(terms: list[float], what: str) -> float:
+    """math.fsum of finite terms; a total beyond the float range raises
+    NumericalError(f"{what} overflows the float range")."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # ValueError: inf - inf from overflowed terms
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericalError(f"{what} overflows the float range")
+    return total
+
+
 @dataclass(frozen=True)
 class DiscretePart:
     """Point masses xi_k = mass_at(k) at x_k = point_at(k), for k < size or,
@@ -127,7 +139,8 @@ class DiscretePart:
                 raise NumericalError(f"discrete mass xi_{k} = {xi!r} is not positive")
         if any(points[k] >= points[k + 1] for k in range(self.size - 1)):
             raise NumericalError("discrete points are not strictly increasing")
-        return math.fsum(_finite_term(xi * f(x), x) for x, xi in zip(points, masses))
+        terms = [_finite_term(xi * f(x), x) for x, xi in zip(points, masses)]
+        return finite_fsum(terms, "weighted sum")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,9 @@ spectral reference values over a grid of orders and family parameters:
      reference is accurate to a relative 2e-15 at alpha+mu = 1 and 2, and
      to 2e-14, 9e-13 and 2e-11 at alpha+mu = 3, 4 and 5.
 
+Each table is one record in ``_TABLES`` (see there), and ``run_table`` runs
+every record through one loop over its rows and orders.
+
 Each grid cell records the published relative error alongside the one
 computed here.  A cell passes if the computed error is within a factor of
 five of the published one, or if both computations have hit their
@@ -44,8 +47,6 @@ __all__ = ["TableCell", "TableReport", "run_table", "cell_passes", "TABLE_NUMBER
 BAND_FACTOR = 5.0
 COMPUTED_FLOOR = 1e-12
 PUBLISHED_FLOOR_CEILING = 1e-10
-
-TABLE_NUMBERS = (1, 2, 3)
 
 _T1_N = (2, 4, 7, 10, 15)
 _T1_EXACT = math.exp(3.0)  # e^3 rounded to a double
@@ -143,21 +144,46 @@ def _t3_integrand(y: float) -> float:
     return y**3 * math.exp(-0.5 * y)
 
 
-def _grid(
-    table: int,
-    title: str,
-    n_values: tuple[int, ...],
-    rows,
-    family_of,
-    integrand,
-    kind: str,
-    exact_of,
-) -> TableReport:
+# Table -> (title, N values, rows, family of a row's params, integrand, kind,
+# exact value or None for the spectral reference).  run_table looks up
+# approximate and spectral_reference here when it runs, not in a record.
+_TABLES = {
+    1: ("relative error of the N-point approximation of the infinite sum "
+        "of 3^x/Gamma(x+1) (exact value e^3)", _T1_N, _T1_ROWS,
+        lambda p: Charlier(p["mu"]) if "beta" not in p else Meixner(p["mu"], p["beta"]),
+        _t1_integrand, "plain_sum", _T1_EXACT),
+    2: ("relative error of the N-point approximation of the finite sum "
+        "of (x+1) 3^{x+1}/Gamma(x+5), x = 0..100", _T2_N, _T2_ROWS,
+        lambda p: Krawtchouk(p["M"], p["gamma"]), _t2_integrand, "plain_sum", _T2_EXACT),
+    3: ("relative error of the N-point approximation of the mixed "
+        "integral-plus-sum of y^3 e^{-y/2} in the squared variable", _T3_N, _T3_ROWS,
+        lambda p: ContinuousDualHahn(p["mu"], p["alpha"], p["alpha"]),
+        _t3_integrand, "mixed", None),
+}
+TABLE_NUMBERS = tuple(_TABLES)
+
+
+def run_table(which: int, oracle_size: int = SPECTRAL_REFERENCE_SIZE) -> TableReport:
+    """Recompute one of the bundled reference tables.
+
+    ``oracle_size`` is the truncation used for the spectral reference of
+    table 3 (ignored by tables 1 and 2); table 3 requires an integer >= 1.
+    """
+    if (isinstance(which, bool) or not isinstance(which, numbers.Integral)
+            or which not in TABLE_NUMBERS):
+        raise ValidationError(f"unknown table {which!r}; expected one of {TABLE_NUMBERS}")
+    title, n_values, rows, family_of, integrand, kind, table_exact = _TABLES[which]
+    if table_exact is None and (
+        isinstance(oracle_size, bool)
+        or not (isinstance(oracle_size, numbers.Integral) and oracle_size >= 1)
+    ):
+        raise ValidationError(f"table {which} requires oracle_size >= 1, got {oracle_size!r}")
     cells = []
     for label, params, published_row in rows:
         try:
             family = family_of(params)
-            exact = exact_of(family)
+            exact = (table_exact if table_exact is not None
+                     else spectral_reference(family, integrand, oracle_size))
         except (ValidationError, NumericalError) as exc:
             for n, published in zip(n_values, published_row):
                 cells.append(TableCell(label, params, n, None, None, None,
@@ -172,56 +198,4 @@ def _grid(
             except (ValidationError, NumericalError) as exc:
                 cells.append(TableCell(label, params, n, None, exact, None,
                                        published, False, error=str(exc)))
-    return TableReport(table, title, n_values, tuple(cells))
-
-
-def run_table(which: int, oracle_size: int = SPECTRAL_REFERENCE_SIZE) -> TableReport:
-    """Recompute one of the bundled reference tables.
-
-    ``oracle_size`` is the truncation used for the spectral reference of
-    table 3 (ignored by tables 1 and 2); table 3 requires an integer >= 1.
-    """
-    if (isinstance(which, bool) or not isinstance(which, numbers.Integral)
-            or which not in TABLE_NUMBERS):
-        raise ValidationError(f"unknown table {which!r}; expected one of {TABLE_NUMBERS}")
-    if which == 3 and (
-        isinstance(oracle_size, bool)
-        or not (isinstance(oracle_size, numbers.Integral) and oracle_size >= 1)
-    ):
-        raise ValidationError(f"table 3 requires oracle_size >= 1, got {oracle_size!r}")
-    if which == 1:
-        return _grid(
-            1,
-            "relative error of the N-point approximation of the infinite sum "
-            "of 3^x/Gamma(x+1) (exact value e^3)",
-            _T1_N,
-            _T1_ROWS,
-            lambda p: Charlier(p["mu"]) if "beta" not in p
-            else Meixner(p["mu"], p["beta"]),
-            _t1_integrand,
-            "plain_sum",
-            lambda family: _T1_EXACT,
-        )
-    if which == 2:
-        return _grid(
-            2,
-            "relative error of the N-point approximation of the finite sum "
-            "of (x+1) 3^{x+1}/Gamma(x+5), x = 0..100",
-            _T2_N,
-            _T2_ROWS,
-            lambda p: Krawtchouk(p["M"], p["gamma"]),
-            _t2_integrand,
-            "plain_sum",
-            lambda family: _T2_EXACT,
-        )
-    return _grid(
-        3,
-        "relative error of the N-point approximation of the mixed "
-        "integral-plus-sum of y^3 e^{-y/2} in the squared variable",
-        _T3_N,
-        _T3_ROWS,
-        lambda p: ContinuousDualHahn(p["mu"], p["alpha"], p["alpha"]),
-        _t3_integrand,
-        "mixed",
-        lambda family: spectral_reference(family, _t3_integrand, oracle_size),
-    )
+    return TableReport(int(which), title, n_values, tuple(cells))

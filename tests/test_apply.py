@@ -444,6 +444,20 @@ class TestMatrixElement:
         j = build(recurrence(Charlier(2.0)), 5)
         assert matrix_function_element(j, lambda t: t * t) == pytest.approx(6.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "family,kind",
+        [(Charlier(2.0), "weighted_sum"), (ContinuousDualHahn(-3.5, 4.5, 4.5), "mixed")],
+    )
+    def test_overflowing_sum_is_numerical_failure(self, family, kind):
+        # every term l f l is finite, and fsum's running sum overflows, as
+        # approximate's node sum does for the same integrand
+        f = lambda y: 1.7976931348623157e308
+        with pytest.raises(NumericalError) as exc:
+            spectral_reference(family, f, 10)
+        assert str(exc.value) == "spectral sum overflows the float range"
+        with pytest.raises(NumericalError, match="quadrature sum overflows"):
+            approximate(Functional(kind, f, family, 10))
+
 
 class TestRelativeError:
     def test_equal(self):

@@ -75,6 +75,37 @@ class TestSmallCases:
         assert eps[0] < hat[0] < eps[1]
 
 
+class TestNearFloatLimit:
+    """Matrices whose Gershgorin bound reaches 2^1000 are scaled by a power
+    of two for the sweep, so their eigenvalues come out right."""
+
+    def test_two_by_two(self):
+        # eigenvalues +-sqrt(2) 1e308; unscaled, eps (|d_0| + |d_1|)
+        # overflows and the split test passes at once
+        j = JacobiMatrix([1e308, -1e308], [1e308])
+        for mode in _MODES:
+            assert decompose(j, mode=mode).eigenvalues.tolist() == pytest.approx(
+                [-1.4142135623730951e308, 1.4142135623730951e308], rel=4 * _EPS
+            )
+        assert decompose(j, mode="first_row").first_components.tolist() == pytest.approx(
+            [math.sin(math.pi / 8), math.cos(math.pi / 8)], rel=4 * _EPS
+        )
+
+    def test_three_by_three(self):
+        # eigenvalues 0 and +-sqrt(a^2 + 2 b^2); unscaled, a ConvergenceError
+        a, b = 1e307, 8e307
+        values = eigenvalues(JacobiMatrix([a, 0.0, -a], [b, b])).tolist()
+        top = math.sqrt(129.0) * 1e307
+        assert [values[0], values[2]] == pytest.approx([-top, top], rel=4 * _EPS)
+        assert abs(values[1]) <= 8 * _EPS * top
+
+    @pytest.mark.parametrize("mode", ["values", "first_row"])
+    def test_eigenvalue_beyond_float_range(self, mode):
+        with pytest.raises(NumericalError) as exc:
+            decompose(JacobiMatrix([1.7e308, -1.7e308], [1.7e308]), mode=mode)
+        assert str(exc.value) == "an eigenvalue overflows the float range"
+
+
 class TestAgainstNumpy:
     @pytest.mark.parametrize("n", [3, 10, 40])
     def test_random_matrices(self, n):

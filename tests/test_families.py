@@ -468,6 +468,19 @@ class TestTruncationPolicy:
         with pytest.raises(NumericalError, match="point 2.0"):
             d.weighted_sum(f)
 
+    def test_overflowing_sum_is_numerical_failure(self):
+        # every term xi f(x) is finite, and fsum's running sum overflows
+        d = measure(Krawtchouk(5, 0.5)).discrete
+        with pytest.raises(NumericalError) as exc:
+            d.weighted_sum(lambda x: 1.7976931348623157e308)
+        assert str(exc.value) == "weighted sum overflows the float range"
+
+    def test_integrand_errors_pass_through(self):
+        # an integrand's own OverflowError is not read as an overflowing sum
+        d = measure(Krawtchouk(5, 0.5)).discrete
+        with pytest.raises(OverflowError, match="math range error"):
+            d.weighted_sum(lambda x: math.exp(1000.0))
+
 
 class TestEvalPoly:
     def test_degree_zero(self):

@@ -1,5 +1,6 @@
 """Tests for the bundled reference tables and the cell tolerance policy."""
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import quadsum.tables
 from quadsum.apply import relative_error, spectral_reference
-from quadsum.errors import ValidationError
-from quadsum.families import ContinuousDualHahn, measure
+from quadsum.errors import NumericalError, ValidationError
+from quadsum.families import ContinuousDualHahn, Meixner, measure
 from quadsum.special import ln_gamma
 from quadsum.tables import _T1_EXACT, _T2_EXACT, _t3_integrand, cell_passes, run_table
 
@@ -86,6 +88,42 @@ class TestRunTable:
     def test_oracle_size_ignored_by_tables_one_and_two(self):
         assert run_table(1, oracle_size=0).passed
         assert run_table(2, oracle_size=0).passed
+
+    def test_a_failing_reference_fails_its_whole_row(self):
+        # at 500 points each row's first eigenvector row has an exact zero
+        report = run_table(3, oracle_size=500)
+        assert not report.passed
+        assert len(report.cells) == 25
+        for cell in report.cells:
+            assert not cell.passed
+            assert (cell.approx, cell.exact, cell.rel_error) == (None, None, None)
+            assert re.fullmatch(
+                r"eigenvector with exactly zero first component at index \d+; "
+                r"matrix is numerically reducible",
+                cell.error,
+            )
+
+    def test_a_failing_approximation_fails_its_cell_only(self, monkeypatch):
+        healthy = run_table(1)
+        approximate = quadsum.tables.approximate
+
+        def failing(fn):
+            if fn.order == 10 and fn.family == Meixner(2.0, 0.4):
+                raise NumericalError("quadrature sum overflows the float range")
+            return approximate(fn)
+
+        monkeypatch.setattr(quadsum.tables, "approximate", failing)
+        report = run_table(1)
+        assert not report.passed
+        for before, after in zip(healthy.cells, report.cells, strict=True):
+            if (after.label, after.n) != ("meixner beta=0.4", 10):
+                assert after == before
+                continue
+            assert after == dataclasses.replace(
+                before, approx=None, rel_error=None, passed=False,
+                error="quadrature sum overflows the float range",
+            )
+            assert after.exact == _T1_EXACT
 
 
 class TestExactValues:
