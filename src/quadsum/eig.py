@@ -12,15 +12,19 @@ numpy arrays: reading and writing numpy elements one at a time boxes every
 value into a numpy scalar, which makes the loop about 4x slower, while the
 same IEEE double operations on Python floats return the same bits.
 
+``decompose`` scales a matrix with an entry of 2^998 or more by a power of
+two, so the kernel sees entries below 2^998 only, and G = max|d| +
+2 max|e|, a bound on ||J||_2, stays below 3 * 2^998 < 2^1000: no sweep
+quantity overflows.
+
 Three savings in the sweep leave every bit of d and e, and of each nonzero
 row entry, as the plain sweep computes them.  A sweep tests each
 off-diagonal it finishes for a split, so the next sweep need not rescan for
-one.  Those tests run only on off-diagonals below 4 eps G, G the Gershgorin
-bound of the input: every diagonal a sweep writes is one of a matrix
-orthogonally similar to J (up to rounding), so it is at most ||J||_2 <= G
-in size, and a larger off-diagonal cannot pass |e_i| <= eps (|d_i| +
-|d_{i+1}|).  And first-row mode skips rotations of the row's tail that is
-still exactly zero.
+one.  Those tests run only on off-diagonals below 4 eps G: every diagonal a
+sweep writes is one of a matrix orthogonally similar to J (up to rounding),
+so it is at most ||J||_2 <= G in size, and a larger off-diagonal cannot
+pass |e_i| <= eps (|d_i| + |d_{i+1}|).  And first-row mode skips rotations
+of the row's tail that is still exactly zero.
 
 Each sweep runs as two loops of the same rotation, split where that zero
 tail begins: the first leaves the row alone (the whole sweep in values
@@ -48,8 +52,6 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _MAX_SWEEPS = 50
-# Largest Gershgorin bound for which no sweep quantity can overflow.
-_NORM_MAX = 2.0**1000
 # The first row starts as 2^1000 e_0 and keeps that norm, so no entry
 # overflows, and tail entries stay nonzero down to 2^-2074, not 2^-1074.
 _ROW_EXP = 1000
@@ -101,8 +103,8 @@ def _ql_implicit(d: list[float], e: list[float], row: list[float] | None) -> Non
     product changes nothing, so every nonzero entry keeps its bits; an
     entry still zero at the end may read 0.0 where the plain sweep has -0.0,
     and ``decompose`` raises on it either way.  Both savings assume that no
-    sweep quantity overflows, which holds for G below ``_NORM_MAX``; above it
-    every test and rotation runs.
+    sweep quantity overflows: every entry must be below 2^998, as
+    ``decompose`` ensures.
 
     A sweep runs i from m - 1 down to l, with k = i + 1, in two loops: over
     i > top it rotates d and e only, then over i <= top it also rotates the
@@ -112,14 +114,10 @@ def _ql_implicit(d: list[float], e: list[float], row: list[float] | None) -> Non
     """
     n = len(d)
     hypot, copysign, eps = math.hypot, math.copysign, _EPS
-    off = [0.0, *map(abs, e[: n - 1]), 0.0]
-    norm = max((abs(a) + lo + hi for a, lo, hi in zip(d, off, off[1:])), default=0.0)
-    bounded = norm < _NORM_MAX
-    cutoff = 4.0 * eps * norm if bounded else math.inf
+    cutoff = 4.0 * eps * (max(map(abs, d)) + 2.0 * max(map(abs, e)))
     top = -1 if row is None else n - 1
-    if bounded and top > 0:
-        while top > 0 and row[top] == 0.0:
-            top -= 1
+    while top > 0 and row[top] == 0.0:
+        top -= 1
     start = 0
     for l in range(n):
         sweeps = 0
@@ -213,9 +211,9 @@ def decompose(j: JacobiMatrix, mode: str = "values") -> EigenDecomposition:
     d = j.diag.tolist()
     e = j.offdiag.tolist() + [0.0]
     row = None if mode == "values" else [2.0**_ROW_EXP] + [0.0] * (len(d) - 1)
-    # Entries below 2^998 keep the Gershgorin bound below _NORM_MAX; larger
-    # ones are scaled by a power of two to below 2^997 and the eigenvalues
-    # scaled back, which leaves the first row as it is.
+    # The kernel needs every entry below 2^998 (see the module docstring);
+    # larger ones are scaled by a power of two to below 2^997 and the
+    # eigenvalues scaled back, which leaves the first row as it is.
     scale = max(math.frexp(max(map(abs, d)))[1], math.frexp(max(map(abs, e)))[1]) - 997
     if scale > 1:
         d = [math.ldexp(x, -scale) for x in d]

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import oracles
 from oracles import (
@@ -76,8 +77,9 @@ class TestSmallCases:
 
 
 class TestNearFloatLimit:
-    """Matrices whose Gershgorin bound reaches 2^1000 are scaled by a power
-    of two for the sweep, so their eigenvalues come out right."""
+    """Matrices with an entry of 2^998 or more are scaled by a power of two
+    for the sweep, so their eigenvalues come out right; that scaling is the
+    kernel's one overflow guard."""
 
     def test_two_by_two(self):
         # eigenvalues +-sqrt(2) 1e308; unscaled, eps (|d_0| + |d_1|)
@@ -100,10 +102,51 @@ class TestNearFloatLimit:
         assert abs(values[1]) <= 8 * _EPS * top
 
     @pytest.mark.parametrize("mode", ["values", "first_row"])
+    def test_four_by_four_against_scipy(self, mode):
+        # unscaled, sweep quantities overflow to inf and NaN; scipy runs on
+        # the matrix scaled by 2^-16, which is exact
+        d, e = [0.0, 5e307, -2e307, -4e307], [-8e307, -3e307, -9e307]
+        values, vectors = eigh_tridiagonal(np.ldexp(d, -16), np.ldexp(e, -16))
+        values = np.ldexp(values, 16)
+        dec = decompose(JacobiMatrix(d, e), mode=mode)
+        top = np.max(np.abs(values))
+        assert np.max(np.abs(dec.eigenvalues - values)) <= 4 * _EPS * top
+        if mode == "first_row":
+            assert np.max(np.abs(dec.first_components - np.abs(vectors[0]))) <= 4 * _EPS
+
+    @pytest.mark.parametrize("mode", ["values", "first_row"])
     def test_eigenvalue_beyond_float_range(self, mode):
         with pytest.raises(NumericalError) as exc:
             decompose(JacobiMatrix([1.7e308, -1.7e308], [1.7e308]), mode=mode)
         assert str(exc.value) == "an eigenvalue overflows the float range"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), mode=st.sampled_from(["values", "first_row"]))
+    def test_kernel_input_is_in_range(self, data, mode):
+        # the kernel's one overflow guard is decompose's scaling: every
+        # matrix it hands the kernel has max|d| + 2 max|e| below 2^1000
+        n = data.draw(st.integers(1, 8))
+        entry = st.one_of(
+            st.floats(-1.7e308, 1.7e308), st.floats(-1e-300, 1e-300), st.just(0.0)
+        )
+        j = JacobiMatrix(
+            data.draw(st.lists(entry, min_size=n, max_size=n)),
+            data.draw(st.lists(entry, min_size=n - 1, max_size=n - 1)),
+        )
+        seen = []
+
+        def kernel(d, e, row):
+            seen.append(max(map(abs, d)) + 2.0 * max(map(abs, e)))
+            return _ql_implicit(d, e, row)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(eig, "_ql_implicit", kernel)
+            try:
+                decompose(j, mode=mode)
+            except NumericalError:
+                pass
+        assert len(seen) == 1
+        assert seen[0] < 2.0**1000
 
 
 class TestAgainstNumpy:
@@ -310,9 +353,6 @@ _INTERIOR_SPLIT = ([-3.0, 0.0, -4.0], [2.0, 1e-12])
 _BORDERLINE_SPLIT = ([-4.0, 8.0, -1.0, -9.0], [1.0, 1.0, 3.0803399203573405e-15])
 # A sweep over [0, 4] underflows to a zero rotation at i = 1.
 _UNDERFLOW = ([0.0, 1e-320, 1e-320, 1e-320, 1e-320], [1e-320, 1e-310, 1e-310, 1.0])
-# Sweep quantities overflow to inf and NaN, which the norm cutoff and the
-# zero-tail skip do not cover.
-_NEAR_OVERFLOW = ([0.0, 5e307, -2e307, -4e307], [-8e307, -3e307, -9e307])
 
 
 def _start_row(n: int, mode: str, k: int = 0) -> list[float] | None:
@@ -500,7 +540,6 @@ class TestKernelMatchesReference:
     # the break at i = 1 where the sweep also rotates the row (top >= 1)
     @example(matrix=_UNDERFLOW, mode="first_row", start=4, cap=None)
     @example(matrix=_UNDERFLOW, mode="first_row", start=2, cap=None)
-    @example(matrix=_NEAR_OVERFLOW, mode="first_row", start=1, cap=None)
     def test_random_tridiagonals(self, matrix, mode, start, cap):
         diag, offdiag = matrix
         row = _start_row(len(diag), mode, start % len(diag))

@@ -5,11 +5,12 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 
 import quadsum.apply
 from oracles import eval_poly, finite_support, truncated_sum
@@ -527,6 +528,85 @@ class TestOrthonormality:
                     for x, xi in zip(points, masses)
                 )
                 assert s == pytest.approx(1.0 if n == m else 0.0, abs=1e-10)
+
+
+# Meixner and Wilson sets, with Wilson's special-cased s = mu + nu + alpha
+# + beta = 1 and s = 2 (its a_0 and b_0 formulas) last.  Meixner(0.7, 0.8)
+# needs 800 terms: at 200 the omitted tail of beta^k still weighs 7.0e-8.
+_GRAM_SETS = [
+    (Meixner(2.0, 0.4), 200),
+    (Meixner(0.7, 0.8), 800),
+    (Wilson(0.5, 1.0, 1.5, 2.0), None),
+    (Wilson(-3.5, 4.5, 5.5, 6.5), None),
+    (Wilson(-0.5, 1.0, 1.2, 1.4), None),
+    (Wilson(1.0, 1.2, 1.5, 2.0), None),
+    (Wilson(0.25, 0.25, 0.25, 0.25), None),
+    (Wilson(0.5, 0.5, 0.5, 0.5), None),
+]
+
+
+def _gram(spec, terms=None, degree=5) -> np.ndarray:
+    """G_{nm} = integral of p_n p_m against the family's measure, n, m <=
+    degree: scipy ``quad_vec`` of the continuous density in the squared
+    variable, plus ``weighted_sum`` over a finite discrete part or
+    ``truncated_sum`` of ``terms`` terms over an infinite one."""
+    stream = recurrence(spec)
+    ms = measure(spec)
+    g = np.zeros((degree + 1, degree + 1))
+    if ms.continuous is not None:
+        sigma = ms.continuous.density
+
+        def integrand(x):
+            p = np.array([eval_poly(stream, n, x * x) for n in range(degree + 1)])
+            return sigma(x) * np.outer(p, p)
+
+        g += quad_vec(integrand, 0.0, math.inf, epsabs=1e-15, epsrel=1e-13)[0]
+    if ms.discrete is not None:
+        d = ms.discrete
+        for n in range(degree + 1):
+            for m in range(degree + 1):
+                def f(y, n=n, m=m):
+                    return eval_poly(stream, n, y) * eval_poly(stream, m, y)
+                g[n, m] += d.weighted_sum(f) if d.finite else truncated_sum(d, f, terms)
+    return g
+
+
+def _wilson_density_mp(spec, x):
+    """The Wilson weight function (Koekoek, Lesky & Swarttouw 2010, sec.
+    9.1), normalized to unit mass, transcribed on mpmath.gamma."""
+    mu, nu, al, be = map(mpmath.mpf, (spec.mu, spec.nu, spec.alpha, spec.beta))
+    g, ix = mpmath.gamma, 1j * mpmath.mpf(x)
+    front = g(mu + nu + al + be) / (
+        2 * mpmath.pi * g(mu + nu) * g(al + be) * g(mu + al) * g(mu + be) * g(nu + al) * g(nu + be)
+    )
+    return front * abs(g(mu + ix) * g(nu + ix) * g(al + ix) * g(be + ix) / g(2 * ix)) ** 2
+
+
+class TestGramMatrix:
+    """Each family's measure integrated against its own recurrence: the
+    Gram matrix of p_0..p_5 is the identity (measured |G - I| at most
+    6.3e-14 on every set here)."""
+
+    @pytest.mark.parametrize("spec, terms", _GRAM_SETS, ids=repr)
+    def test_gram_matrix_is_identity(self, spec, terms):
+        assert np.max(np.abs(_gram(spec, terms) - np.eye(6))) <= 1e-13
+
+    def test_short_meixner_truncation_shows(self):
+        # the same sum cut at the default 200 terms misses 7.0e-8 of G
+        defect = np.max(np.abs(_gram(Meixner(0.7, 0.8), 200) - np.eye(6)))
+        assert 5e-8 <= defect <= 1e-7
+
+    @pytest.mark.parametrize(
+        "spec", [spec for spec, _ in _GRAM_SETS if spec.kind == "wilson"], ids=repr
+    )
+    def test_wilson_density_matches_mpmath(self, spec):
+        # relative error grows with x as the log-space density's terms do:
+        # measured at most 1.3e-12 at x = 40
+        sigma = measure(spec).continuous.density
+        with mpmath.workdps(30):
+            for x in (0.01, 0.1, 0.5, 1.0, 2.0, 3.7, 5.0, 10.0, 20.0, 40.0):
+                ref = _wilson_density_mp(spec, x)
+                assert float(abs(sigma(x) - ref) / ref) <= 2e-12
 
 
 class TestCustom:
