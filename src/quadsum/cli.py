@@ -28,9 +28,9 @@ option they abbreviate.
 
 ``main`` keeps the last 256 commands it prepared (``apply._STORE_SIZE``,
 the bound of ``approximate``'s store too; least recently used out first),
-keyed by argv: a ``rule`` with its computed rule, a ``sum`` with its family
-and compiled integrand, a ``table`` with its arguments.  A repeated call
-still formats its output, and runs its node sum or table, every time.  An
+keyed by argv: a ``rule`` or a ``table`` with its exit code and output text,
+a ``sum`` with its family and compiled integrand, so a repeated ``sum`` runs
+its node sum every time and no store keeps a value of the integrand.  An
 error, a usage error or --help is never stored.  ``python -m quadsum`` runs ``main`` from a source checkout.
 """
 
@@ -247,21 +247,18 @@ def _parse_defines(defines: Sequence[str]) -> dict[str, str]:
     return values
 
 
-def _run_rule(fmt: str, head: dict, rule: QuadratureRule) -> int:
+def _run_rule(fmt: str, head: dict, rule: QuadratureRule) -> tuple[int, str]:
     nodes, weights = rule.nodes.tolist(), rule.weights.tolist()
     if fmt == "json":
         # _fmt_json's bytes, with each float list formatted in one join
         head = _fmt_json(head)[:-1]
-        print(f'{head}, "nodes": [{", ".join(map(_fmt, nodes))}], '
-              f'"weights": [{", ".join(map(_fmt, weights))}]}}')
-    else:
-        print("\n".join(["node,weight", *map("{:.17g},{:.17g}".format, nodes, weights)]))
-    return _EXIT_OK
+        return _EXIT_OK, (f'{head}, "nodes": [{", ".join(map(_fmt, nodes))}], '
+                          f'"weights": [{", ".join(map(_fmt, weights))}]}}')
+    return _EXIT_OK, "\n".join(["node,weight", *map("{:.17g},{:.17g}".format, nodes, weights)])
 
 
-def _run_sum(kind: str, family: FamilySpec, ast: Expr, n: int) -> int:
-    print(_fmt(approximate(Functional(kind, lambda x: evaluate(ast, x), family, n))))
-    return _EXIT_OK
+def _run_sum(kind: str, family: FamilySpec, ast: Expr, n: int) -> tuple[int, str]:
+    return _EXIT_OK, _fmt(approximate(Functional(kind, lambda x: evaluate(ast, x), family, n)))
 
 
 # The output columns of a table cell: its TableCell fields in order, keyed
@@ -285,35 +282,37 @@ def _table_csv(report: TableReport) -> str:
     return "\n".join(lines)
 
 
-def _run_table(which: int, oracle_k: int, fmt: str) -> int:
+def _run_table(which: int, oracle_k: int, fmt: str) -> tuple[int, str]:
     report = run_table(which, oracle_size=oracle_k)
-    if fmt == "json":
-        doc = {
-            "table": report.table,
-            "title": report.title,
-            "n_values": list(report.n_values),
-            "pass": report.passed,
-            "cells": [{key: getattr(c, name) for key, name in _CELL_COLUMNS.items()}
-                      for c in report.cells],
-        }
-        print(_fmt_json(doc))
-    else:
-        print(_table_csv(report))
-    return _EXIT_OK if report.passed else _EXIT_TOLERANCE
+    code = _EXIT_OK if report.passed else _EXIT_TOLERANCE
+    if fmt == "csv":
+        return code, _table_csv(report)
+    doc = {
+        "table": report.table,
+        "title": report.title,
+        "n_values": list(report.n_values),
+        "pass": report.passed,
+        "cells": [{key: getattr(c, name) for key, name in _CELL_COLUMNS.items()}
+                  for c in report.cells],
+    }
+    return code, _fmt_json(doc)
 
 
 @functools.lru_cache(maxsize=_STORE_SIZE)
-def _prepared(argv: tuple[str, ...]) -> Callable[[], int]:
-    """The command argv asks for, ready to run; an argv that exits or
-    raises while it is prepared is never stored."""
+def _prepared(argv: tuple[str, ...]) -> Callable[[], tuple[int, str]]:
+    """The command argv asks for, ready to run: a ``rule`` or ``table`` runs
+    here, a ``sum`` on every call.  An argv that exits or raises while it is
+    prepared is never stored."""
     args = _parse_argv(list(argv))
     if args.command == "table":
-        return functools.partial(_run_table, args.which, args.oracle_k, args.format)
+        output = _run_table(args.which, args.oracle_k, args.format)
+        return lambda: output
     family, params = _family_from_args(args)
     if args.command == "rule":
         rule = gauss_rule(build(recurrence(family), args.n))
         head = {"family": args.family, "params": params, "n": args.n}
-        return functools.partial(_run_rule, args.format, head, rule)
+        output = _run_rule(args.format, head, rule)
+        return lambda: output
     ast = parse(args.f, _parse_defines(args.define))
     kind = "plain_sum" if args.mode == "plain" else "weighted_sum"
     return functools.partial(_run_sum, kind, family, ast, args.n)
@@ -334,7 +333,8 @@ def _drop_stdout() -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         try:
-            code = _prepared(tuple(sys.argv[1:] if argv is None else argv))()
+            code, text = _prepared(tuple(sys.argv[1:] if argv is None else argv))()
+            print(text)
         except SystemExit as exc:
             if exc.code == 0:  # --help was written to stdout
                 _stdout().flush()

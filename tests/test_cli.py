@@ -641,6 +641,18 @@ def preparing_calls(monkeypatch):
     return calls
 
 
+def _counted(monkeypatch, name: str) -> list:
+    """The argument tuples of each call main makes to ``quadsum.cli.<name>``."""
+    calls = []
+
+    def counting(*args, _fn=getattr(quadsum.cli, name), **kwargs):
+        calls.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(quadsum.cli, name, counting)
+    return calls
+
+
 @pytest.mark.usefixtures("empty_store")
 class TestExpressionStore:
     """A stored ``sum`` command holds its compiled integrand, so a repeated
@@ -708,6 +720,26 @@ class TestExpressionStore:
         assert [call[0] for call in preparing_calls] == ["_parse_argv", "parse"]
 
 
+class _FailingStdout(io.StringIO):
+    """A stdout whose ``method`` ("write" or "flush") raises ``error``."""
+
+    def __init__(self, method: str, error: OSError):
+        super().__init__()
+        setattr(self, method, self._fail)
+        self.error = error
+
+    def _fail(self, *args):
+        raise self.error
+
+
+_ENOSPC = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+_OUTPUT_CASES = (
+    ("rule", "--family", "charlier", "--mu", "2", "--n", "2"),
+    ("sum", "--family", "charlier", "--mu", "2", "--n", "7", "--f", "3^x/gamma(x+1)"),
+    ("table", "1", "--format", "csv"),
+)
+
+
 @pytest.mark.usefixtures("empty_store")
 class TestCommandLineStore:
     """``main`` keeps the command each command line prepared, at most 256:
@@ -757,6 +789,50 @@ class TestCommandLineStore:
         assert first[0] in (0, 2) and first[1] + first[2]
         assert _exit_output(capsys, argv) == first
         assert quadsum.cli._prepared.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "1"),
+        ("table", "2", "--format", "csv"),
+        ("table", "3", "--format", "csv"),
+    ])
+    def test_repeated_table_is_run_once(self, capsys, monkeypatch, argv):
+        calls = _counted(monkeypatch, "run_table")
+        first = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv) == first and first[0] in (0, 1) and first[1]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_repeated_rule_is_formatted_once(self, capsys, monkeypatch, fmt):
+        calls = _counted(monkeypatch, "_run_rule")
+        argv = ("rule", "--family", "wilson", "--mu", "-0.5", "--nu", "1", "--alpha", "1.2",
+                "--beta", "1.4", "--n", "6", "--format", fmt)
+        first = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv) == first and first[0] == 0
+        assert len(calls) == 1
+
+    def test_repeated_sum_runs_its_node_sum_every_time(self, capsys, monkeypatch):
+        # no store keeps a value of the user's integrand
+        calls = _counted(monkeypatch, "approximate")
+        first = run_cli(capsys, *_sum_argv("3^x/gamma(x+1)"))
+        assert run_cli(capsys, *_sum_argv("3^x/gamma(x+1)")) == first and first[0] == 0
+        assert len(calls) == 2
+
+    def test_failing_table_is_run_every_time(self, capsys, monkeypatch):
+        calls = _counted(monkeypatch, "run_table")
+        first = run_cli(capsys, "table", "3", "--oracle-k", "0")
+        assert first == (2, "", "error: table 3 requires oracle_size >= 1, got 0\n")
+        assert run_cli(capsys, "table", "3", "--oracle-k", "0") == first
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("argv", _OUTPUT_CASES, ids=lambda argv: argv[0])
+    def test_hit_whose_write_fails_exits_4(self, capsys, monkeypatch, argv):
+        first = run_cli(capsys, *argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", _FailingStdout("write", _ENOSPC))
+            assert main(list(argv)) == 4
+        assert capsys.readouterr().err == (
+            "error: cannot write output: [Errno 28] No space left on device\n")
+        assert run_cli(capsys, *argv) == first and first[0] == 0 and first[1]
 
     def test_store_never_holds_more_than_its_bound(self, capsys):
         assert quadsum.cli._STORE_SIZE == 256
@@ -989,26 +1065,6 @@ class TestFixedWidthUsage:
             "quadsum rule: error: argument --family: invalid choice: 'bogus' (choose from "
             "'cdh', 'charlier', 'krawtchouk', 'meixner', 'wilson')\n",
         )
-
-
-class _FailingStdout(io.StringIO):
-    """A stdout whose ``method`` ("write" or "flush") raises ``error``."""
-
-    def __init__(self, method: str, error: OSError):
-        super().__init__()
-        setattr(self, method, self._fail)
-        self.error = error
-
-    def _fail(self, *args):
-        raise self.error
-
-
-_ENOSPC = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-_OUTPUT_CASES = (
-    ("rule", "--family", "charlier", "--mu", "2", "--n", "2"),
-    ("sum", "--family", "charlier", "--mu", "2", "--n", "7", "--f", "3^x/gamma(x+1)"),
-    ("table", "1", "--format", "csv"),
-)
 
 
 class TestOutputFailure:
