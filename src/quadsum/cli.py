@@ -26,12 +26,13 @@ first: a family value that ``float`` reads (``--mu -inf``, ``--bet
 (``--f -x``).  Flags resolve as in argparse: exactly, or as the one long
 option they abbreviate.
 
-``main`` keeps the last 256 commands it prepared (``apply._STORE_SIZE``,
-the bound of ``approximate``'s store too; least recently used out first),
-keyed by argv: a ``rule`` or a ``table`` with its exit code and output text,
-a ``sum`` with its family and compiled integrand, so a repeated ``sum`` runs
-its node sum every time and no store keeps a value of the integrand.  An
-error, a usage error or --help is never stored.  ``python -m quadsum`` runs ``main`` from a source checkout.
+``main`` keeps the last 256 commands it prepared (``apply._STORE_SIZE``;
+least recently used out first), keyed by argv: a ``rule`` or ``table`` as
+its exit code and output text, a ``sum`` as its validated ``Functional``,
+whose node sum runs on every call.  An error, a usage error or --help is
+never stored, but a stored ``sum`` raises what ``approximate`` raises (a
+kind its family's measure lacks, an order past a finite support, a
+numerical failure) on every call.  ``python -m quadsum`` runs ``main``.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ from typing import Callable, Sequence, TextIO
 
 from .apply import _STORE_SIZE, SPECTRAL_REFERENCE_SIZE, Functional, approximate
 from .errors import NumericalError, ValidationError
-from .exprlang import _ARITY, NUMBER_RE, Expr, ParseError, evaluate, parse
+from .exprlang import _ARITY, NUMBER_RE, ParseError, evaluate, parse
 from .families import FAMILIES, FamilySpec, parameters, recurrence
 from .jacobi import build
-from .rule import QuadratureRule, gauss_rule
-from .tables import TABLE_NUMBERS, TableCell, TableReport, run_table
+from .rule import gauss_rule
+from .tables import TABLE_NUMBERS, TableCell, run_table
 
 __all__ = ["main", "build_parser"]
 
@@ -247,18 +248,23 @@ def _parse_defines(defines: Sequence[str]) -> dict[str, str]:
     return values
 
 
-def _run_rule(fmt: str, head: dict, rule: QuadratureRule) -> tuple[int, str]:
-    nodes, weights = rule.nodes.tolist(), rule.weights.tolist()
+def _render(fmt: str, doc: dict, header: str, rows) -> str:
+    """JSON of doc, or CSV: the header line and one line per row of text fields."""
     if fmt == "json":
-        # _fmt_json's bytes, with each float list formatted in one join
-        head = _fmt_json(head)[:-1]
-        return _EXIT_OK, (f'{head}, "nodes": [{", ".join(map(_fmt, nodes))}], '
-                          f'"weights": [{", ".join(map(_fmt, weights))}]}}')
-    return _EXIT_OK, "\n".join(["node,weight", *map("{:.17g},{:.17g}".format, nodes, weights)])
+        return _fmt_json(doc)
+    return "\n".join([header, *map(",".join, rows)])
 
 
-def _run_sum(kind: str, family: FamilySpec, ast: Expr, n: int) -> tuple[int, str]:
-    return _EXIT_OK, _fmt(approximate(Functional(kind, lambda x: evaluate(ast, x), family, n)))
+def _run_rule(args: argparse.Namespace) -> tuple[int, str]:
+    family, params = _family_from_args(args)
+    rule = gauss_rule(build(recurrence(family), args.n))
+    nodes, weights = rule.nodes.tolist(), rule.weights.tolist()
+    doc = {"family": args.family, "params": params, "n": args.n, "nodes": nodes, "weights": weights}
+    return _EXIT_OK, _render(args.format, doc, "node,weight", zip(map(_fmt, nodes), map(_fmt, weights)))
+
+
+def _run_sum(fn: Functional) -> tuple[int, str]:
+    return _EXIT_OK, _fmt(approximate(fn))
 
 
 # The output columns of a table cell: its TableCell fields in order, keyed
@@ -266,7 +272,7 @@ def _run_sum(kind: str, family: FamilySpec, ast: Expr, n: int) -> tuple[int, str
 # a CSV row leaves out the params dict.
 _CELL_COLUMNS = {("pass" if f.name == "passed" else f.name): f.name
                  for f in dataclasses.fields(TableCell)}
-_CSV_COLUMNS = {key: name for key, name in _CELL_COLUMNS.items() if key != "params"}
+_CSV_COLUMNS = [key for key in _CELL_COLUMNS if key != "params"]
 
 
 def _csv_value(value) -> str:
@@ -275,47 +281,29 @@ def _csv_value(value) -> str:
     return "" if value is None else _fmt_json(value)
 
 
-def _table_csv(report: TableReport) -> str:
-    lines = [",".join(_CSV_COLUMNS)]
-    for c in report.cells:
-        lines.append(",".join(_csv_value(getattr(c, name)) for name in _CSV_COLUMNS.values()))
-    return "\n".join(lines)
-
-
-def _run_table(which: int, oracle_k: int, fmt: str) -> tuple[int, str]:
-    report = run_table(which, oracle_size=oracle_k)
+def _run_table(args: argparse.Namespace) -> tuple[int, str]:
+    report = run_table(args.which, oracle_size=args.oracle_k)
+    cells = [{key: getattr(c, name) for key, name in _CELL_COLUMNS.items()} for c in report.cells]
+    doc = {"table": report.table, "title": report.title, "n_values": list(report.n_values),
+           "pass": report.passed, "cells": cells}
+    rows = ([_csv_value(cell[key]) for key in _CSV_COLUMNS] for cell in cells)
     code = _EXIT_OK if report.passed else _EXIT_TOLERANCE
-    if fmt == "csv":
-        return code, _table_csv(report)
-    doc = {
-        "table": report.table,
-        "title": report.title,
-        "n_values": list(report.n_values),
-        "pass": report.passed,
-        "cells": [{key: getattr(c, name) for key, name in _CELL_COLUMNS.items()}
-                  for c in report.cells],
-    }
-    return code, _fmt_json(doc)
+    return code, _render(args.format, doc, ",".join(_CSV_COLUMNS), rows)
 
 
 @functools.lru_cache(maxsize=_STORE_SIZE)
 def _prepared(argv: tuple[str, ...]) -> Callable[[], tuple[int, str]]:
-    """The command argv asks for, ready to run: a ``rule`` or ``table`` runs
-    here, a ``sum`` on every call.  An argv that exits or raises while it is
-    prepared is never stored."""
+    """The command argv asks for, ready to run: the output of a ``rule`` or
+    ``table``, or the validated ``Functional`` of a ``sum``.  What raises
+    here is never stored; a stored ``sum`` raises ``approximate``'s errors."""
     args = _parse_argv(list(argv))
-    if args.command == "table":
-        output = _run_table(args.which, args.oracle_k, args.format)
+    if args.command != "sum":
+        output = (_run_rule if args.command == "rule" else _run_table)(args)
         return lambda: output
-    family, params = _family_from_args(args)
-    if args.command == "rule":
-        rule = gauss_rule(build(recurrence(family), args.n))
-        head = {"family": args.family, "params": params, "n": args.n}
-        output = _run_rule(args.format, head, rule)
-        return lambda: output
+    family, _ = _family_from_args(args)
     ast = parse(args.f, _parse_defines(args.define))
-    kind = "plain_sum" if args.mode == "plain" else "weighted_sum"
-    return functools.partial(_run_sum, kind, family, ast, args.n)
+    fn = Functional(f"{args.mode}_sum", lambda x: evaluate(ast, x), family, args.n)
+    return functools.partial(_run_sum, fn)
 
 
 def _drop_stdout() -> None:

@@ -11,10 +11,12 @@ must reproduce bit for bit,
 ``eigenvector_matrix`` is the whole eigenvector matrix, of which the library
 computes only the first row, and
 ``evaluate_reference`` is the expression tree walk that the compiled
-expression evaluators must reproduce bit for bit, and ``fmt_json_reference``
-and ``rule_csv_reference`` are the per-value JSON formatter and per-line CSV
-loop whose bytes the CLI's output must reproduce.  Tests import them as
-``from oracles import ...``.
+expression evaluators must reproduce bit for bit, ``fmt_json_reference``,
+``rule_csv_reference`` and ``table_csv_reference`` are the per-value JSON
+formatter and per-line CSV loops whose bytes the CLI's output must
+reproduce, and ``lanczos_recurrence`` recovers a recurrence from a discrete
+measure, which the library only ever reads the other way.  Tests import
+them as ``from oracles import ...``.
 """
 
 from __future__ import annotations
@@ -320,3 +322,41 @@ def rule_csv_reference(rule: QuadratureRule) -> str:
     for x, w in zip(rule.nodes, rule.weights):
         print(f"{_fmt(float(x))},{_fmt(float(w))}", file=out)
     return out.getvalue()
+
+
+def table_csv_reference(report) -> str:
+    """What ``quadsum table --format csv`` prints for a report, one print per
+    line: each cell's fields but its params, text with ',' written as ';',
+    None as an empty field and any other value as ``fmt_json_reference``."""
+    out = io.StringIO()
+    print("label,n,approx,exact,rel_error,published,pass,error", file=out)
+    for c in report.cells:
+        fields = []
+        for value in (c.label, c.n, c.approx, c.exact, c.rel_error, c.published, c.passed, c.error):
+            if isinstance(value, str):
+                fields.append(value.replace(",", ";"))
+            else:
+                fields.append("" if value is None else fmt_json_reference(value))
+        print(",".join(fields), file=out)
+    return out.getvalue()
+
+
+def lanczos_recurrence(points, masses, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """a_0..a_{n-1} and b_0..b_{n-1} (b_k > 0) of the orthonormal polynomials
+    of the discrete measure with the given points and masses, normalized to
+    unit mass: the discretized Lanczos procedure (Gautschi 2004, Orthogonal
+    Polynomials: Computation and Approximation, sec. 2.2), Lanczos on
+    diag(points) from the vector of square-root masses, each new vector
+    orthogonalized twice against all earlier ones."""
+    points = np.asarray(points, dtype=float)
+    basis = np.empty((n + 1, len(points)))
+    basis[0] = np.sqrt(masses) / math.sqrt(math.fsum(masses))
+    a, b = np.empty(n), np.empty(n)
+    for k in range(n):
+        w = points * basis[k]
+        a[k] = basis[k] @ w
+        for _ in range(2):
+            w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
+        b[k] = np.linalg.norm(w)
+        basis[k + 1] = w / b[k]
+    return a, b

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fmt_json_reference, rule_csv_reference
+from oracles import fmt_json_reference, rule_csv_reference, table_csv_reference
 
 import quadsum
 import quadsum.cli
@@ -25,6 +25,7 @@ from quadsum.errors import NumericalError, ValidationError
 from quadsum.families import Charlier, ContinuousDualHahn, Krawtchouk, Meixner, Wilson, recurrence
 from quadsum.jacobi import build
 from quadsum.rule import gauss_rule
+from quadsum.tables import TableCell, TableReport, run_table
 
 
 def _joined(*argv):
@@ -817,6 +818,23 @@ class TestCommandLineStore:
         assert run_cli(capsys, *_sum_argv("3^x/gamma(x+1)")) == first and first[0] == 0
         assert len(calls) == 2
 
+    def test_sum_of_order_zero_is_never_stored(self, capsys):
+        # the Functional is validated while the command is prepared
+        argv = ("sum", "--family", "charlier", "--mu", "2", "--n", "0", "--f", "x")
+        for _ in range(2):
+            assert run_cli(capsys, *argv) == (2, "", "error: order must be >= 1, got 0\n")
+        assert quadsum.cli._prepared.cache_info().currsize == 0
+
+    def test_stored_sum_raises_its_kind_error_every_time(self, capsys, monkeypatch):
+        # a family with a continuous part has no plain sum; approximate
+        # says so on every call of the stored Functional
+        calls = _counted(monkeypatch, "approximate")
+        argv = ("sum", "--family", "cdh", "--mu", "2", "--alpha", "1", "--beta", "1", "--n", "3", "--f", "x")
+        first = run_cli(capsys, *argv)
+        assert first == (2, "", "error: kind 'plain_sum' requires a purely discrete measure\n")
+        assert run_cli(capsys, *argv) == first
+        assert len(calls) == 2 and quadsum.cli._prepared.cache_info().currsize == 1
+
     def test_failing_table_is_run_every_time(self, capsys, monkeypatch):
         calls = _counted(monkeypatch, "run_table")
         first = run_cli(capsys, "table", "3", "--oracle-k", "0")
@@ -972,11 +990,31 @@ class TestOutputMatchesReferenceFormatter:
         }
         assert quadsum.cli._fmt_json(doc) == fmt_json_reference(doc)
 
-    @pytest.mark.parametrize("which", ["1", "2"])
+    @pytest.mark.parametrize("which", ["1", "2", "3", "3 --oracle-k 500"])
     def test_table_json(self, capsys, monkeypatch, which):
-        output = run_cli(capsys, "table", which)
+        output = run_cli(capsys, "table", *which.split())
         monkeypatch.setattr(quadsum.cli, "_fmt_json", fmt_json_reference)
-        assert run_cli(capsys, "table", which) == output
+        quadsum.cli._prepared.cache_clear()  # a stored table would not format again
+        assert run_cli(capsys, "table", *which.split()) == output
+
+    @pytest.mark.parametrize("which, oracle_k", [(1, None), (2, None), (3, None), (3, 500)])
+    def test_table_csv(self, capsys, which, oracle_k):
+        extra = () if oracle_k is None else ("--oracle-k", str(oracle_k))
+        report = run_table(which) if oracle_k is None else run_table(which, oracle_size=oracle_k)
+        output = run_cli(capsys, "table", str(which), *extra, "--format", "csv")
+        assert output == (0 if report.passed else 1, table_csv_reference(report), "")
+        # at K = 500 the reference fails on 25 cells, whose error text is printed
+        assert sum(c.error is not None for c in report.cells) == (25 if oracle_k else 0)
+
+    @pytest.mark.usefixtures("empty_store")
+    def test_table_csv_text_and_nulls(self, capsys, monkeypatch):
+        # no bundled table has a comma in its text
+        cells = (TableCell("a,b", {"mu": 2.0}, 3, None, 1.5, None, 0.25, False, "bad, worse"),
+                 TableCell("c", {}, 4, 0.1, 0.2, 0.3, 0.4, True))
+        report = TableReport(1, "title", (3, 4), cells)
+        monkeypatch.setattr(quadsum.cli, "run_table", lambda which, oracle_size: report)
+        assert run_cli(capsys, "table", "1", "--format", "csv") == (1, table_csv_reference(report), "")
+        assert table_csv_reference(report).splitlines()[1] == "a;b,3,,1.5,,0.25,false,bad; worse"
 
 
 # One invocation per output path: rule JSON and CSV, plain and weighted
