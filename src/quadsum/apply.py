@@ -114,9 +114,8 @@ def _prepared(
     if density_of is not None:
         density = getattr(spec, density_of).density
         if density is None:
-            raise ValidationError(
-                f"{kind} needs a discrete measure with a smooth mass continuation"
-            )
+            what = "a smooth mass continuation" if density_of == "discrete" else "a density"
+            raise ValidationError(f"{kind} needs a {density_of} measure with {what}")
         weights = derivative_weights(rule, density)
     return spec, rule, weights
 

@@ -7,11 +7,11 @@ Subcommands:
   table  regenerate one of the bundled reference tables with pass/fail cells
 
 Exit codes: 0 ok, 1 tolerance failure in table mode, 2 usage or validation
-error, 3 numerical failure (an overflowing sum included), 4 the output, help
-included, could not be written (a full disk, a closed stdout, or a reader
-that went away, which alone exits with no message).  All reals are printed
-with 17 significant digits, so identical invocations produce byte-identical
-output.
+error, 3 numerical failure (an overflowing sum and running out of memory
+included), 4 the output, help included, could not be written (a full disk,
+a closed stdout, or a reader that went away, which alone exits with no
+message).  All reals are printed with 17 significant digits, so identical
+invocations produce byte-identical output.
 
 The parsers are built once, at import, and ``main`` reuses them for every
 call: parsing leaves a parser unchanged (the ``--define`` list is copied
@@ -334,6 +334,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _EXIT_VALIDATION
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return _EXIT_NUMERICAL
+    except MemoryError:  # a list or array too large, e.g. a huge --n
+        print("numerical failure: out of memory", file=sys.stderr)
         return _EXIT_NUMERICAL
     except OSError as exc:
         _drop_stdout()

@@ -5,6 +5,9 @@ discrete measures on the nonnegative integers, Krawtchouk a finite one on
 0..M.  The continuous dual Hahn and Wilson families live in a squared
 spectral variable y = x^2: their measure has a continuous density on
 x in [0, inf) and, for mu < 0, finitely many point masses at y = -(k+mu)^2.
+One formula over the parameters builds both measures; they differ in two
+facts: Wilson's constants add lnGamma of the parameter sum, and the
+continuous dual Hahn masses alternate in sign.
 A Custom family wraps an explicit recurrence stream and measure.  Each
 family class owns its ``recurrence()`` and ``measure()``, and ``FAMILIES``,
 which maps each built-in family's command-line name to its class, is the
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -248,11 +252,21 @@ def _squared_variable_masses(
     )
 
 
-def _squared_variable_measure(
-    ln_c: float, params: tuple[float, ...], discrete: DiscretePart | None
-) -> MeasureSpec:
-    """Density exp(ln_c) prod_p |Gamma(p+ix)|^2 / |Gamma(2ix)|^2 on x in
-    [0, inf), over the parameters p, together with the given point masses."""
+def _squared_variable_measure(params: tuple[float, ...]) -> MeasureSpec:
+    """The unit-mass measure of continuous dual Hahn, params (mu, alpha,
+    beta), or Wilson, params (mu, nu, alpha, beta) (KLS 2010, sec. 9.3 and
+    9.1): density exp(ln_c) prod_p |Gamma(p+ix)|^2 / |Gamma(2ix)|^2 on x in
+    [0, inf), ln_c = -ln(2 pi) - sum lnGamma(p+q) over pairs p, q, and for
+    mu < 0 the point masses of ``_squared_variable_masses``.  Only Wilson
+    adds lnGamma(sum p); only continuous dual Hahn has the alternating
+    signs of its (-1)^k k! denominator."""
+    mu, *others = params
+    wilson = len(params) == 4
+    ln_sum = ln_gamma(sum(params)) if wilson else 0.0
+    # this summation order fixes the table 3 measures' last bits, which tests pin
+    ln_c = -math.log(2.0 * math.pi) + ln_sum
+    for p, q in itertools.combinations(params, 2):
+        ln_c -= ln_gamma(p + q)
 
     def sigma(x: float) -> float:
         if x == 0.0:
@@ -262,10 +276,19 @@ def _squared_variable_measure(
             ln += ln_abs_gamma_sq(p, x)
         return math.exp(ln - ln_abs_gamma_sq(0.0, 2.0 * x))
 
-    return MeasureSpec(
-        continuous=ContinuousPart(density=sigma, support=(0.0, math.inf)),
-        discrete=discrete,
-    )
+    discrete = None
+    if mu < 0.0:
+        ln_front = math.log(2.0) + ln_sum
+        for p in others:
+            ln_front += ln_gamma(p - mu)
+        for p, q in itertools.combinations(others, 2):
+            ln_front -= ln_gamma(p + q)
+        ln_front -= ln_gamma(1.0 - 2.0 * mu)
+        up = (*(mu + p for p in others), 2.0 * mu)
+        down = tuple(mu - p + 1.0 for p in others)
+        discrete = _squared_variable_masses(mu, ln_front, up, down, alternating_sign=not wilson)
+    continuous = ContinuousPart(density=sigma, support=(0.0, math.inf))
+    return MeasureSpec(continuous=continuous, discrete=discrete)
 
 
 def _require_squared_variable_params(family: FamilySpec, name: str) -> None:
@@ -418,30 +441,7 @@ class ContinuousDualHahn(FamilySpec):
         )
 
     def measure(self) -> MeasureSpec:
-        mu, al, be = self.mu, self.alpha, self.beta
-        ln_c = (
-            -math.log(2.0 * math.pi)
-            - ln_gamma(mu + al)
-            - ln_gamma(mu + be)
-            - ln_gamma(al + be)
-        )
-        discrete = None
-        if mu < 0.0:
-            ln_front = (
-                math.log(2.0)
-                + ln_gamma(al - mu)
-                + ln_gamma(be - mu)
-                - ln_gamma(al + be)
-                - ln_gamma(1.0 - 2.0 * mu)
-            )
-            discrete = _squared_variable_masses(
-                mu,
-                ln_front,
-                poch_up=(mu + al, mu + be, 2.0 * mu),
-                poch_down=(mu - al + 1.0, mu - be + 1.0),
-                alternating_sign=True,  # the (-1)^k k! denominator
-            )
-        return _squared_variable_measure(ln_c, (mu, al, be), discrete)
+        return _squared_variable_measure((self.mu, self.alpha, self.beta))
 
 
 @dataclass(frozen=True)
@@ -515,38 +515,7 @@ class Wilson(FamilySpec):
         return RecurrenceStream(a=a, b=b)
 
     def measure(self) -> MeasureSpec:
-        mu, nu, al, be = self.mu, self.nu, self.alpha, self.beta
-        ln_c = (
-            -math.log(2.0 * math.pi)
-            + ln_gamma(mu + nu + al + be)
-            - ln_gamma(mu + nu)
-            - ln_gamma(al + be)
-            - ln_gamma(mu + al)
-            - ln_gamma(mu + be)
-            - ln_gamma(nu + al)
-            - ln_gamma(nu + be)
-        )
-        discrete = None
-        if mu < 0.0:
-            ln_front = (
-                math.log(2.0)
-                + ln_gamma(mu + nu + al + be)
-                + ln_gamma(nu - mu)
-                + ln_gamma(al - mu)
-                + ln_gamma(be - mu)
-                - ln_gamma(-2.0 * mu + 1.0)
-                - ln_gamma(al + be)
-                - ln_gamma(al + nu)
-                - ln_gamma(be + nu)
-            )
-            discrete = _squared_variable_masses(
-                mu,
-                ln_front,
-                poch_up=(2.0 * mu, mu + nu, mu + al, mu + be),
-                poch_down=(mu - nu + 1.0, mu - al + 1.0, mu - be + 1.0),
-                alternating_sign=False,  # plain k! denominator here
-            )
-        return _squared_variable_measure(ln_c, (mu, nu, al, be), discrete)
+        return _squared_variable_measure((self.mu, self.nu, self.alpha, self.beta))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from quadsum.families import (
     ContinuousDualHahn,
     ContinuousPart,
     Custom,
+    DiscretePart,
     FamilySpec,
     Krawtchouk,
     MeasureSpec,
@@ -97,6 +98,20 @@ class TestFunctionalValidation:
             approximate(Functional("mixed", lambda x: 1.0, Charlier(2.0), 3))
         with pytest.raises(ValidationError, match="purely continuous"):
             approximate(Functional("plain_integral", lambda x: 1.0, CDH, 3))
+
+    @pytest.mark.parametrize("kind, ms, message", [
+        ("plain_integral", MeasureSpec(continuous=ContinuousPart(None, (0.0, 1.0))),
+         "plain_integral needs a continuous measure with a density"),
+        ("plain_sum", MeasureSpec(discrete=DiscretePart(float, lambda k: 0.5, 2)),
+         "plain_sum needs a discrete measure with a smooth mass continuation"),
+    ], ids=["plain_integral", "plain_sum"])
+    def test_missing_density_names_its_component(self, kind, ms, message):
+        # the kind's one component lacks the density that turns the weights
+        # into derivative weights
+        spec = Custom(RecurrenceStream(a=lambda n: 0.5, b=lambda n: -0.5), ms)
+        with pytest.raises(ValidationError) as info:
+            approximate(Functional(kind, lambda x: 1.0, spec, 2))
+        assert str(info.value) == message
 
 
 class TestApproximate:

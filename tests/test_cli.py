@@ -791,6 +791,17 @@ class TestCommandLineStore:
         assert _exit_output(capsys, argv) == first
         assert quadsum.cli._prepared.cache_info().currsize == 0
 
+    def test_out_of_memory_is_a_numerical_failure_never_stored(self, capsys, monkeypatch):
+        # a real allocation that large could be killed by the system instead
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(quadsum.cli, "build", exhausted)
+        argv = ("rule", "--family", "charlier", "--mu", "2", "--n", "99999999999")
+        for _ in range(2):
+            assert run_cli(capsys, *argv) == (3, "", "numerical failure: out of memory\n")
+        assert quadsum.cli._prepared.cache_info().currsize == 0
+
     @pytest.mark.parametrize("argv", [
         ("table", "1"),
         ("table", "2", "--format", "csv"),
