@@ -5,9 +5,10 @@ discrete measures on the nonnegative integers, Krawtchouk a finite one on
 0..M.  The continuous dual Hahn and Wilson families live in a squared
 spectral variable y = x^2: their measure has a continuous density on
 x in [0, inf) and, for mu < 0, finitely many point masses at y = -(k+mu)^2.
-One formula over the parameters builds both measures; they differ in two
-facts: Wilson's constants add lnGamma of the parameter sum, and the
-continuous dual Hahn masses alternate in sign.
+One formula over the parameters builds both measures, and one over the sorted
+parameters, so that a large one never cancels in a_n, both recurrences.  Only
+Wilson's constants add lnGamma of the parameter sum, only its recurrence has
+(2n+s) factors, and only the continuous dual Hahn masses alternate in sign.
 A Custom family wraps an explicit recurrence stream and measure.  Each
 family class owns its ``recurrence()`` and ``measure()``, and ``FAMILIES``,
 which maps each built-in family's command-line name to its class, is the
@@ -291,6 +292,58 @@ def _squared_variable_measure(params: tuple[float, ...]) -> MeasureSpec:
     return MeasureSpec(continuous=continuous, discrete=discrete)
 
 
+def _squared_variable_recurrence(params: tuple[float, ...]) -> RecurrenceStream:
+    """The recurrence in y = x^2 of ``_squared_variable_measure``'s families:
+    a_n = A_n + C_n - mu^2 and b_n^2 = A_n C_{n+1}, A_n the product of n+mu+p
+    over the others p and C_n that of n and n+p+q-1 over their pairs; Wilson
+    divides both by (2n+s) factors, s the parameter sum.  The families are
+    symmetric in their parameters, which are sorted: a large mu would cancel
+    in a_n, and a mu < 0 is the smallest, so it keeps its slot."""
+    params = tuple(sorted(params))
+    mu, *others = params
+    s = sum(params)
+    wilson = len(params) == 4
+    c_pairs = tuple(itertools.combinations(others, 2))
+    # this pair order fixes the last bits of b_n, which tests pin
+    b_pairs = (*itertools.combinations(params[:-2], 2), *itertools.combinations(params[-2:], 2),
+               *itertools.product(params[:-2], params[-2:]))
+
+    def a(n: int) -> float:
+        an, n_mu = 1.0, n + mu
+        for p in others:
+            an *= n_mu + p
+        cn = n
+        for p, q in c_pairs:
+            cn *= n + p + q - 1.0
+        if not wilson:
+            return an + cn - mu * mu
+        # s > 0, so 2n+s-1 and 2n+s-2 vanish only at n = 0, s = 1 or 2: C_0 = 0
+        # drops, and at s = 1 a_0's and b_0's (n+s-1)/(2n+s-1) is 1.  Only these
+        # cancelled forms differ, so regular parameter sets keep their bits.
+        if n == 0 and s == 1.0:
+            return an / s - mu * mu
+        d = 2.0 * n + s
+        an = an * (n + s - 1.0) / (d * (d - 1.0))
+        if n > 0:
+            # d-2 rounds to 0 at n = 1 when s is below half an ulp of 2; it is s
+            an += cn / ((d - 1.0) * (d - 2.0 or s))
+        return an - mu * mu
+
+    def b(n: int) -> float:
+        prod = n + 1
+        for p, q in b_pairs:
+            prod *= n + p + q
+        if not wilson:
+            return -math.sqrt(prod)
+        if n == 0 and s == 1.0:
+            return -math.sqrt(prod / (s + 1.0)) / s
+        d = 2.0 * n + s
+        prod *= n + s - 1.0
+        return -math.sqrt(prod / ((d - 1.0) * (d + 1.0))) / d
+
+    return RecurrenceStream(a=a, b=b)
+
+
 def _require_squared_variable_params(family: FamilySpec, name: str) -> None:
     """The parameter rule of the squared-variable families, checked on their
     canonical floats: mu != 0, and every other parameter p has p > 0 if
@@ -430,15 +483,7 @@ class ContinuousDualHahn(FamilySpec):
         _require_squared_variable_params(self, "continuous dual Hahn")
 
     def recurrence(self) -> RecurrenceStream:
-        mu, al, be = self.mu, self.alpha, self.beta
-        return RecurrenceStream(
-            a=lambda n: (n + mu + al) * (n + mu + be)
-            + n * (n + al + be - 1.0)
-            - mu * mu,
-            b=lambda n: -math.sqrt(
-                (n + 1) * (n + al + be) * (n + mu + al) * (n + mu + be)
-            ),
-        )
+        return _squared_variable_recurrence((self.mu, self.alpha, self.beta))
 
     def measure(self) -> MeasureSpec:
         return _squared_variable_measure((self.mu, self.alpha, self.beta))
@@ -457,62 +502,7 @@ class Wilson(FamilySpec):
         _require_squared_variable_params(self, "wilson")
 
     def recurrence(self) -> RecurrenceStream:
-        mu, nu, al, be = self.mu, self.nu, self.alpha, self.beta
-        s = mu + nu + al + be
-        # s > 0 for every valid parameter set, so 2n+s-1 and 2n+s-2 vanish
-        # only at n = 0 (s = 1 and s = 2).  Both singularities are
-        # removable: t2 carries a factor n, and at s = 1 the factor
-        # (n+s-1)/(2n+s-1) in a_0 and b_0 is 1.  The cancelled forms are
-        # used only there, so regular parameters keep their bits.  2n+s-2
-        # rounds to 0 at n = 1 when s is below half an ulp of 2; it is s.
-        degenerate = s == 1.0
-
-        def a(n: int) -> float:
-            if n == 0 and degenerate:
-                return (mu + nu) * (mu + al) * (mu + be) / s - mu * mu
-            t1 = (
-                (n + mu + nu)
-                * (n + mu + al)
-                * (n + mu + be)
-                * (n + s - 1.0)
-                / ((2.0 * n + s) * (2.0 * n + s - 1.0))
-            )
-            if n == 0:
-                return t1 - mu * mu
-            t2 = (
-                n
-                * (n + nu + al - 1.0)
-                * (n + nu + be - 1.0)
-                * (n + al + be - 1.0)
-                / ((2.0 * n + s - 1.0) * (2.0 * n + s - 2.0 or s))
-            )
-            return t1 + t2 - mu * mu
-
-        def b(n: int) -> float:
-            if n == 0 and degenerate:
-                num = (
-                    (mu + nu)
-                    * (al + be)
-                    * (mu + al)
-                    * (mu + be)
-                    * (nu + al)
-                    * (nu + be)
-                )
-                return -math.sqrt(num / (s + 1.0)) / s
-            num = (
-                (n + 1)
-                * (n + mu + nu)
-                * (n + al + be)
-                * (n + mu + al)
-                * (n + mu + be)
-                * (n + nu + al)
-                * (n + nu + be)
-                * (n + s - 1.0)
-            )
-            den = (2.0 * n + s - 1.0) * (2.0 * n + s + 1.0)
-            return -math.sqrt(num / den) / (2.0 * n + s)
-
-        return RecurrenceStream(a=a, b=b)
+        return _squared_variable_recurrence((self.mu, self.nu, self.alpha, self.beta))
 
     def measure(self) -> MeasureSpec:
         return _squared_variable_measure((self.mu, self.nu, self.alpha, self.beta))

@@ -1,6 +1,7 @@
 """Tests for the polynomial family catalog."""
 
 import dataclasses
+import itertools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -704,8 +705,11 @@ def _recovery_errors(spec, points, masses, n: int) -> tuple[list, list]:
 
 # Each set, its discretization, the orders checked and the bands on the a
 # and b errors.  Measured: at most 1.21e-14 (a) and 2.27e-14 (b) on the
-# lattice sets, Krawtchouk the largest; 6.5e-14 (a) and 4.4e-14 (b) on the
-# squared-variable sets.
+# lattice sets, Krawtchouk the largest; 7.2e-14 (a) and 7.4e-14 (b) on the
+# squared-variable sets, Wilson at s = 1 the largest.  Wilson at s = 1 and
+# s = 2 checks the cancelled n = 0 forms of the recurrence, and
+# Wilson(1000, 1, 1.5, 2) its sorted parameters: a_n read 6.3e-12 with mu
+# in the shift slot.
 _LATTICE_BANDS = (2e-14, 3e-14)
 _SQUARED_BANDS = (1e-13, 1e-13)
 _RECOVERY_SETS = [
@@ -716,6 +720,9 @@ _RECOVERY_SETS = [
     (ContinuousDualHahn(2.0, 1.0, 3.0), _squared_variable, 40, _SQUARED_BANDS),
     (Wilson(0.5, 1.0, 1.5, 2.0), _squared_variable, 40, _SQUARED_BANDS),
     (Wilson(-3.5, 4.5, 5.5, 6.5), _squared_variable, 40, _SQUARED_BANDS),
+    (Wilson(0.25, 0.25, 0.25, 0.25), _squared_variable, 40, _SQUARED_BANDS),
+    (Wilson(0.5, 0.5, 0.5, 0.5), _squared_variable, 40, _SQUARED_BANDS),
+    (Wilson(1000.0, 1.0, 1.5, 2.0), _squared_variable, 40, _SQUARED_BANDS),
 ]
 
 
@@ -807,6 +814,99 @@ class TestHandbookSweep:
                 ref = mass_mp(spec, k)
                 err = float(abs((ms.discrete.mass_at(k) - ref) / ref))
                 assert err <= _SWEEP_MASS_BAND, (k, err)
+
+
+def _exact_recurrence(spec, n: int) -> tuple[Fraction, Fraction]:
+    """a_n and b_n^2 of a squared-variable family in exact arithmetic on its
+    float parameters, from the handbook's a_n = A_n + C_n - mu^2 and b_n^2 =
+    A_n C_{n+1} (KLS 2010, sec. 9.1 and 9.3), in the parameters' given order;
+    for Wilson A_n and C_n carry their (2n+s) factors, cancelled at n = 0."""
+    params = [Fraction(v) for v in dataclasses.astuple(spec)]
+    mu, *others = params
+    s = sum(params)
+
+    def big_a(n):
+        return math.prod(n + mu + p for p in others)
+
+    def big_c(n):
+        return n * math.prod(n + p + q - 1 for p, q in itertools.combinations(others, 2))
+
+    if spec.kind == "cdh":
+        return big_a(n) + big_c(n) - mu * mu, big_a(n) * big_c(n + 1)
+    up = big_a(n) / s if n == 0 else big_a(n) * (n + s - 1) / ((2 * n + s) * (2 * n + s - 1))
+    down = big_c(n) / ((2 * n + s - 1) * (2 * n + s - 2)) if n > 0 else 0
+    return up + down - mu * mu, up * big_c(n + 1) / ((2 * n + s + 1) * (2 * n + s))
+
+
+def _recurrence_digit_errors(spec, orders: int = 40) -> tuple[float, float]:
+    """The worst error over n < orders of ``recurrence(spec)`` against
+    ``_exact_recurrence``: a_n relative to max(1, |a_n|), b_n relative to the
+    60-digit mpmath square root of b_n^2."""
+    stream = recurrence(spec)
+    err_a = err_b = 0.0
+    with mpmath.workdps(60):
+        for n in range(orders):
+            a, b_sq = _exact_recurrence(spec, n)
+            err_a = max(err_a, float(abs(Fraction(stream.a(n)) - a) / max(1, abs(a))))
+            ref = mpmath.sqrt(mpmath.mpf(b_sq.numerator) / b_sq.denominator)
+            err_b = max(err_b, float(abs(-stream.b(n) - ref) / ref))
+    return err_a, err_b
+
+
+@st.composite
+def _large_parameter_family(draw):
+    """A continuous dual Hahn or Wilson family with every parameter
+    log-uniform in [1e-3, 1e12]."""
+    cls = draw(st.sampled_from((ContinuousDualHahn, Wilson)))
+    count = len(dataclasses.fields(cls))
+    exponents = draw(st.lists(st.floats(-3.0, 12.0), min_size=count, max_size=count))
+    return cls(*(10.0 ** e for e in exponents))
+
+
+# Bands on the errors of ``_recurrence_digit_errors`` (a, b) over the
+# derandomized draws below.  Measured with every parameter log-uniform in
+# [1e-3, 1e12]: at most 8.3e-16 and 7.3e-16, where unsorted parameters put
+# a_n off by up to 2.7e3.  Measured in the mu < 0 region of
+# ``_squared_variable_family``, where mu is already the smallest parameter
+# and A_n + C_n - mu^2 still cancels at small n: at most 7.0e-15 and 6.5e-16
+# (1.05e-14 in a with the other parameters unsorted).
+_LARGE_PARAMETER_BANDS = (1e-15, 1e-15)
+_NEGATIVE_MU_BANDS = (1e-14, 1e-15)
+
+
+class TestRecurrenceDigits:
+    """The squared-variable recurrences keep their digits for parameters of
+    any size: the parameters are sorted, so a large one never sits in the
+    mu^2 shift of a_n.  A negative mu is the smallest and still cancels
+    there, to a few ulps."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(spec=_large_parameter_family())
+    def test_large_parameters_keep_their_digits(self, spec):
+        errors = _recurrence_digit_errors(spec)
+        assert all(e <= band for e, band in zip(errors, _LARGE_PARAMETER_BANDS)), errors
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(spec=_squared_variable_family().filter(lambda spec: spec.mu < 0.0))
+    def test_negative_mu_keeps_its_digits(self, spec):
+        errors = _recurrence_digit_errors(spec)
+        assert all(e <= band for e, band in zip(errors, _NEGATIVE_MU_BANDS)), errors
+
+    @pytest.mark.parametrize("spec", [
+        ContinuousDualHahn(1e8, 1.0, 1.5),
+        Wilson(1e8, 1.0, 1.5, 2.0),
+        Wilson(-0.5, 1.0, 1.2, 1.4),
+    ], ids=repr)
+    def test_permuted_parameters_compute_equal_bits(self, spec):
+        # a negative mu stays in its slot; the other parameters may move
+        mu, *others = dataclasses.astuple(spec)
+        orders = ([(mu, *order) for order in itertools.permutations(others)] if mu < 0.0
+                  else itertools.permutations((mu, *others)))
+        expected = recurrence(spec)
+        for params in orders:
+            stream = recurrence(type(spec)(*params))
+            for n in range(40):
+                assert (stream.a(n), stream.b(n)) == (expected.a(n), expected.b(n)), (params, n)
 
 
 class TestCustom:
