@@ -29,10 +29,11 @@ option they abbreviate.
 ``main`` keeps the last 256 commands it prepared (``apply._STORE_SIZE``;
 least recently used out first), keyed by argv: a ``rule`` or ``table`` as
 its exit code and output text, a ``sum`` as its validated ``Functional``,
-whose node sum runs on every call.  An error, a usage error or --help is
-never stored, but a stored ``sum`` raises what ``approximate`` raises (a
-kind its family's measure lacks, an order past a finite support, a
-numerical failure) on every call.  ``python -m quadsum`` runs ``main``.
+whose rule it puts in ``approximate``'s store and whose node sum runs on
+every call.  An error, a usage error or --help is never stored, so a
+stored ``sum`` raises only what its node sum raises (an evaluation error,
+an integrand not finite at a node, an overflowing sum) on every call.
+``python -m quadsum`` runs ``main``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import sys
 from typing import Callable, Sequence, TextIO
 
 from .apply import _STORE_SIZE, SPECTRAL_REFERENCE_SIZE, Functional, approximate
+from .apply import _prepared as _prepared_rule
 from .errors import NumericalError, ValidationError
 from .exprlang import _ARITY, NUMBER_RE, ParseError, evaluate, parse
 from .families import FAMILIES, FamilySpec, parameters, recurrence
@@ -294,8 +296,8 @@ def _run_table(args: argparse.Namespace) -> tuple[int, str]:
 @functools.lru_cache(maxsize=_STORE_SIZE)
 def _prepared(argv: tuple[str, ...]) -> Callable[[], tuple[int, str]]:
     """The command argv asks for, ready to run: the output of a ``rule`` or
-    ``table``, or the validated ``Functional`` of a ``sum``.  What raises
-    here is never stored; a stored ``sum`` raises ``approximate``'s errors."""
+    ``table``, or the validated ``Functional`` of a ``sum`` whose rule is
+    stored.  What raises here is never stored."""
     args = _parse_argv(list(argv))
     if args.command != "sum":
         output = (_run_rule if args.command == "rule" else _run_table)(args)
@@ -303,6 +305,7 @@ def _prepared(argv: tuple[str, ...]) -> Callable[[], tuple[int, str]]:
     family, _ = _family_from_args(args)
     ast = parse(args.f, _parse_defines(args.define))
     fn = Functional(f"{args.mode}_sum", lambda x: evaluate(ast, x), family, args.n)
+    _prepared_rule(family, args.n, fn.kind)  # approximate's entry: what cannot sum raises here
     return functools.partial(_run_sum, fn)
 
 

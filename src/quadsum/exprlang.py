@@ -17,18 +17,24 @@ expression of its own.  An expression may nest at most MAX_DEPTH levels
 deep.
 
 Each node is compiled when it is built: its ``run`` attribute is a closure
-over its children's closures, so ``evaluate`` runs one closure per node
-and never walks the tree or dispatches on node types again.  A closure
-holds the operator and the child nodes, never its own node, so a tree has
-no reference cycle: a dropped tree is freed by reference counting, and a
-caller may keep parsed trees without leaving garbage for the cycle
-collector.  An evaluator that fails builds an equal node for its
-``EvalError``.
+over its children's closures, so ``evaluate`` never walks the tree or
+dispatches on node types again.  A number, a negated number or x is read in
+place, not called, by a + - * beside a constant, a / by a nonzero constant
+(which makes no zero test) and a power of a constant base or to the power x.
+C ``math.pow``, ``math.gamma`` and ``math.lgamma`` are called directly, and
+what they raise goes to the checked helper, so errors keep their type and
+text.  No code is generated per tree: a fresh integrand costs its parse
+alone.  A closure holds its operator, leaf values and child closures, never
+its own node, so a tree has no reference cycle: a dropped tree is freed by
+reference counting, and a caller may keep parsed trees without leaving
+garbage for the cycle collector.  An evaluator that fails builds an equal
+node for its ``EvalError``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -315,11 +321,53 @@ def _power(node: Callable[[], Expr], base: float, exponent: float) -> float:
         raise EvalError(node(), f"domain error raising {base!r} to power {exponent!r}")
 
 
+def _operand(e: Expr) -> tuple[str, object]:
+    """How the closure of e's parent reads e: ("c", its value) for a number
+    or a negated number, ("x", None) for the variable, else ("f", e.run)."""
+    if isinstance(e, Number):
+        return "c", e.value
+    if isinstance(e, Negate) and isinstance(e.operand, Number):
+        return "c", -e.operand.value
+    return ("x", None) if isinstance(e, Variable) else ("f", e.run)
+
+
+# The closure of + - * / for each shape of operands with a constant (c)
+# beside x or a closure (f); a / folds only a nonzero constant divisor.
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_FOLDED = {
+    "fc": lambda op, f, c: lambda x: op(f(x), c),
+    "cf": lambda op, c, f: lambda x: op(c, f(x)),
+    "xc": lambda op, _, c: lambda x: op(x, c),
+    "cx": lambda op, c, _: lambda x: op(c, x),
+}
+
+
+def _power_of(node: Callable[[], Expr], base_node: Expr, exponent_node: Expr) -> _Fn:
+    """A power's closure: C ``math.pow``, and ``_power`` for what it raises."""
+    (base_shape, constant), (exponent_shape, _) = _operand(base_node), _operand(exponent_node)
+    base_of = None if base_shape == "c" else base_node.run
+    exponent_of = None if exponent_shape == "x" else exponent_node.run
+
+    def power(x: float) -> float:
+        base = constant if base_of is None else base_of(x)
+        exponent = x if exponent_of is None else exponent_of(x)
+        try:
+            return math.pow(base, exponent)
+        except (OverflowError, ValueError):
+            return _power(node, base, exponent)
+
+    return power
+
+
 # An evaluator holds its node's children and operator, never the node: a
 # node holding its own evaluator would make every tree a reference cycle,
 # freed only by the cycle collector.  ``node`` rebuilds an equal node for an
 # error's message and ``.node`` when evaluation fails.
 def _compile_binary(op: str, left_node: Expr, right_node: Expr) -> _Fn:
+    (left_shape, a), (right_shape, b) = _operand(left_node), _operand(right_node)
+    fold = _FOLDED.get(left_shape + right_shape)
+    if fold is not None and op != "^" and (op != "/" or (right_shape == "c" and b != 0.0)):
+        return fold(_OPERATORS[op], a, b)
     left, right = left_node.run, right_node.run
     if op == "+":
         return lambda x: left(x) + right(x)
@@ -340,18 +388,17 @@ def _compile_binary(op: str, left_node: Expr, right_node: Expr) -> _Fn:
             return num / den
 
         return divide
-    return lambda x: _power(node, left(x), right(x))
+    return _power_of(node, left_node, right_node)
 
 
 def _compile_call(name: str, args: tuple[Expr, ...]) -> _Fn:
-    arg, *rest = (a.run for a in args)
+    arg = args[0].run
 
     def node() -> Expr:
         return Call(name, args)
 
     if name == "pow":
-        exponent = rest[0]
-        return lambda x: _power(node, arg(x), exponent(x))
+        return _power_of(node, *args)
     if name == "abs":
         return lambda x: abs(arg(x))
     if name == "exp":
@@ -383,9 +430,12 @@ def _compile_call(name: str, args: tuple[Expr, ...]) -> _Fn:
         def gamma(x: float) -> float:
             a = arg(x)
             try:
-                return _gamma(a)
-            except ValidationError:
-                raise EvalError(node(), f"gamma pole at {a!r}")
+                return math.gamma(a)
+            except (OverflowError, ValueError):  # a pole, or past the overflow
+                try:
+                    return _gamma(a)
+                except ValidationError:
+                    raise EvalError(node(), f"gamma pole at {a!r}")
 
         return gamma
     if name == "lgamma":
@@ -393,7 +443,10 @@ def _compile_call(name: str, args: tuple[Expr, ...]) -> _Fn:
             a = arg(x)
             if a <= 0.0:
                 raise EvalError(node(), f"lgamma of non-positive value {a!r}")
-            return a if a != a else _ln_gamma(a)  # NaN passes through, as in ln
+            try:
+                return math.lgamma(a)  # NaN passes through, as in ln
+            except OverflowError:
+                return _ln_gamma(a)
 
         return lgamma
     raise TypeError(f"not an expression function: {name!r}")

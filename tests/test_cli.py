@@ -662,14 +662,20 @@ class TestExpressionStore:
     def test_hit_prints_the_bytes_of_a_miss(self, capsys, preparing_calls):
         commands = [argv for argv in _ci_commands() if argv[0] == "sum"]
         assert len(commands) >= 10
+        stored = []
         for argv in commands:
             quadsum.cli._prepared.cache_clear()
             miss = run_cli(capsys, *argv)
+            stored.append(quadsum.cli._prepared.cache_info().currsize == 1)
             del preparing_calls[:]
             assert (argv, run_cli(capsys, *argv)) == (argv, miss)
-            assert [call for call in preparing_calls if call[0] == "parse"] == []
+            if stored[-1]:  # a hit parses nothing
+                assert [call for call in preparing_calls if call[0] == "parse"] == []
         assert [code for code, _, _ in map(lambda argv: run_cli(capsys, *argv), commands)] == [
-            0, 0, 0, 0, 0, 3, 2, 2, 2, 0]
+            0, 0, 0, 0, 0, 0, 0, 3, 2, 2, 2, 0]
+        # a sum whose rule cannot be prepared (a density not finite at a
+        # node) is not stored, like a family that fails validation
+        assert stored == [True] * 8 + [False] * 3 + [True]
 
     def test_miss_parses_through_the_module_name(self, capsys, preparing_calls):
         argv = _sum_argv("r*x/gamma(x+1)", "r=1.5")
@@ -836,15 +842,49 @@ class TestCommandLineStore:
             assert run_cli(capsys, *argv) == (2, "", "error: order must be >= 1, got 0\n")
         assert quadsum.cli._prepared.cache_info().currsize == 0
 
-    def test_stored_sum_raises_its_kind_error_every_time(self, capsys, monkeypatch):
-        # a family with a continuous part has no plain sum; approximate
-        # says so on every call of the stored Functional
+    @pytest.mark.parametrize("argv, error", [
+        # a family with a continuous part has no plain or weighted sum
+        (("sum", "--family", "cdh", "--mu", "2", "--alpha", "1", "--beta", "1", "--n", "3", "--f", "x"),
+         "error: kind 'plain_sum' requires a purely discrete measure\n"),
+        (("sum", "--family", "wilson", "--mu", "0.5", "--nu", "1", "--alpha", "1.5", "--beta", "2",
+          "--n", "3", "--f", "x", "--mode", "weighted"),
+         "error: kind 'weighted_sum' requires a purely discrete measure\n"),
+        (("sum", "--family", "krawtchouk", "--M", "3", "--gamma", "0.3", "--n", "5", "--f", "x"),
+         "error: order 5 exceeds the stream's valid size 4\n"),
+        (("sum", "--family", "charlier", "--mu", "1e200", "--n", "1", "--f", "x"),
+         "error: weight function must be positive and finite at node 1e+200, got inf\n"),
+        (("sum", "--family", "charlier", "--mu", "2", "--n", "550", "--f", "1", "--mode", "weighted"),
+         "numerical failure: eigenvector with exactly zero first component at index 549;"
+         " matrix is numerically reducible\n"),
+    ], ids=["kind", "weighted-kind", "order", "density", "rule"])
+    def test_sum_whose_rule_cannot_be_prepared_is_never_stored(self, capsys, monkeypatch, argv, error):
+        # preparing a sum fills approximate's store, so what can never sum
+        # raises before anything is stored, and approximate never runs
         calls = _counted(monkeypatch, "approximate")
-        argv = ("sum", "--family", "cdh", "--mu", "2", "--alpha", "1", "--beta", "1", "--n", "3", "--f", "x")
         first = run_cli(capsys, *argv)
-        assert first == (2, "", "error: kind 'plain_sum' requires a purely discrete measure\n")
+        assert first == (3 if error.startswith("numerical") else 2, "", error)
         assert run_cli(capsys, *argv) == first
-        assert len(calls) == 2 and quadsum.cli._prepared.cache_info().currsize == 1
+        assert calls == [] and quadsum.cli._prepared.cache_info().currsize == 0
+
+    def test_preparing_a_sum_stores_the_rule_approximate_reads(self, capsys):
+        quadsum.apply._prepared.cache_clear()
+        argv = _sum_argv("3^x/gamma(x+1)")
+        first = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv) == first and first[0] == 0
+        info = quadsum.apply._prepared.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)  # the rule is computed once
+
+    def test_stored_sum_evaluates_through_the_module_name(self, capsys, monkeypatch):
+        # a stored sum reads quadsum.cli.evaluate at call time, once per
+        # node, so a wrapper patched in after the entry is stored sees
+        # every evaluation of every repeat
+        argv = _sum_argv("3^x/gamma(x+1)")
+        first = run_cli(capsys, *argv)
+        calls = _counted(monkeypatch, "evaluate")
+        for repeat in (1, 2):
+            assert run_cli(capsys, *argv) == first
+            assert len(calls) == 6 * repeat  # --n 6
+        assert quadsum.cli._prepared.cache_info().currsize == 1
 
     def test_failing_table_is_run_every_time(self, capsys, monkeypatch):
         calls = _counted(monkeypatch, "run_table")

@@ -290,6 +290,7 @@ class TestAcyclicTrees:
         "1/x", "x^2", "-x+1*2-x",
         *(f"{name}({', '.join(['x'] * arity)})" for name, arity in _ARITY.items()),
         "r*x/r^(x+1)",
+        "x+2", "2-x", "-2*x", "(x+1)*2", "x/4", "2^x", "2^(x+1)", "pow(r, x)", "r^x/gamma(x+1)",
     ])
     def test_dropped_tree_is_freed(self, text):
         assert _freed_without_the_cycle_collector(lambda: parse(text, {"r": "1.5"}))
@@ -297,6 +298,8 @@ class TestAcyclicTrees:
     @pytest.mark.parametrize("text, x", [
         ("1/(x-x)", 1.0), ("x^0.5", -1.0), ("pow(x, 0.5)", -1.0), ("ln(x)", -1.0),
         ("sqrt(x)", -1.0), ("gamma(x)", 0.0), ("lgamma(x)", 0.0),
+        ("x/-0", 1.0), ("3/x", 0.0), ("(-8)^x", 0.5), ("(-8)^(x+0)", 0.5), ("pow(-8, x)", 0.5),
+        ("x^-2", 0.0), ("gamma(x+1)", -1.0),
     ])
     def test_tree_is_freed_after_an_error(self, text, x):
         def make():
@@ -386,6 +389,19 @@ class TestCompiledEvaluator:
     @example(tree=parse("1/(x-x)+ln(x)"), xs=[1.0, -1.0])  # an EvalError from either side
     @example(tree=parse("sqrt(x)*gamma(x)*lgamma(x)"), xs=[-1.0, -2.0, 0.0])
     @example(tree=parse("x^0.5-pow(x, 3)"), xs=[-1.0, -1e200])
+    # every shape whose constant or x operand is read in place, not called
+    @example(tree=parse("(x+2)*(2-x)+x*x-2*x+(x*2+(x-2))*(-2)"), xs=[0.5, -0.0, 1e308])
+    @example(tree=parse("(1/x+2)-(3-1/x)*(2*(1/x))/4+(x+1)/-3"), xs=[0.5, 5e-324])
+    @example(tree=parse("x*r-r/x", {"r": "-1.5"}), xs=[2.0, -0.0])  # a negated number
+    @example(tree=parse("x/4+x/-0"), xs=[0.5])  # a zero divisor keeps its test
+    @example(tree=parse("3/x"), xs=[2.0, 0.0])
+    @example(tree=parse("2^x+x^-2"), xs=[0.5, 2000.0, 0.0])
+    @example(tree=parse("(-8)^x"), xs=[3.0, 0.5])
+    @example(tree=parse("10^(x*400)+pow(2, x)"), xs=[1.0, -1.0])
+    @example(tree=parse("(-10)^(x*401)-pow(-10, x)"), xs=[1.0, 0.5])
+    @example(tree=parse("exp(-x)"), xs=[1.0, -1000.0])
+    @example(tree=parse("gamma(x)"), xs=[0.0, -1.0, -math.inf, 171.8, -1e-309, 0.5])
+    @example(tree=parse("lgamma(x)"), xs=[1e306, 0.5, math.inf])
     def test_same_bits_or_error_as_the_tree_walk(self, tree, xs):
         for x in xs:
             assert _outcome(evaluate, tree, x) == _outcome(evaluate_reference, tree, x)
