@@ -265,10 +265,6 @@ def _run_rule(args: argparse.Namespace) -> tuple[int, str]:
     return _EXIT_OK, _render(args.format, doc, "node,weight", zip(map(_fmt, nodes), map(_fmt, weights)))
 
 
-def _run_sum(fn: Functional) -> tuple[int, str]:
-    return _EXIT_OK, _fmt(approximate(fn))
-
-
 # The output columns of a table cell: its TableCell fields in order, keyed
 # as in the JSON cells and the CSV header ("pass" is the field ``passed``);
 # a CSV row leaves out the params dict.
@@ -306,7 +302,7 @@ def _prepared(argv: tuple[str, ...]) -> Callable[[], tuple[int, str]]:
     ast = parse(args.f, _parse_defines(args.define))
     fn = Functional(f"{args.mode}_sum", lambda x: evaluate(ast, x), family, args.n)
     _prepared_rule(family, args.n, fn.kind)  # approximate's entry: what cannot sum raises here
-    return functools.partial(_run_sum, fn)
+    return lambda: (_EXIT_OK, _fmt(approximate(fn)))
 
 
 def _drop_stdout() -> None:

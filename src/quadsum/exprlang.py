@@ -16,19 +16,20 @@ pow (two arguments).  A name is an identifier bound by the caller to an
 expression of its own.  An expression may nest at most MAX_DEPTH levels
 deep.
 
-Each node is compiled when it is built: its ``run`` attribute is a closure
-over its children's closures, so ``evaluate`` never walks the tree or
-dispatches on node types again.  A number, a negated number or x is read in
-place, not called, by a + - * beside a constant, a / by a nonzero constant
-(which makes no zero test) and a power of a constant base or to the power x.
-C ``math.pow``, ``math.gamma`` and ``math.lgamma`` are called directly, and
-what they raise goes to the checked helper, so errors keep their type and
-text.  No code is generated per tree: a fresh integrand costs its parse
-alone.  A closure holds its operator, leaf values and child closures, never
-its own node, so a tree has no reference cycle: a dropped tree is freed by
-reference counting, and a caller may keep parsed trees without leaving
-garbage for the cycle collector.  An evaluator that fails builds an equal
-node for its ``EvalError``.
+Each node sets two attributes, not dataclass fields, when it is built:
+``height``, 1 at a number or x and else 1 + its highest child's, and
+``run``, a closure over its children's closures, so ``evaluate`` never walks
+the tree or dispatches on node types again.  A number, a negated number or x
+is read in place, not called, by a + - * beside a constant, a / by a nonzero
+constant (which makes no zero test) and a power of a constant base or to the
+power x.  C ``math.pow``, ``math.gamma`` and ``math.lgamma`` are called
+directly, and what they raise goes to the checked helper, so errors keep
+their type and text.  No code is generated per tree: a fresh integrand costs
+its parse alone.  A closure holds its operator, leaf values and child
+closures, never its own node, so a tree has no reference cycle: a dropped
+tree is freed by reference counting, and a caller may keep parsed trees
+without leaving garbage for the cycle collector.  An evaluator that fails
+builds an equal node for its ``EvalError``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import NumericalError, ValidationError
@@ -84,40 +85,37 @@ class EvalError(NumericalError):
 # operand first) in the same order, and raises the same errors; the walk is
 # kept as the tests' reference.
 _Fn = Callable[[float], float]
-_set = object.__setattr__  # sets the evaluator of a frozen node
 
 
-def _evaluator():
-    """The field holding a node's evaluator; not part of the node's identity."""
-    return field(init=False, repr=False, compare=False)
+def _set(node: "Expr", run: _Fn, height: int) -> None:
+    """Set a node's evaluator and tree height, past its frozen ``__setattr__``."""
+    attributes = node.__dict__
+    attributes["run"] = run
+    attributes["height"] = height
 
 
 @dataclass(frozen=True)
 class Number:
     value: float
-    run: _Fn = _evaluator()
 
     def __post_init__(self):
         value = self.value
-        _set(self, "run", lambda x: value)
+        _set(self, lambda x: value, 1)
 
 
 @dataclass(frozen=True)
 class Variable:
-    run: _Fn = _evaluator()
-
     def __post_init__(self):
-        _set(self, "run", lambda x: x)
+        _set(self, lambda x: x, 1)
 
 
 @dataclass(frozen=True)
 class Negate:
     operand: "Expr"
-    run: _Fn = _evaluator()
 
     def __post_init__(self):
         operand = self.operand.run
-        _set(self, "run", lambda x: -operand(x))
+        _set(self, lambda x: -operand(x), 1 + self.operand.height)
 
 
 @dataclass(frozen=True)
@@ -125,20 +123,19 @@ class BinaryOp:
     op: str
     left: "Expr"
     right: "Expr"
-    run: _Fn = _evaluator()
 
     def __post_init__(self):
-        _set(self, "run", _compile_binary(self.op, self.left, self.right))
+        _set(self, _compile_binary(self.op, self.left, self.right),
+             1 + max(self.left.height, self.right.height))
 
 
 @dataclass(frozen=True)
 class Call:
     name: str
     args: tuple["Expr", ...]
-    run: _Fn = _evaluator()
 
     def __post_init__(self):
-        _set(self, "run", _compile_call(self.name, self.args))
+        _set(self, _compile_call(self.name, self.args), 1 + max([a.height for a in self.args]))
 
 
 Expr = Union[Number, Variable, Negate, BinaryOp, Call]
@@ -174,15 +171,12 @@ def _tokens(text: str) -> list[tuple[str, str, int]]:
 MAX_DEPTH = 100
 _TOO_DEEP = f"expression nests more than {MAX_DEPTH} levels deep"
 
-# A parsed subexpression and the height of its tree.
-_Tree = tuple[Expr, int]
-
 
 class _Parser:
-    def __init__(self, text: str, defined: dict[str, _Tree]):
+    def __init__(self, text: str, defined: dict[str, Expr]):
         self.tokens = _tokens(text)
         self.pos = 0
-        self.names = {**defined, "x": (Variable(), 1)}
+        self.names = {**defined, "x": Variable()}
         self.depth = 0  # groups open at the current token
 
     def peek(self) -> tuple[str, str, int]:
@@ -207,61 +201,57 @@ class _Parser:
         if self.depth > MAX_DEPTH:
             raise ParseError(offset, _TOO_DEEP)
 
-    def checked(self, node: Expr, offset: int, *heights: int) -> _Tree:
-        """``node`` over subtrees of the given heights, if not too high."""
-        height = 1 + max(heights)
-        if height > MAX_DEPTH:
+    def checked(self, node: Expr, offset: int) -> Expr:
+        """``node``, if its tree is not too high."""
+        if node.height > MAX_DEPTH:
             raise ParseError(offset, _TOO_DEEP)
-        return node, height
+        return node
 
-    def parse(self) -> _Tree:
-        tree = self.expr()
+    def parse(self) -> Expr:
+        node = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(tok[2], f"expected end of input, found {tok[1]!r}")
-        return tree
+        return node
 
-    def expr(self) -> _Tree:
-        node, height = self.term()
+    def expr(self) -> Expr:
+        node = self.term()
         while self.peek()[0] in ("+", "-"):
             op, _, offset = self.advance()
-            right, h = self.term()
-            node, height = self.checked(BinaryOp(op, node, right), offset, height, h)
-        return node, height
+            node = self.checked(BinaryOp(op, node, self.term()), offset)
+        return node
 
-    def term(self) -> _Tree:
-        node, height = self.factor()
+    def term(self) -> Expr:
+        node = self.factor()
         while self.peek()[0] in ("*", "/"):
             op, _, offset = self.advance()
-            right, h = self.factor()
-            node, height = self.checked(BinaryOp(op, node, right), offset, height, h)
-        return node, height
+            node = self.checked(BinaryOp(op, node, self.factor()), offset)
+        return node
 
-    def factor(self) -> _Tree:
-        tree = self.unary()
+    def factor(self) -> Expr:
+        node = self.unary()
         if self.peek()[0] != "^":
-            return tree
-        trees, offsets = [tree], []
+            return node
+        nodes, offsets = [node], []
         while self.peek()[0] == "^":
             offsets.append(self.advance()[2])
-            trees.append(self.unary())
-        node, height = trees.pop()
-        for offset, (left, h) in zip(reversed(offsets), reversed(trees)):  # right-associative
-            node, height = self.checked(BinaryOp("^", left, node), offset, h, height)
-        return node, height
+            nodes.append(self.unary())
+        node = nodes.pop()
+        for offset, left in zip(reversed(offsets), reversed(nodes)):  # right-associative
+            node = self.checked(BinaryOp("^", left, node), offset)
+        return node
 
-    def unary(self) -> _Tree:
+    def unary(self) -> Expr:
         if self.peek()[0] == "-":
             offset = self.advance()[2]
-            node, height = self.primary()
-            return self.checked(Negate(node), offset, height)
+            return self.checked(Negate(self.primary()), offset)
         return self.primary()
 
-    def primary(self) -> _Tree:
+    def primary(self) -> Expr:
         kind, text, offset = self.peek()
         if kind == "number":
             self.advance()
-            return Number(float(text)), 1
+            return Number(float(text))
         if kind == "ident":
             self.advance()
             if self.peek()[0] == "(":
@@ -271,14 +261,14 @@ class _Parser:
             raise ParseError(offset, f"unknown name {text!r} (only 'x' is a variable)")
         if kind == "(":
             self.open_group()
-            tree = self.expr()
+            node = self.expr()
             self.expect(")")
             self.depth -= 1
-            return tree
+            return node
         found = text or "end of input"
         raise ParseError(offset, f"expected a number, 'x', function, or '(', found {found!r}")
 
-    def call(self, name: str, offset: int) -> _Tree:
+    def call(self, name: str, offset: int) -> Expr:
         if name not in _ARITY:
             raise ParseError(
                 offset, f"unknown function {name!r}; known: {sorted(_ARITY)}"
@@ -295,7 +285,7 @@ class _Parser:
                 offset,
                 f"{name} takes {_ARITY[name]} argument(s), got {len(args)}",
             )
-        return self.checked(Call(name, tuple(a for a, _ in args)), offset, *(h for _, h in args))
+        return self.checked(Call(name, tuple(args)), offset)
 
 
 def parse(text: str, defines: dict[str, str] | None = None) -> Expr:
@@ -308,7 +298,7 @@ def parse(text: str, defines: dict[str, str] | None = None) -> Expr:
             names[name] = _Parser(value, {}).parse()
         except ParseError as exc:
             raise ParseError(exc.offset, exc.reason, name) from None
-    return _Parser(text, names).parse()[0]
+    return _Parser(text, names).parse()
 
 
 def _power(node: Callable[[], Expr], base: float, exponent: float) -> float:

@@ -39,7 +39,7 @@ from .apply import (
     spectral_reference,
 )
 from .errors import NumericalError, ValidationError
-from .families import Charlier, ContinuousDualHahn, Krawtchouk, Meixner
+from .families import MAX_ORDER, Charlier, ContinuousDualHahn, Krawtchouk, Meixner
 from .special import ln_gamma
 
 __all__ = ["TableCell", "TableReport", "run_table", "cell_passes", "TABLE_NUMBERS"]
@@ -167,7 +167,7 @@ def run_table(which: int, oracle_size: int = SPECTRAL_REFERENCE_SIZE) -> TableRe
     """Recompute one of the bundled reference tables.
 
     ``oracle_size`` is the truncation used for the spectral reference of
-    table 3 (ignored by tables 1 and 2); table 3 requires an integer >= 1.
+    table 3, an integer from 1 to MAX_ORDER (ignored by tables 1 and 2).
     """
     if (isinstance(which, bool) or not isinstance(which, numbers.Integral)
             or which not in TABLE_NUMBERS):
@@ -178,6 +178,9 @@ def run_table(which: int, oracle_size: int = SPECTRAL_REFERENCE_SIZE) -> TableRe
         or not (isinstance(oracle_size, numbers.Integral) and oracle_size >= 1)
     ):
         raise ValidationError(f"table {which} requires oracle_size >= 1, got {oracle_size!r}")
+    if table_exact is None and oracle_size > MAX_ORDER:
+        raise ValidationError(f"table {which} requires oracle_size <= {MAX_ORDER}, "
+                              f"got {oracle_size}")
     cells = []
     for label, params, published_row in rows:
         try:

@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -1345,3 +1346,31 @@ class TestMainSweep:
             weights = (json.loads(out)["weights"] if fmt == "json"
                        else [float(line.split(",")[1]) for line in out.splitlines()[1:]])
             assert abs(math.fsum(weights) - 1.0) <= 1e-12
+
+
+@pytest.mark.usefixtures("empty_store")
+class TestMaximumOrder:
+    """An order or table-3 oracle size above families.MAX_ORDER = 2**16
+    exits 2 with a message naming the bound, before any matrix or list is
+    made; nothing is stored."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("rule", "--family", "charlier", "--mu", "2", "--n", "99999999999"),
+         "order must be <= 65536, got 99999999999"),
+        (("rule", "--family", "wilson", "--mu", "1", "--nu", "1", "--alpha", "1", "--beta", "1",
+          "--n", "65537", "--format", "csv"), "order must be <= 65536, got 65537"),
+        (("sum", "--family", "charlier", "--mu", "2", "--n", "65537", "--f", "1"),
+         "order must be <= 65536, got 65537"),
+        (("table", "3", "--oracle-k", "100000"),
+         "table 3 requires oracle_size <= 65536, got 100000"),
+    ])
+    def test_exits_2_naming_the_bound(self, capsys, argv, message):
+        tracemalloc.start()
+        try:
+            outcomes = [run_cli(capsys, *argv) for _ in range(2)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcomes == [(2, "", f"error: {message}\n")] * 2
+        assert peak < 2**20
+        assert quadsum.cli._prepared.cache_info().currsize == 0

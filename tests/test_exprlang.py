@@ -1,5 +1,6 @@
 """Tests for the expression language."""
 
+import dataclasses
 import gc
 import math
 import struct
@@ -405,3 +406,64 @@ class TestCompiledEvaluator:
     def test_same_bits_or_error_as_the_tree_walk(self, tree, xs):
         for x in xs:
             assert _outcome(evaluate, tree, x) == _outcome(evaluate_reference, tree, x)
+
+
+def _children(e):
+    if isinstance(e, Negate):
+        return (e.operand,)
+    if isinstance(e, BinaryOp):
+        return (e.left, e.right)
+    return e.args if isinstance(e, Call) else ()
+
+
+def _nodes(e):
+    yield e
+    for child in _children(e):
+        yield from _nodes(child)
+
+
+def _height(e):
+    return 1 + max(map(_height, _children(e)), default=0)
+
+
+class TestNodeAttributes:
+    """``height`` and ``run`` are plain attributes each node sets when it is
+    built; the dataclass fields are the node's value alone."""
+
+    def _check_heights(self, tree):
+        for node in _nodes(tree):
+            assert node.height == _height(node)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tree=_TREES, x=_FLOATS)
+    def test_hand_built_trees(self, tree, x):
+        self._check_heights(tree)
+        assert _outcome(lambda t, v: t.run(v), tree, x) == _outcome(evaluate_reference, tree, x)
+
+    @pytest.mark.parametrize("text, defines, height", [
+        ("x", {}, 1),
+        ("-2.5", {}, 2),
+        ("r^x/gamma(x+1)", {"r": "3"}, 4),
+        ("(x+1)*r^(x+1)/gamma(x+r+2)", {"r": "2"}, 5),
+        ("pow(r, s)-s", {"r": "-(1+x)", "s": "2^x^x"}, 5),
+        ("+".join(["x"] * MAX_DEPTH), {}, MAX_DEPTH),
+        ("x*r", {"r": "+".join(["x"] * (MAX_DEPTH - 1))}, MAX_DEPTH),
+    ], ids=["variable", "negated-number", "exp", "shifted-power", "defines", "longest-sum",
+            "highest-define"])
+    def test_parsed_trees(self, text, defines, height):
+        tree = parse(text, defines)
+        assert tree.height == height
+        self._check_heights(tree)
+        for x in (0.5, 2.0, -1.5):
+            assert _outcome(lambda t, v: t.run(v), tree, x) == _outcome(evaluate_reference, tree, x)
+
+    def test_fields_are_the_value(self):
+        fields = {cls: [f.name for f in dataclasses.fields(cls)]
+                  for cls in (Number, Variable, Negate, BinaryOp, Call)}
+        assert fields == {Number: ["value"], Variable: [], Negate: ["operand"],
+                          BinaryOp: ["op", "left", "right"], Call: ["name", "args"]}
+        tree = parse("-exp(2*x)")
+        assert dataclasses.asdict(tree) == {
+            "operand": {"name": "exp", "args": ({"op": "*", "left": {"value": 2.0}, "right": {}},)}}
+        assert repr(tree) == ("Negate(operand=Call(name='exp', args=(BinaryOp(op='*', "
+                              "left=Number(value=2.0), right=Variable()),)))")

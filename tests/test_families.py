@@ -923,6 +923,39 @@ class TestCustom:
             d.weighted_sum(lambda x: 1.0)  # mass 0 at k=0
 
 
+
+def _unread_coefficient(n):
+    raise AssertionError(f"coefficient {n} read")
+
+
+class TestMaximumOrder:
+    """Orders and sizes up to families.MAX_ORDER = 2**16 pass their check;
+    a larger one is a ValidationError naming the bound, raised before any
+    coefficient is read or any list is made."""
+
+    def test_the_bound_itself_passes(self):
+        assert families.MAX_ORDER == 2**16
+        families.require_count("order", families.MAX_ORDER)
+        recurrence(Charlier(2.0)).require_order(families.MAX_ORDER)
+        # a Functional builds nothing until it is approximated
+        assert Functional("weighted_sum", math.exp, Charlier(2.0), 2**16).order == 2**16
+
+    @pytest.mark.parametrize("n", [2**16 + 1, 99999999999, 10**400])
+    def test_above_the_bound_is_refused_first(self, n):
+        stream = RecurrenceStream(a=_unread_coefficient, b=_unread_coefficient)
+        custom = Custom(stream, MeasureSpec(continuous=ContinuousPart(lambda x: 1.0, (0.0, 1.0))))
+        assert custom.kind == "custom"
+        for refuse, name in [
+            (lambda: build(recurrence(custom), n), "order"),
+            (lambda: build(recurrence(Charlier(2.0)), n), "order"),
+            (lambda: Functional("weighted_sum", math.exp, Charlier(2.0), n), "order"),
+            (lambda: quadsum.apply.spectral_reference(custom, math.exp, n), "size"),
+        ]:
+            with pytest.raises(ValidationError) as info:
+                refuse()
+            assert str(info.value) == f"{name} must be <= 65536, got {n}"
+
+
 def _unreadable(k):
     raise RuntimeError(f"support read at k={k}")
 

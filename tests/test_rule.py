@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -38,6 +39,34 @@ class TestGaussRule:
             assert abs(math.fsum(r.weights.tolist()) - 1.0) <= 1e-12
             assert np.all(r.weights > 0.0)
             assert np.all(np.diff(r.nodes) > 0.0)
+
+
+
+class TestKrawtchoukFullSupport:
+    """At N = M+1 the Gauss rule of Krawtchouk(M, gamma) is its measure:
+    node k is k and its weight is the binomial mass C(M,k) gamma^k
+    (1-gamma)^(M-k).  The reference ln masses come from mpmath at 50
+    digits; double logs of exact masses lose about 1e-12 at M = 200.  Each
+    band is about twice the worst error measured (all at tail nodes), so
+    that weights from a more accurate method can tighten them."""
+
+    @pytest.mark.parametrize("M, gamma, node_band, ln_band", [
+        (20, 0.1, 3e-14, 5e-14),
+        (20, 0.3, 3e-14, 1e-13),
+        (100, 0.1, 2e-13, 3e-12),
+        (100, 0.3, 2e-13, 2e-12),
+        (200, 0.1, 5e-13, 3e-12),
+        (200, 0.3, 5e-13, 4e-11),
+    ])
+    def test_nodes_and_weights_are_the_measure(self, M, gamma, node_band, ln_band):
+        rule = gauss_rule(build(recurrence(Krawtchouk(M, gamma)), M + 1))
+        with mpmath.workdps(50):
+            g = mpmath.mpf(gamma)
+            ln_mass = [float(mpmath.log(mpmath.binomial(M, k)) + k * mpmath.log(g)
+                             + (M - k) * mpmath.log(1 - g)) for k in range(M + 1)]
+        assert max(abs(x - k) for k, x in enumerate(rule.nodes.tolist())) <= node_band
+        ln_errors = [abs(math.log(w) - ref) for w, ref in zip(rule.weights.tolist(), ln_mass)]
+        assert max(ln_errors) <= ln_band
 
 
 class TestEigenvalueOnlyRule:
