@@ -22,13 +22,14 @@ Each node sets two attributes, not dataclass fields, when it is built:
 the tree or dispatches on node types again.  A number, a negated number or x
 is read in place, not called, by a + - * beside a constant, a / by a nonzero
 constant (which makes no zero test) and a power of a constant base or to the
-power x.  C ``math.pow``, ``math.gamma`` and ``math.lgamma`` are called
-directly, and what they raise goes to the checked helper, so errors keep
-their type and text.  No code is generated per tree: a fresh integrand costs
-its parse alone.  A closure holds its operator, leaf values and child
-closures, never its own node, so a tree has no reference cycle: a dropped
-tree is freed by reference counting, and a caller may keep parsed trees
-without leaving garbage for the cycle collector.  An evaluator that fails
+power x.  A function or a power calls its C function once and handles what
+it raises in place: exp, ln, sqrt and gamma share one closure, read from
+one table, that makes C's ValueError the ``EvalError`` and OverflowError an
+inf of the argument's sign; abs and lgamma keep closures of their own.  No
+code is generated per tree: a fresh integrand costs its parse alone.  A
+closure holds its operator, leaf values and child closures, never its own
+node, so a tree has no reference cycle and a dropped tree is freed by
+reference counting, not left to the cycle collector.  A failing evaluator
 builds an equal node for its ``EvalError``.
 """
 
@@ -40,9 +41,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .errors import NumericalError, ValidationError
-from .special import gamma as _gamma
-from .special import ln_gamma as _ln_gamma
+from .errors import NumericalError
 
 __all__ = [
     "MAX_DEPTH",
@@ -301,16 +300,6 @@ def parse(text: str, defines: dict[str, str] | None = None) -> Expr:
     return _Parser(text, names).parse()
 
 
-def _power(node: Callable[[], Expr], base: float, exponent: float) -> float:
-    try:
-        return math.pow(base, exponent)
-    except OverflowError:
-        # An odd integer power keeps the sign of its base.
-        return math.copysign(math.inf, base) if exponent % 2.0 == 1.0 else math.inf
-    except ValueError:
-        raise EvalError(node(), f"domain error raising {base!r} to power {exponent!r}")
-
-
 def _operand(e: Expr) -> tuple[str, object]:
     """How the closure of e's parent reads e: ("c", its value) for a number
     or a negated number, ("x", None) for the variable, else ("f", e.run)."""
@@ -333,7 +322,7 @@ _FOLDED = {
 
 
 def _power_of(node: Callable[[], Expr], base_node: Expr, exponent_node: Expr) -> _Fn:
-    """A power's closure: C ``math.pow``, and ``_power`` for what it raises."""
+    """A power's closure: C ``math.pow``, called once."""
     (base_shape, constant), (exponent_shape, _) = _operand(base_node), _operand(exponent_node)
     base_of = None if base_shape == "c" else base_node.run
     exponent_of = None if exponent_shape == "x" else exponent_node.run
@@ -343,8 +332,11 @@ def _power_of(node: Callable[[], Expr], base_node: Expr, exponent_node: Expr) ->
         exponent = x if exponent_of is None else exponent_of(x)
         try:
             return math.pow(base, exponent)
-        except (OverflowError, ValueError):
-            return _power(node, base, exponent)
+        except OverflowError:
+            # An odd integer power keeps the sign of its base.
+            return math.copysign(math.inf, base) if exponent % 2.0 == 1.0 else math.inf
+        except ValueError:
+            raise EvalError(node(), f"domain error raising {base!r} to power {exponent!r}")
 
     return power
 
@@ -381,65 +373,48 @@ def _compile_binary(op: str, left_node: Expr, right_node: Expr) -> _Fn:
     return _power_of(node, left_node, right_node)
 
 
+# name -> (C function, error text) of the one-argument functions whose C
+# function raises ValueError at exactly the arguments they refuse: ln at
+# a <= 0, sqrt at a < 0, gamma at a pole.  C lgamma refuses only its poles.
+_UNARY = {
+    "exp": (math.exp, ""),
+    "ln": (math.log, "ln of non-positive value"),
+    "sqrt": (math.sqrt, "sqrt of negative value"),
+    "gamma": (math.gamma, "gamma pole at"),
+}
+
+
 def _compile_call(name: str, args: tuple[Expr, ...]) -> _Fn:
-    arg = args[0].run
-
-    def node() -> Expr:
-        return Call(name, args)
-
     if name == "pow":
-        return _power_of(node, *args)
+        return _power_of(lambda: Call(name, args), *args)
+    arg = args[0].run
     if name == "abs":
         return lambda x: abs(arg(x))
-    if name == "exp":
-        def exp(x: float) -> float:
-            a = arg(x)
-            try:
-                return math.exp(a)
-            except OverflowError:
-                return math.inf
-
-        return exp
-    if name == "ln":
-        def ln(x: float) -> float:
-            a = arg(x)
-            if a <= 0.0:
-                raise EvalError(node(), f"ln of non-positive value {a!r}")
-            return math.log(a)
-
-        return ln
-    if name == "sqrt":
-        def sqrt(x: float) -> float:
-            a = arg(x)
-            if a < 0.0:
-                raise EvalError(node(), f"sqrt of negative value {a!r}")
-            return math.sqrt(a)
-
-        return sqrt
-    if name == "gamma":
-        def gamma(x: float) -> float:
-            a = arg(x)
-            try:
-                return math.gamma(a)
-            except (OverflowError, ValueError):  # a pole, or past the overflow
-                try:
-                    return _gamma(a)
-                except ValidationError:
-                    raise EvalError(node(), f"gamma pole at {a!r}")
-
-        return gamma
     if name == "lgamma":
         def lgamma(x: float) -> float:
             a = arg(x)
             if a <= 0.0:
-                raise EvalError(node(), f"lgamma of non-positive value {a!r}")
+                raise EvalError(Call(name, args), f"lgamma of non-positive value {a!r}")
             try:
                 return math.lgamma(a)  # NaN passes through, as in ln
             except OverflowError:
-                return _ln_gamma(a)
+                return math.inf
 
         return lgamma
-    raise TypeError(f"not an expression function: {name!r}")
+    if name not in _UNARY:
+        raise TypeError(f"not an expression function: {name!r}")
+    function, refusal = _UNARY[name]
+
+    def call(x: float) -> float:
+        a = arg(x)
+        try:
+            return function(a)  # NaN passes through
+        except OverflowError:  # exp and gamma; gamma(x) ~ 1/x near 0
+            return math.copysign(math.inf, a)
+        except ValueError:
+            raise EvalError(Call(name, args), f"{refusal} {a!r}") from None
+
+    return call
 
 
 def evaluate(e: Expr, x: float) -> float:

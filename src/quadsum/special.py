@@ -1,11 +1,10 @@
-"""Scalar special functions: real log-gamma and Gamma, |Gamma(a+ix)|^2 in
-log space, and Pochhammer symbols.
+"""Scalar special functions: real log-gamma, |Gamma(a+ix)|^2 in log space,
+and Pochhammer symbols.
 
-Real ln Gamma and Gamma are CPython's C ``math.lgamma`` and ``math.gamma``;
-|Gamma(a+ix)|^2 uses a Lanczos rational approximation (g = 7, 9
-coefficients).  Weight formulas downstream compose results in log space and
-exponentiate once, so none of these routines return raw Gamma values for
-large arguments.
+Real ln Gamma is CPython's C ``math.lgamma``; |Gamma(a+ix)|^2 uses a
+Lanczos rational approximation (g = 7, 9 coefficients).  Weight formulas
+downstream compose results in log space and exponentiate once, so none of
+these routines return raw Gamma values.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import math
 
 from .errors import ValidationError
 
-__all__ = ["ln_gamma", "ln_abs_gamma_sq", "gamma", "ln_pochhammer_signed"]
+__all__ = ["ln_gamma", "ln_abs_gamma_sq", "ln_pochhammer_signed"]
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
@@ -102,16 +101,3 @@ def ln_pochhammer_signed(a: float, n: int) -> tuple[float, float]:
         if f < 0.0:
             sign = -sign
     return ln, sign
-
-
-def gamma(x: float) -> float:
-    """Gamma(x) for real non-pole x (sign included for x < 0); inf where it
-    overflows, and a signed zero where |Gamma(x)| underflows for x < 0.  C
-    ``math.gamma``: within 3.5 eps relative of mpmath on (-30, 171.6)."""
-    try:
-        return math.gamma(x)
-    except ValueError:
-        raise ValidationError(f"Gamma pole at {x!r}") from None
-    except OverflowError:
-        # Only near 0, where Gamma(x) ~ 1/x, and for x > 171.6.
-        return math.copysign(math.inf, x)

@@ -11,7 +11,8 @@ must reproduce bit for bit,
 ``eigenvector_matrix`` is the whole eigenvector matrix, of which the library
 computes only the first row, and
 ``evaluate_reference`` is the expression tree walk that the compiled
-expression evaluators must reproduce bit for bit, ``fmt_json_reference``,
+expression evaluators must reproduce bit for bit, with its own ``gamma``
+and power, ``fmt_json_reference``,
 ``rule_csv_reference`` and ``table_csv_reference`` are the per-value JSON
 formatter and per-line CSV loops whose bytes the CLI's output must
 reproduce, and ``lanczos_recurrence`` recovers a recurrence from a discrete
@@ -29,11 +30,10 @@ import numpy as np
 
 from quadsum.eig import _EPS, _MAX_SWEEPS, ConvergenceError, eigenvalues
 from quadsum.errors import NumericalError, ValidationError
-from quadsum.exprlang import BinaryOp, Call, EvalError, Expr, Negate, Number, Variable, _power
+from quadsum.exprlang import BinaryOp, Call, EvalError, Expr, Negate, Number, Variable
 from quadsum.families import DiscretePart, RecurrenceStream
 from quadsum.jacobi import JacobiMatrix, build
 from quadsum.rule import QuadratureRule
-from quadsum.special import gamma as _gamma
 from quadsum.special import ln_gamma
 
 
@@ -239,6 +239,30 @@ def eigenvector_matrix(j: JacobiMatrix) -> tuple[np.ndarray, np.ndarray]:
     return np.array(d)[order], vectors * np.sign(vectors[0])
 
 
+def gamma(x: float) -> float:
+    """Gamma(x) for real non-pole x (sign included for x < 0); inf where it
+    overflows, and a signed zero where |Gamma(x)| underflows for x < 0.  C
+    ``math.gamma``: within 3.5 eps relative of mpmath on (-30, 171.6)."""
+    try:
+        return math.gamma(x)
+    except ValueError:
+        raise ValidationError(f"Gamma pole at {x!r}") from None
+    except OverflowError:
+        # Only near 0, where Gamma(x) ~ 1/x, and for x > 171.6.
+        return math.copysign(math.inf, x)
+
+
+def _power(e: Expr, base: float, exponent: float) -> float:
+    """base ** exponent for the power node e, inf past the largest double."""
+    try:
+        return math.pow(base, exponent)
+    except OverflowError:
+        # An odd integer power keeps the sign of its base.
+        return math.copysign(math.inf, base) if exponent % 2.0 == 1.0 else math.inf
+    except ValueError:
+        raise EvalError(e, f"domain error raising {base!r} to power {exponent!r}")
+
+
 def evaluate_reference(e: Expr, x: float) -> float:
     """Evaluate an expression tree at x by walking it, node by node."""
     if isinstance(e, Number):
@@ -260,7 +284,7 @@ def evaluate_reference(e: Expr, x: float) -> float:
             if right == 0.0:
                 raise EvalError(e, "division by zero")
             return left / right
-        return _power(lambda: e, left, right)
+        return _power(e, left, right)
     if isinstance(e, Call):
         args = [evaluate_reference(a, x) for a in e.args]
         if e.name == "exp":
@@ -280,14 +304,14 @@ def evaluate_reference(e: Expr, x: float) -> float:
             return abs(args[0])
         if e.name == "gamma":
             try:
-                return _gamma(args[0])
+                return gamma(args[0])
             except ValidationError:
                 raise EvalError(e, f"gamma pole at {args[0]!r}")
         if e.name == "lgamma":
             if args[0] <= 0.0:
                 raise EvalError(e, f"lgamma of non-positive value {args[0]!r}")
             return args[0] if math.isnan(args[0]) else ln_gamma(args[0])
-        return _power(lambda: e, args[0], args[1])  # pow
+        return _power(e, args[0], args[1])  # pow
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -673,10 +673,10 @@ class TestExpressionStore:
             if stored[-1]:  # a hit parses nothing
                 assert [call for call in preparing_calls if call[0] == "parse"] == []
         assert [code for code, _, _ in map(lambda argv: run_cli(capsys, *argv), commands)] == [
-            0, 0, 0, 0, 0, 0, 0, 3, 2, 2, 2, 0]
+            0, 0, 0, 0, 0, 0, 0, 3, 3, 3, 2, 2, 2, 0]
         # a sum whose rule cannot be prepared (a density not finite at a
         # node) is not stored, like a family that fails validation
-        assert stored == [True] * 8 + [False] * 3 + [True]
+        assert stored == [True] * 10 + [False] * 3 + [True]
 
     def test_miss_parses_through_the_module_name(self, capsys, preparing_calls):
         argv = _sum_argv("r*x/gamma(x+1)", "r=1.5")

@@ -355,6 +355,13 @@ _FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 _UNARY = ("exp", "ln", "sqrt", "gamma", "lgamma", "abs")
+# Arguments at each one-argument function's edges: signed zeros and
+# infinities, the tiniest doubles, a NaN, a pole, and where exp, gamma and
+# lgamma overflow.
+_ARGUMENT_EDGES = [
+    -math.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 0.5, 171.7, 710.0, 1e306, 1e308,
+    math.inf, math.nan,
+]
 
 
 def _extend(children):
@@ -403,6 +410,16 @@ class TestCompiledEvaluator:
     @example(tree=parse("exp(-x)"), xs=[1.0, -1000.0])
     @example(tree=parse("gamma(x)"), xs=[0.0, -1.0, -math.inf, 171.8, -1e-309, 0.5])
     @example(tree=parse("lgamma(x)"), xs=[1e306, 0.5, math.inf])
+    # each one-argument function at the edges of its domain and range
+    @example(tree=parse("abs(x)"), xs=_ARGUMENT_EDGES)
+    @example(tree=parse("exp(x)"), xs=_ARGUMENT_EDGES)
+    @example(tree=parse("ln(x)"), xs=_ARGUMENT_EDGES)
+    @example(tree=parse("sqrt(x)"), xs=_ARGUMENT_EDGES)
+    @example(tree=parse("gamma(x)"), xs=_ARGUMENT_EDGES)
+    @example(tree=parse("lgamma(x)"), xs=_ARGUMENT_EDGES)
+    @example(tree=parse("x^0.5"), xs=[-2.0, -math.inf])  # a negative base, a fractional power
+    @example(tree=parse("pow(x, -1)"), xs=[0.0, -0.0])  # 0^-1
+    @example(tree=parse("x^1001"), xs=[-10.0, 10.0])  # an odd integer power past the overflow
     def test_same_bits_or_error_as_the_tree_walk(self, tree, xs):
         for x in xs:
             assert _outcome(evaluate, tree, x) == _outcome(evaluate_reference, tree, x)

@@ -3,13 +3,14 @@
 import dataclasses
 import itertools
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, quad_vec
 
@@ -767,6 +768,88 @@ class TestRecurrenceFromMeasure:
             for x in (0.01, 0.1, 0.5, 1.0, 2.0, 3.7, 5.0, 10.0, 20.0, 40.0, 80.0, 120.0):
                 ref = _cdh_density_mp(spec, x)
                 assert float(abs(sigma(x) - ref) / ref) <= 2e-12
+
+
+def _unit_interval(draw, least_gap: float) -> float:
+    """A parameter in (0, 1), log-uniform in its distance to the nearer end:
+    down to 1e-8 from 0 and to ``least_gap`` from 1."""
+    if draw(st.booleans()):
+        return 10.0 ** draw(st.floats(-8.0, math.log10(0.5)))
+    return 1.0 - 10.0 ** draw(st.floats(math.log10(least_gap), math.log10(0.5)))
+
+
+@st.composite
+def _lattice_family(draw):
+    """A Charlier, Meixner or Krawtchouk family across its valid region:
+    mu log-uniform in [1e-3, 1e3] (Charlier) or [1e-3, 1e2] (Meixner),
+    beta in (0, 0.99] and gamma in (0, 1 - 1e-8] near either end as often
+    as in between, and M log-uniform in [1, 2e4]."""
+    kind = draw(st.sampled_from(("charlier", "meixner", "krawtchouk")))
+    if kind == "charlier":
+        return Charlier(10.0 ** draw(st.floats(-3.0, 3.0)))
+    if kind == "meixner":
+        return Meixner(10.0 ** draw(st.floats(-3.0, 2.0)), _unit_interval(draw, 1e-2))
+    return Krawtchouk(round(10.0 ** draw(st.floats(0.0, math.log10(2e4)))), _unit_interval(draw, 1e-8))
+
+
+def _lattice_truncation(spec, n: int) -> tuple[list, list, int]:
+    """Points and masses of a lattice family from k = 0 to where orders
+    below n are resolved, and the number of orders they resolve.  The cut
+    comes from the measure's mean and spread: the order-n Gauss nodes reach
+    about 2 sqrt(n) spreads past the mean, and in a heavy tail about 4n
+    dispersion lengths (variance over mean: 1/(1-beta) for Meixner), so it
+    lies 8 spreads and 4n lengths beyond those.  A mass within 2**52 of the
+    subnormal range has lost bits or is the next one to, so only larger
+    masses are kept.  The last b of a whole finite support is 0, and the
+    last three orders before a cut depend on the masses it drops."""
+    if spec.kind == "charlier":
+        mean = variance = spec.mu
+    elif spec.kind == "meixner":
+        mean = 2.0 * spec.mu * spec.beta / (1.0 - spec.beta)
+        variance = mean / (1.0 - spec.beta)
+    else:
+        mean = spec.M * spec.gamma
+        variance = mean * (1.0 - spec.gamma)
+    size = math.ceil(mean + (2.0 * math.sqrt(n) + 8.0) * math.sqrt(variance) + 8.0 * n * variance / mean)
+    if spec.kind == "krawtchouk" and size > spec.M:
+        points, masses = finite_support(measure(spec).discrete)
+    else:
+        points, masses = _lattice(spec, size)
+    kept = [(x, m) for x, m in zip(points, masses) if m >= sys.float_info.min / sys.float_info.epsilon]
+    whole = spec.kind == "krawtchouk" and len(kept) == spec.M + 1
+    return [x for x, _ in kept], [m for _, m in kept], min(n, len(kept) - (1 if whole else 3))
+
+
+# Bands on the errors of ``_recovery_errors`` (a, b) per family, about twice
+# the worst measured over the sweep's draws and the corners of its region:
+# Charlier 9.9e-15 and 3.5e-14 (mu = 1e3); Meixner 4.8e-13 and 1.2e-12
+# (mu = 100, beta = 0.99, whose cut keeps 80687 points); Krawtchouk 2.0e-12
+# (M = 2e4, gamma = 1e-3) and 4.0e-11 (M = 2e4, gamma = 1 - 1e-8).  The
+# Krawtchouk masses are exp of log-gamma sums as large as ln Gamma(M+1), so
+# at M = 2e4 they are themselves off by up to 3.6e-11 against mpmath.
+_LATTICE_SWEEP_BANDS = {"charlier": (2e-14, 7e-14), "meixner": (1e-12, 2.5e-12),
+                        "krawtchouk": (4e-12, 8e-11)}
+
+
+class TestLatticeRecurrenceSweep:
+    """Each lattice family's recurrence recovered from a truncation of its
+    own measure, over parameters drawn across its valid region, equals
+    ``recurrence()`` at every order below 40 that the truncation resolves."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(spec=_lattice_family())
+    @example(spec=Charlier(1e3))
+    @example(spec=Meixner(1e-3, 1e-8))
+    @example(spec=Meixner(1e2, 1e-8))
+    @example(spec=Meixner(1e2, 0.9))
+    @example(spec=Krawtchouk(20000, 1e-8))
+    @example(spec=Krawtchouk(20000, 0.5))
+    @example(spec=Krawtchouk(20000, 1.0 - 1e-8))
+    def test_recovered_recurrence_matches(self, spec):
+        err_a, err_b = _recovery_errors(spec, *_lattice_truncation(spec, 40))
+        worst = max(err_a), max(err_b)
+        bands = _LATTICE_SWEEP_BANDS[spec.kind]
+        assert worst[0] <= bands[0] and worst[1] <= bands[1], worst
 
 
 @st.composite

@@ -6,9 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from oracles import gamma
 from quadsum.errors import ValidationError
 from quadsum.special import (
-    gamma,
     ln_abs_gamma_sq,
     ln_gamma,
     ln_pochhammer_signed,
