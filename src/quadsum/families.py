@@ -7,8 +7,8 @@ spectral variable y = x^2: their measure has a continuous density on
 x in [0, inf) and, for mu < 0, finitely many point masses at y = -(k+mu)^2.
 One formula over the parameters builds both measures, and one over the sorted
 parameters, so that a large one never cancels in a_n, both recurrences.  Only
-Wilson's constants add lnGamma of the parameter sum, only its recurrence has
-(2n+s) factors, and only the continuous dual Hahn masses alternate in sign.
+Wilson's constants add lnGamma of the parameter sum, and only its recurrence
+has (2n+s) factors; the parameter rule makes every point mass positive.
 A Custom family wraps an explicit recurrence stream and measure.  Each
 family class owns its ``recurrence()`` and ``measure()``, and ``FAMILIES``,
 which maps each built-in family's command-line name to its class, is the
@@ -33,7 +33,7 @@ from decimal import Decimal
 from typing import Callable
 
 from .errors import NumericalError, ValidationError
-from .special import ln_abs_gamma_sq, ln_gamma, ln_pochhammer_signed
+from .special import ln_abs_gamma_sq, ln_gamma
 
 __all__ = [
     "MAX_ORDER",
@@ -231,44 +231,19 @@ def _lattice_measure(ln_mass: Callable[[float], float], size: int | None) -> Mea
     )
 
 
-def _squared_variable_masses(
-    mu: float,
-    ln_front: float,
-    poch_up: tuple[float, ...],
-    poch_down: tuple[float, ...],
-    alternating_sign: bool,
-) -> DiscretePart:
-    """Point masses at y_k = -(k+mu)^2 for the ceil(-mu) indices k >= 0 with
-    k + mu < 0.  Each is assembled in log space, when summed, from a constant
-    prefactor, the (-mu-k) factor, Pochhammer products and 1/k!, tracking the
-    factors' signs; a vanishing Pochhammer denominator makes it NaN or 0.0,
-    which ``weighted_sum`` rejects like any mass that is not positive."""
-
-    def mass_at(k: int) -> float:
-        ln = ln_front + math.log(-(mu + k)) - ln_gamma(k + 1.0)
-        sign = -1.0 if (alternating_sign and k % 2 == 1) else 1.0
-        for bases, power in ((poch_up, 1.0), (poch_down, -1.0)):
-            for base in bases:
-                l, s = ln_pochhammer_signed(base, k)
-                ln += power * l
-                sign *= s
-        return sign * math.exp(ln)
-
-    return DiscretePart(
-        point_at=lambda k: -((k + mu) ** 2),
-        mass_at=mass_at,
-        size=math.ceil(-mu),
-    )
-
-
 def _squared_variable_measure(params: tuple[float, ...]) -> MeasureSpec:
     """The unit-mass measure of continuous dual Hahn, params (mu, alpha,
     beta), or Wilson, params (mu, nu, alpha, beta) (KLS 2010, sec. 9.3 and
     9.1): density exp(ln_c) prod_p |Gamma(p+ix)|^2 / |Gamma(2ix)|^2 on x in
     [0, inf), ln_c = -ln(2 pi) - sum lnGamma(p+q) over pairs p, q, and for
-    mu < 0 the point masses of ``_squared_variable_masses``.  Only Wilson
-    adds lnGamma(sum p); only continuous dual Hahn has the alternating
-    signs of its (-1)^k k! denominator."""
+    mu < 0 point masses at y_k = -(k+mu)^2 for the ceil(-mu) indices k with
+    k + mu < 0.  Each mass is assembled in log space, when summed, from a
+    constant prefactor, the -(mu+k) factor, the Pochhammer products
+    (mu+p)_k (2mu)_k / prod (mu-p+1)_k over the others p, and 1/k!; only
+    Wilson adds lnGamma(sum p).  The parameter rule (p + mu > 0) and k <
+    -mu make each factor of (mu+p)_k positive and each of (2mu)_k and
+    (mu-p+1)_k negative, so the handbook's sign, continuous dual Hahn's
+    (-1)^k times (-1)^k per negative product, is +1 for both families."""
     mu, *others = params
     wilson = len(params) == 4
     ln_sum = ln_gamma(sum(params)) if wilson else 0.0
@@ -295,7 +270,19 @@ def _squared_variable_measure(params: tuple[float, ...]) -> MeasureSpec:
         ln_front -= ln_gamma(1.0 - 2.0 * mu)
         up = (*(mu + p for p in others), 2.0 * mu)
         down = tuple(mu - p + 1.0 for p in others)
-        discrete = _squared_variable_masses(mu, ln_front, up, down, alternating_sign=not wilson)
+
+        def mass_at(k: int) -> float:
+            ln = ln_front + math.log(-(mu + k)) - ln_gamma(k + 1.0)
+            for bases, power in ((up, 1.0), (down, -1.0)):
+                for base in bases:
+                    ln_poch = 0.0  # ln |(base)_k|; this order fixes the last bits
+                    for j in range(k):
+                        ln_poch += math.log(abs(base + j))
+                    ln += power * ln_poch
+            return math.exp(ln)
+
+        discrete = DiscretePart(point_at=lambda k: -((k + mu) ** 2), mass_at=mass_at,
+                                size=math.ceil(-mu))
     continuous = ContinuousPart(density=sigma, support=(0.0, math.inf))
     return MeasureSpec(continuous=continuous, discrete=discrete)
 

@@ -1,5 +1,4 @@
-"""Scalar special functions: real log-gamma, |Gamma(a+ix)|^2 in log space,
-and Pochhammer symbols.
+"""Scalar special functions: real log-gamma and |Gamma(a+ix)|^2 in log space.
 
 Real ln Gamma is CPython's C ``math.lgamma``; |Gamma(a+ix)|^2 uses a
 Lanczos rational approximation (g = 7, 9 coefficients).  Weight formulas
@@ -14,7 +13,7 @@ import math
 
 from .errors import ValidationError
 
-__all__ = ["ln_gamma", "ln_abs_gamma_sq", "ln_pochhammer_signed"]
+__all__ = ["ln_gamma", "ln_abs_gamma_sq"]
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
@@ -86,18 +85,3 @@ def ln_abs_gamma_sq(a: float, x: float) -> float:
     # |Gamma((1-a) - ix)|^2 = |Gamma((1-a) + ix)|^2.
     return 2.0 * _LN_PI - _ln_abs_sin_pi_sq(a, x) - ln_abs_gamma_sq(1.0 - a, x)
 
-
-def ln_pochhammer_signed(a: float, n: int) -> tuple[float, float]:
-    """(ln |(a)_n|, sign) with sign in {-1, 0, +1}; ln is -inf when the
-    product vanishes."""
-    if n < 0:
-        raise ValidationError(f"ln_pochhammer_signed requires n >= 0, got {n!r}")
-    ln, sign = 0.0, 1.0
-    for j in range(n):
-        f = a + j
-        if f == 0.0:
-            return -math.inf, 0.0
-        ln += math.log(abs(f))
-        if f < 0.0:
-            sign = -sign
-    return ln, sign

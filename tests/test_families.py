@@ -399,25 +399,27 @@ class TestMeasures:
         assert d.size == 4
         assert all(xi > 0.0 for xi in finite_support(d)[1])
 
-    @pytest.mark.parametrize("spec, calls", [
-        (ContinuousDualHahn(-3.5, 4.5, 4.5), 20),
-        (Wilson(-3.5, 4.5, 5.5, 6.5), 28),
+    @pytest.mark.parametrize("spec, constants", [
+        (ContinuousDualHahn(-3.5, 4.5, 4.5), 7),
+        (Wilson(-3.5, 4.5, 5.5, 6.5), 14),
     ], ids=["cdh", "wilson"])
     def test_squared_variable_masses_are_evaluated_only_when_summed(
-        self, monkeypatch, spec, calls
+        self, monkeypatch, spec, constants
     ):
+        # building the measure takes lnGamma of its constants alone; summing
+        # takes one ln k! per mass
         seen = []
-        counted = families.ln_pochhammer_signed
+        counted = families.ln_gamma
 
-        def counting(a, n):
-            seen.append((a, n))
-            return counted(a, n)
+        def counting(x):
+            seen.append(x)
+            return counted(x)
 
-        monkeypatch.setattr(families, "ln_pochhammer_signed", counting)
+        monkeypatch.setattr(families, "ln_gamma", counting)
         d = measure(spec).discrete
-        assert (d.size, seen) == (4, [])
+        assert (d.size, len(seen)) == (4, constants)
         assert d.weighted_sum(lambda y: 1.0) > 0.0
-        assert len(seen) == calls
+        assert seen[constants:] == [1.0, 2.0, 3.0, 4.0]
 
     @pytest.mark.parametrize("mu, size", [
         (-3.0, 3), (-0.3, 1), (math.nextafter(-3.0, 0.0), 3), (math.nextafter(-3.0, -4.0), 4),
@@ -426,17 +428,6 @@ class TestMeasures:
         d = measure(ContinuousDualHahn(mu, 4.5, 4.5)).discrete
         assert d.size == size
         assert d.point_at(size - 1) == -((size - 1 + mu) ** 2) < 0.0
-
-    def test_vanishing_pochhammer_denominator_raises_before_f(self):
-        # (0)_1 = 0 in the denominator of the k = 1 mass
-        d = families._squared_variable_masses(
-            -2.5, 0.0, poch_up=(1.0,), poch_down=(0.0,), alternating_sign=False
-        )
-        calls = []
-        with pytest.raises(NumericalError) as exc:
-            d.weighted_sum(lambda y: calls.append(y) or 1.0)
-        assert str(exc.value) == "discrete mass xi_1 = nan is not positive"
-        assert calls == []
 
     def test_density_decays_at_large_argument(self):
         sigma = measure(ContinuousDualHahn(-3.5, 4.5, 4.5)).continuous.density
@@ -673,17 +664,23 @@ def _lattice(spec, size: int) -> tuple[list, list]:
     return [d.point_at(k) for k in range(size)], [d.mass_at(k) for k in range(size)]
 
 
-def _squared_variable(spec, upper: float = 120.0, panels: int = 100) -> tuple[list, list]:
+def _squared_variable(spec, upper: float = 120.0, panels: int = 100,
+                      graded: int = 0) -> tuple[list, list]:
     """A squared-variable family's measure made discrete: its density on x
     in [0, upper] by a composite 60-point Gauss-Legendre rule on ``panels``
     equal panels (6000 points by default), placed at y = x^2, plus its exact
-    point masses.  numpy's one 6000-point rule is slow to build and its
+    point masses.  ``graded`` > 0 splits the first panel at h 2^-graded, ...,
+    h/4, h/2 (h its width), for a density that changes within far less than
+    h of x = 0.  numpy's one 6000-point rule is slow to build and its
     weights are off by 3e-7, which reads as 1e-12 in a_n."""
     ms = measure(spec)
     t, w = np.polynomial.legendre.leggauss(60)
     h = upper / panels
-    x = (np.arange(panels)[:, None] * h + (t + 1.0) * h / 2.0).ravel()
-    w = np.tile(w * h / 2.0, panels)
+    halves = h * 2.0 ** np.arange(-graded, 0)
+    lo = np.concatenate(([0.0], halves, h * np.arange(1, panels)))
+    width = np.concatenate(([h * 2.0**-graded], halves, np.full(panels - 1, h)))
+    x = (lo[:, None] + (t + 1.0) * width[:, None] / 2.0).ravel()
+    w = (w * width[:, None] / 2.0).ravel()
     points = (x * x).tolist()
     masses = [wk * ms.continuous.density(xk) for xk, wk in zip(x.tolist(), w.tolist())]
     if ms.discrete is not None:
@@ -853,6 +850,73 @@ class TestLatticeRecurrenceSweep:
 
 
 @st.composite
+def _squared_variable_region(draw):
+    """A continuous dual Hahn or Wilson family across its valid region:
+    every parameter log-uniform in [1e-3, 1e3] if mu > 0; otherwise -mu
+    log-uniform in [1e-3, 10], a quarter of the draws within 1e-9 of -1 to
+    -10, and each other p with p + mu log-uniform in [1e-6, 1e2]."""
+    cls = draw(st.sampled_from((ContinuousDualHahn, Wilson)))
+    count = len(dataclasses.fields(cls)) - 1
+    if draw(st.booleans()):
+        return cls(*(10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(count + 1)))
+    if draw(st.integers(0, 3)) == 0:
+        mu = draw(st.floats(-1e-9, 1e-9)) - draw(st.integers(1, 10))
+    else:
+        mu = -(10.0 ** draw(st.floats(-3.0, 1.0)))
+    return cls(mu, *(10.0 ** draw(st.floats(-6.0, 2.0)) - mu for _ in range(count)))
+
+
+def _resolved_squared_variable(spec, n: int) -> tuple[list, list]:
+    """``_squared_variable`` on [0, upper], 100 panels, where upper is where
+    y^(2n) times the density, y = x^2, the integrand of the highest moment
+    that orders below n read, has fallen e^-120 below its peak (an e^-40
+    cut reads 1e-9 in a_n); and the first panel graded down to 2^-6 of the
+    distance d of the parameter nearest a pole of its Gamma(p + ix) at x =
+    0, whose density changes within d of x = 0."""
+    sigma = measure(spec).continuous.density
+    peak, x = -math.inf, 0.05
+    while True:
+        density = sigma(x)
+        ln = math.log(density) + 4 * n * math.log(x) if density > 0.0 else -math.inf
+        if ln < peak - 120.0:
+            break
+        peak, x = max(peak, ln), 1.02 * x + 0.05
+    h = x / 100
+    d = min(abs(p - min(round(p), 0)) for p in dataclasses.astuple(spec))
+    graded = math.ceil(math.log2(h / d)) + 6 if 0.0 < d < h else 0
+    return _squared_variable(spec, x, 100, graded)
+
+
+# Bands on the errors of ``_recovery_errors`` (a, b), about twice the worst
+# measured over 150 draws and the examples below: 2.5e-13 and 1.9e-13, both
+# at Wilson(615.7, 1e-3, 615.7, 1e-3).  When mu < 0 the a error is divided
+# by mu^2 first: a point mass at y = -mu^2 sets the scale of the Lanczos
+# procedure's rounding, so a_3 = 1 of continuous dual Hahn (-9, 10, 10)
+# reads 1.2e-12 even from exactly rounded masses.  Ungraded panels read
+# 1.0e-10 at Wilson(-3 - 1e-9, 3.5, 4, 5) and 2.1e-5 at continuous dual
+# Hahn (1e-3, 1, 2).
+_SQUARED_SWEEP_BANDS = (5e-13, 4e-13)
+
+
+class TestSquaredVariableRecurrenceSweep:
+    """Each squared-variable family's recurrence recovered from its own
+    measure, density and point masses, over parameters drawn across its
+    valid region, equals ``recurrence()`` at every order below 40."""
+
+    @settings(max_examples=13, deadline=None, derandomize=True, database=None)
+    @given(spec=_squared_variable_region())
+    @example(spec=ContinuousDualHahn(1000.0, 1.0, 1.5))
+    @example(spec=Wilson(-0.125, 0.25, 0.375, 0.5))
+    @example(spec=Wilson(-0.25, 0.5, 0.75, 1.0))
+    @example(spec=ContinuousDualHahn(-2.0 + 1e-9, 3.0, 4.5))
+    @example(spec=Wilson(-3.0 - 1e-9, 3.5, 4.0, 5.0))
+    def test_recovered_recurrence_matches(self, spec):
+        err_a, err_b = _recovery_errors(spec, *_resolved_squared_variable(spec, 40), 40)
+        worst = max(err_a) / max(1.0, min(spec.mu, 0.0) ** 2), max(err_b)
+        assert worst[0] <= _SQUARED_SWEEP_BANDS[0] and worst[1] <= _SQUARED_SWEEP_BANDS[1], worst
+
+
+@st.composite
 def _squared_variable_family(draw):
     """A continuous dual Hahn or Wilson family from either parameter region:
     mu > 0 with the others in (0.05, 8), or mu in (-4.95, -0.05), some draws
@@ -876,6 +940,37 @@ _SWEEP_DENSITY_BANDS = {0.3: 6e-14, 1.0: 6e-14, 2.5: 6e-14, 7.0: 5e-13, 20.0: 1.
 _SWEEP_MASS_BAND = 3.5e-14
 
 
+@st.composite
+def _many_mass_family(draw):
+    """A continuous dual Hahn or Wilson family with 5 to 40 point masses:
+    mu in (-40, -5), a quarter of the draws within 1e-9 of a negative
+    integer, and each other p with p + mu in [1e-12, 1e-3], (0.02, 5) or
+    (5, 50)."""
+    cls = draw(st.sampled_from((ContinuousDualHahn, Wilson)))
+    count = len(dataclasses.fields(cls)) - 1
+    if draw(st.integers(0, 3)) == 0:
+        mu = draw(st.floats(-1e-9, 1e-9)) - draw(st.integers(6, 39))
+    else:
+        mu = draw(st.floats(-40.0, -5.0, exclude_min=True, exclude_max=True))
+    shift = st.one_of(st.floats(-12.0, -3.0).map(lambda e: 10.0 ** e),
+                      st.floats(0.02, 5.0, exclude_min=True, exclude_max=True),
+                      st.floats(5.0, 50.0, exclude_min=True, exclude_max=True))
+    return _shifted(cls, mu, *draw(st.lists(shift, min_size=count, max_size=count)))
+
+
+def _shifted(cls, mu: float, *shifts: float):
+    """The family with this mu and each other parameter p = shift - mu."""
+    return cls(mu, *(s - mu for s in shifts))
+
+
+# Relative error against mpmath (30 digits), measured over 160 draws of
+# ``_many_mass_family``: at most 2.5e-13 (continuous dual Hahn) and 6.5e-13
+# (Wilson, mu = -40 + 1e-14 with each p + mu = 0.02, at k = 37); over this
+# test's 40 draws, 2.2e-13 and 2.9e-13.  It grows with the number of
+# Pochhammer factors summed in log space.
+_MANY_MASS_BAND = 8e-13
+
+
 class TestHandbookSweep:
     """Both squared-variable measures against the handbook's formulas over
     their whole parameter region, not only at fixed sets."""
@@ -897,6 +992,24 @@ class TestHandbookSweep:
                 ref = mass_mp(spec, k)
                 err = float(abs((ms.discrete.mass_at(k) - ref) / ref))
                 assert err <= _SWEEP_MASS_BAND, (k, err)
+
+    @settings(max_examples=36, deadline=None, derandomize=True, database=None)
+    @given(spec=_many_mass_family())
+    @example(spec=_shifted(ContinuousDualHahn, -40.0 + 1e-9, 1e-12, 49.99))
+    @example(spec=_shifted(Wilson, -40.0 + 1e-9, 1e-12, 1e-3, 49.99))
+    @example(spec=_shifted(ContinuousDualHahn, -5.0 - 1e-9, 1e-12, 49.99))
+    @example(spec=_shifted(Wilson, -39.5, 49.99, 1e-12, 4.99))
+    def test_many_masses_match_handbook(self, spec):
+        # k reaches 39: each Pochhammer product has up to 39 factors, and
+        # (2mu)_k and each (mu-p+1)_k change sign with every one of them
+        mass_mp = _wilson_mass_mp if spec.kind == "wilson" else _cdh_mass_mp
+        d = measure(spec).discrete
+        with mpmath.workdps(30):
+            assert d.size == sum(1 for k in range(41) if mpmath.mpf(spec.mu) + k < 0)
+            for k in range(d.size):
+                xi, ref = d.mass_at(k), mass_mp(spec, k)
+                err = float(abs((xi - ref) / ref))
+                assert xi > 0.0 and err <= _MANY_MASS_BAND, (k, xi, err)
 
 
 def _exact_recurrence(spec, n: int) -> tuple[Fraction, Fraction]:

@@ -8,11 +8,7 @@ import pytest
 
 from oracles import gamma
 from quadsum.errors import ValidationError
-from quadsum.special import (
-    ln_abs_gamma_sq,
-    ln_gamma,
-    ln_pochhammer_signed,
-)
+from quadsum.special import ln_abs_gamma_sq, ln_gamma
 
 
 class TestLnGamma:
@@ -98,16 +94,6 @@ class TestLnAbsGammaSq:
     def test_pole_error(self, a):
         with pytest.raises(ValidationError):
             ln_abs_gamma_sq(a, 0.0)
-
-
-class TestPochhammer:
-    def test_signed_log_form_matches(self):
-        for a in (-6.5, -1.2, 0.7, 4.0):
-            for n in range(9):
-                ln, sign = ln_pochhammer_signed(a, n)
-                assert sign * math.exp(ln) == pytest.approx(
-                    float(mp.rf(a, n)), rel=1e-13, abs=1e-300
-                )
 
 
 class TestGamma:
