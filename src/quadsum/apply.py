@@ -99,8 +99,10 @@ def _prepared(
 ) -> tuple[MeasureSpec, QuadratureRule, np.ndarray]:
     """The family's measure, its Gauss rule of the given order and the
     weights of the node sum of this kind, after every check of the kind.
-    Stored only for a built-in family, whose canonical parameters make
-    equal families compute equal bits."""
+    For a plain sum whose order is the size of the finite support, the rule
+    is the support's points and masses, checked as any rule is, and every
+    weight is 1.0.  Stored only for a built-in family, whose canonical
+    parameters make equal families compute equal bits."""
     components, density_of = _KINDS[kind]
     spec = measure(family)
     if (spec.continuous is not None, spec.discrete is not None) != components:
@@ -109,24 +111,34 @@ def _prepared(
         raise ValidationError(
             "continuous-part estimate requires a finite discrete component"
         )
-    rule = gauss_rule(build(recurrence(family), order))
-    weights = rule.weights
+    density = None
     if density_of is not None:
         density = getattr(spec, density_of).density
         if density is None:
             what = "a smooth mass continuation" if density_of == "discrete" else "a density"
             raise ValidationError(f"{kind} needs a {density_of} measure with {what}")
-        weights = derivative_weights(rule, density)
-    return spec, rule, weights
+    if kind == "plain_sum" and order == spec.discrete.size:
+        # The Gauss rule of a measure on N points at order N is the measure
+        # itself (Golub & Welsch 1969), and each weight xi_k / rho(x_k) is 1.
+        part = spec.discrete
+        rule = QuadratureRule([part.point_at(k) for k in range(order)],
+                              [part.mass_at(k) for k in range(order)])
+        return spec, rule, np.ones(order)
+    rule = gauss_rule(build(recurrence(family), order))
+    return spec, rule, rule.weights if density is None else derivative_weights(rule, density)
 
 
 def approximate(fn: Functional) -> float:
     """N-point quadrature approximation of the functional.
 
     Weighted and mixed kinds return sum_n w_n f(eps_n); plain kinds divide
-    the weights by the measure density at the nodes first.  The
-    continuous_part kind estimates the continuous component alone: the
-    quadrature sum minus the exact finite discrete sum.
+    the weights by the measure density at the nodes first.  A plain sum at
+    the order of its family's finite support size (Krawtchouk's N = M+1, or
+    a Custom family's support, which is trusted) returns the exact finite
+    sum of f over the support points: the N-point Gauss rule of an N-point
+    measure is the measure itself, so no Jacobi matrix is decomposed and no
+    density evaluated.  The continuous_part kind estimates the continuous
+    component alone: the quadrature sum minus the exact finite discrete sum.
 
     The measure, the rule and the node-sum weights are kept per process in
     a ``functools.lru_cache`` of _STORE_SIZE (256) entries, keyed by the

@@ -17,8 +17,10 @@ parameter as a Python float (M as an int) before its range checks read it,
 so it computes in double whatever number type it was given, and equal
 families compute equal bits.  A discrete part is its point and mass
 functions, so building a measure evaluates no mass: a finite support is read
-and checked, by the one positivity check of the library, only when
-``DiscretePart.weighted_sum`` sums over it; an infinite one is never summed.
+only when ``DiscretePart.weighted_sum`` sums over it, checked by the one
+positivity check of the library, or when ``apply`` takes it as the rule of a
+plain sum over the whole support, checked as every rule is; an infinite one
+is never summed.
 """
 
 from __future__ import annotations

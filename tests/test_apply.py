@@ -113,6 +113,13 @@ class TestFunctionalValidation:
             approximate(Functional(kind, lambda x: 1.0, spec, 2))
         assert str(info.value) == message
 
+    def test_missing_density_is_checked_before_the_rule(self):
+        # no Gauss rule is computed for a plain sum that can never be formed
+        part = DiscretePart(float, lambda k: 0.5 ** (k + 1), None)
+        spec = Custom(RecurrenceStream(a=_unread, b=_unread), MeasureSpec(discrete=part))
+        with pytest.raises(ValidationError, match="smooth mass continuation"):
+            approximate(Functional("plain_sum", lambda x: 1.0, spec, 3))
+
 
 class TestApproximate:
     def test_constant_integrand_gives_total_mass(self):
@@ -278,6 +285,22 @@ class TestApproximateCache:
         assert (weights is rule.weights) == (not fn.kind.startswith("plain"))
         assert (rule.order, self.held()) == (fn.order, 1)
 
+    def test_whole_support_plain_sum_reads_the_measure_alone(self, calls):
+        fn = Functional("plain_sum", _t2_f, Krawtchouk(40, 0.3), 41)
+        fresh = approximate(fn)
+        assert calls == ["measure"]
+        assert approximate(fn).hex() == fresh.hex() and calls == ["measure"]
+        _, rule, weights = quadsum.apply._prepared(fn.family, 41, fn.kind)
+        masses = measure(fn.family).discrete.mass_at
+        assert rule.nodes.tolist() == [float(k) for k in range(41)]
+        assert rule.weights.tolist() == [masses(k) for k in range(41)]
+        assert weights.tolist() == [1.0] * 41
+        # below the support's size, and for a weighted sum, the Gauss rule
+        approximate(Functional("plain_sum", _t2_f, fn.family, 40))
+        approximate(Functional("weighted_sum", _t2_f, fn.family, 41))
+        assert self.builds(calls) == [40, 41]
+        assert calls.count("derivative_weights") == 1
+
     def test_failing_density_is_not_stored(self, calls):
         # Charlier(2)'s density underflows to 0.0 at the far nodes of N=180
         fn = Functional("plain_sum", _t1_f, Charlier(2.0), 180)
@@ -406,6 +429,49 @@ class TestApproximateCache:
             assert mean(family) == mean(Charlier(3.0))
         assert self.builds(calls) == [3] * 8
         assert self.held() == 2  # Charlier(2.0) and Charlier(3.0)
+
+
+def _unread(*args):
+    raise AssertionError("read by a plain sum over a whole finite support")
+
+
+def _custom_points(points, masses) -> Custom:
+    """A Custom family with masses at the given points, whose recurrence
+    coefficients and density raise if they are ever read."""
+    part = DiscretePart(points.__getitem__, masses.__getitem__, len(points), density=_unread)
+    return Custom(RecurrenceStream(a=_unread, b=_unread), MeasureSpec(discrete=part))
+
+
+class TestWholeFiniteSupport:
+    """A plain sum at the order of its family's finite support is the finite
+    sum of f over that support: the rule is the measure's own points and
+    masses, and each node-sum weight is exactly 1."""
+
+    @pytest.mark.parametrize("m, gamma", [
+        (1, 0.5), (40, 0.3), (200, 0.3), (600, 0.3), (5, 1e-300), (1500, 0.5),
+    ])
+    def test_equals_the_finite_sum(self, m, gamma):
+        # QL's tail weights put the order-601 sum 1.3e-6 off; at gamma = 1e-300
+        # its first row has an exact zero, and at M = 1500 an end mass underflows
+        fn = Functional("plain_sum", _t2_f, Krawtchouk(m, gamma), m + 1)
+        assert approximate(fn).hex() == math.fsum(_t2_f(float(k)) for k in range(m + 1)).hex()
+
+    def test_custom_support_is_trusted(self):
+        family = _custom_points([-1.0, 0.5, 2.0], [0.25, 0.25, 0.5])
+        assert approximate(Functional("plain_sum", lambda x: x * x, family, 3)) == 5.25
+        with pytest.raises(AssertionError, match="read by"):  # a Gauss rule reads the recurrence
+            approximate(Functional("plain_sum", lambda x: x * x, family, 2))
+
+    @pytest.mark.parametrize("points, masses, message", [
+        ([0.0, 2.0, 1.0], [0.25, 0.25, 0.5], "rule nodes are not strictly increasing"),
+        ([0.0, 1.0, 2.0], [0.25, -0.25, 1.0], "rule has negative weights"),
+        ([0.0, 1.0, 2.0], [0.25, 0.25, 0.25], "rule weights sum to 0.75, expected 1"),
+    ], ids=["points", "negative", "mass"])
+    def test_support_gets_the_rule_checks(self, points, masses, message):
+        fn = Functional("plain_sum", lambda x: 1.0, _custom_points(points, masses), 3)
+        with pytest.raises(NumericalError) as info:
+            approximate(fn)
+        assert str(info.value) == message
 
 
 class TestContinuousPartEstimate:

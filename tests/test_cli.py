@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from oracles import fmt_json_reference, rule_csv_reference, table_csv_reference
 
 import quadsum
+import quadsum.apply
 import quadsum.cli
+import quadsum.rule
 from quadsum.cli import main
 from quadsum.errors import NumericalError, ValidationError
 from quadsum.families import Charlier, ContinuousDualHahn, Krawtchouk, Meixner, Wilson, recurrence
@@ -398,6 +400,42 @@ class TestSumCommand:
             "--f", "ln(x-100)",
         )
         assert code == 3
+
+
+@pytest.mark.usefixtures("empty_store")
+class TestWholeSupportSum:
+    """A plain ``sum`` whose --n is the size of a finite support sums f over
+    that support exactly, decomposing no matrix; every other --n and mode
+    keeps its Gauss rule and its bytes."""
+
+    _ARGV = ("sum", "--family", "krawtchouk", "--M", "40", "--gamma", "0.3",
+             "--f", "(x+1)*3^(x+1)/gamma(x+5)")
+
+    def test_integrand_failing_at_a_support_point(self, capsys):
+        # a Gauss rule put the node for 0 at -1.5e-16 and printed -6663762662046786
+        assert run_cli(capsys, "sum", "--family", "krawtchouk", "--M", "3", "--gamma", "0.3",
+                       "--n", "4", "--f", "1/x") == (
+            3, "", "numerical failure: division by zero in '(1.0/x)'\n")
+
+    @pytest.mark.parametrize("extra, decompositions, out", [
+        (("--n", "41"), 0, "0.5\n"),
+        (("--n", "40"), 1, "0.50000000000001121\n"),
+        (("--n", "41", "--mode", "weighted"), 1, "0.00031329511873265159\n"),
+    ], ids=["whole", "below", "weighted"])
+    def test_decompositions(self, capsys, monkeypatch, extra, decompositions, out):
+        quadsum.apply._prepared.cache_clear()
+        calls = []
+
+        def counting(*args, _fn=quadsum.rule.decompose, **kwargs):
+            calls.append(args)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(quadsum.rule, "decompose", counting)
+        try:
+            assert run_cli(capsys, *self._ARGV, *extra) == (0, out, "")
+        finally:
+            quadsum.apply._prepared.cache_clear()
+        assert len(calls) == decompositions
 
 
 class TestTableCommand:
@@ -1283,7 +1321,8 @@ _SWEEP_INTEGRANDS = ("1", "x", "-x", "x^2", "-1e-1*x", "exp(-x)", "3^x/gamma(x+1
 def _main_argv(draw):
     """argv of a ``rule``, plain or weighted ``sum`` or ``table`` that
     argparse accepts, with family values anywhere from ordinary to
-    invalid."""
+    invalid.  About a quarter of the Krawtchouk draws take an ordinary M
+    and gamma and ask for N = M+1, the size of the whole support."""
     command = draw(st.sampled_from(["rule", "sum", "sum", "table"]))
     if command == "table":
         which = draw(st.sampled_from(["1", "2", "3"]))
@@ -1291,10 +1330,14 @@ def _main_argv(draw):
         return ["table", which, "--format", draw(st.sampled_from(["json", "csv"])), *extra]
     family = draw(st.sampled_from(sorted(_FAMILY_ARGV)))
     argv = [command, "--family", family]
-    for flag in quadsum.cli._FAMILY_FLAGS[family]:
-        value = draw(_SWEEP_COUNTS if quadsum.cli._FLAG_TYPES[flag] is int else _SWEEP_REALS)
-        argv += [f"--{flag}", value]
-    argv += ["--n", str(draw(st.integers(1, 40)))]
+    if family == "krawtchouk" and draw(st.integers(1, 4)) == 4:
+        m = draw(st.integers(1, 60))
+        argv += ["--M", str(m), "--gamma", repr(draw(st.floats(0.01, 0.99))), "--n", str(m + 1)]
+    else:
+        for flag in quadsum.cli._FAMILY_FLAGS[family]:
+            value = draw(_SWEEP_COUNTS if quadsum.cli._FLAG_TYPES[flag] is int else _SWEEP_REALS)
+            argv += [f"--{flag}", value]
+        argv += ["--n", str(draw(st.integers(1, 40)))]
     if command == "rule":
         return argv + ["--format", draw(st.sampled_from(["json", "csv"]))]
     argv += ["--f", draw(st.sampled_from(_SWEEP_INTEGRANDS)),

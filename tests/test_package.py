@@ -1,5 +1,6 @@
 """Tests for the package surface: its public names and its dependencies."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -58,3 +59,17 @@ def test_library_imports_neither_scipy_nor_mpmath():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_tracer_boundaries_resolve():
+    # perfbench/tracing.py patches each (module, attribute) of BOUNDARIES; a
+    # name that a module no longer binds (an import dropped or renamed) breaks
+    # the traced benchmark run, so it is caught here too
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.BOUNDARIES) >= 20
+    missing = [(module, attr) for module, attr, _ in tracing.BOUNDARIES
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
