@@ -46,7 +46,7 @@ import re
 import sys
 from typing import Callable, Sequence, TextIO
 
-from .apply import _STORE_SIZE, SPECTRAL_REFERENCE_SIZE, Functional, approximate
+from .apply import _STORE_SIZE, Functional, approximate
 from .apply import _prepared as _prepared_rule
 from .errors import NumericalError, ValidationError
 from .exprlang import _ARITY, NUMBER_RE, ParseError, evaluate, parse
@@ -154,8 +154,6 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
                                     formatter_class=_formatter)
     table_cmd.add_argument("which", type=int, choices=TABLE_NUMBERS)
     table_cmd.add_argument("--format", choices=("json", "csv"), default="json")
-    table_cmd.add_argument("--oracle-k", type=int, default=SPECTRAL_REFERENCE_SIZE,
-                           help="truncation size of the spectral reference (table 3)")
     return parser, {"rule": rule_cmd, "sum": sum_cmd, "table": table_cmd}
 
 
@@ -280,7 +278,7 @@ def _csv_value(value) -> str:
 
 
 def _run_table(args: argparse.Namespace) -> tuple[int, str]:
-    report = run_table(args.which, oracle_size=args.oracle_k)
+    report = run_table(args.which)
     cells = [{key: getattr(c, name) for key, name in _CELL_COLUMNS.items()} for c in report.cells]
     doc = {"table": report.table, "title": report.title, "n_values": list(report.n_values),
            "pass": report.passed, "cells": cells}

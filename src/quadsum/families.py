@@ -17,10 +17,10 @@ parameter as a Python float (M as an int) before its range checks read it,
 so it computes in double whatever number type it was given, and equal
 families compute equal bits.  A discrete part is its point and mass
 functions, so building a measure evaluates no mass: a finite support is read
-only when ``DiscretePart.weighted_sum`` sums over it, checked by the one
-positivity check of the library, or when ``apply`` takes it as the rule of a
-plain sum over the whole support, checked as every rule is; an infinite one
-is never summed.
+only when ``DiscretePart.weighted_sum`` sums over it, checked by the one mass
+check of the library, or when ``apply`` takes it as the rule of a plain sum
+over the whole support, checked as every rule is; an infinite one is never
+summed.
 """
 
 from __future__ import annotations
@@ -142,15 +142,15 @@ class DiscretePart:
     def weighted_sum(self, f: Callable[[float], float]) -> float:
         """Exact sum of xi_k f(x_k) over a finite support; an infinite one
         raises ValidationError, since no truncation of it is exact.  The
-        support is checked before f is called: a mass that is not positive
-        or points that do not increase raise NumericalError, and so does a
-        non-finite term, naming its point."""
+        support is checked before f is called: a negative or NaN mass (zero
+        is a mass) or points that do not increase raise NumericalError, and
+        so does a non-finite term, naming its point."""
         if not self.finite:
             raise ValidationError("weighted_sum requires a finite discrete support")
         points = [self.point_at(k) for k in range(self.size)]
         masses = [self.mass_at(k) for k in range(self.size)]
         for k, xi in enumerate(masses):
-            if not xi > 0.0:
+            if not xi >= 0.0:
                 raise NumericalError(f"discrete mass xi_{k} = {xi!r} is not positive")
         if any(points[k] >= points[k + 1] for k in range(self.size - 1)):
             raise NumericalError("discrete points are not strictly increasing")

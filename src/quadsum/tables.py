@@ -31,15 +31,9 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .apply import (
-    SPECTRAL_REFERENCE_SIZE,
-    Functional,
-    approximate,
-    relative_error,
-    spectral_reference,
-)
+from .apply import Functional, approximate, relative_error, spectral_reference
 from .errors import NumericalError, ValidationError
-from .families import MAX_ORDER, Charlier, ContinuousDualHahn, Krawtchouk, Meixner
+from .families import Charlier, ContinuousDualHahn, Krawtchouk, Meixner
 from .special import ln_gamma
 
 __all__ = ["TableCell", "TableReport", "run_table", "cell_passes", "TABLE_NUMBERS"]
@@ -163,30 +157,18 @@ _TABLES = {
 TABLE_NUMBERS = tuple(_TABLES)
 
 
-def run_table(which: int, oracle_size: int = SPECTRAL_REFERENCE_SIZE) -> TableReport:
-    """Recompute one of the bundled reference tables.
-
-    ``oracle_size`` is the truncation used for the spectral reference of
-    table 3, an integer from 1 to MAX_ORDER (ignored by tables 1 and 2).
-    """
+def run_table(which: int) -> TableReport:
+    """Recompute one of the bundled reference tables."""
     if (isinstance(which, bool) or not isinstance(which, numbers.Integral)
             or which not in TABLE_NUMBERS):
         raise ValidationError(f"unknown table {which!r}; expected one of {TABLE_NUMBERS}")
     title, n_values, rows, family_of, integrand, kind, table_exact = _TABLES[which]
-    if table_exact is None and (
-        isinstance(oracle_size, bool)
-        or not (isinstance(oracle_size, numbers.Integral) and oracle_size >= 1)
-    ):
-        raise ValidationError(f"table {which} requires oracle_size >= 1, got {oracle_size!r}")
-    if table_exact is None and oracle_size > MAX_ORDER:
-        raise ValidationError(f"table {which} requires oracle_size <= {MAX_ORDER}, "
-                              f"got {oracle_size}")
     cells = []
     for label, params, published_row in rows:
         try:
             family = family_of(params)
             exact = (table_exact if table_exact is not None
-                     else spectral_reference(family, integrand, oracle_size))
+                     else spectral_reference(family, integrand))
         except (ValidationError, NumericalError) as exc:
             for n, published in zip(n_values, published_row):
                 cells.append(TableCell(label, params, n, None, None, None,

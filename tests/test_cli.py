@@ -23,6 +23,8 @@ import quadsum
 import quadsum.apply
 import quadsum.cli
 import quadsum.rule
+import quadsum.tables
+from quadsum.apply import spectral_reference
 from quadsum.cli import main
 from quadsum.errors import NumericalError, ValidationError
 from quadsum.families import Charlier, ContinuousDualHahn, Krawtchouk, Meixner, Wilson, recurrence
@@ -455,8 +457,10 @@ class TestTableCommand:
             )
             assert recomputed == pytest.approx(cell["rel_error"], rel=1e-12, abs=1e-17)
 
-    def test_table_three_with_a_400_point_reference(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "3", "--oracle-k", "400")
+    @pytest.mark.usefixtures("empty_store")
+    def test_table_three_with_a_400_point_reference(self, capsys, monkeypatch):
+        _reference_of_size(monkeypatch, 400)
+        code, out, _ = run_cli(capsys, "table", "3")
         assert code == 0
         assert json.loads(out)["pass"] is True
 
@@ -474,19 +478,20 @@ class TestTableCommand:
         _, second, _ = run_cli(capsys, "table", "1", "--format", "csv")
         assert first == second
 
-    def test_undersized_oracle_fails_tolerance(self, capsys):
+    @pytest.mark.usefixtures("empty_store")
+    def test_undersized_oracle_fails_tolerance(self, capsys, monkeypatch):
         # a 2x2 spectral reference cannot reproduce the published grid
-        code, out, _ = run_cli(capsys, "table", "3", "--oracle-k", "2")
+        _reference_of_size(monkeypatch, 2)
+        code, out, _ = run_cli(capsys, "table", "3")
         assert code == 1
         doc = json.loads(out)
         assert doc["pass"] is False
         assert any(not c["pass"] for c in doc["cells"])
 
-    @pytest.mark.parametrize("k", ["0", "-3"])
-    def test_oracle_size_below_one_exits_2(self, capsys, k):
-        code, out, err = run_cli(capsys, "table", "3", "--oracle-k", k)
+    def test_reference_size_is_not_an_option(self, capsys):
+        code, out, err = _exit_output(capsys, ("table", "3", "--oracle-k", "200"))
         assert (code, out) == (2, "")
-        assert err == f"error: table 3 requires oracle_size >= 1, got {k}\n"
+        assert err.endswith("quadsum: error: unrecognized arguments: --oracle-k 200\n")
 
 
 # Every built-in family once, with its CLI flags in declaration order.
@@ -652,6 +657,13 @@ def _ci_commands() -> list[tuple[list[str], int | None]]:
                 code = None
             commands.append((shlex.split(command), code))
     return commands
+
+
+def _reference_of_size(monkeypatch, size: int) -> None:
+    """Grade table 3 against the spectral reference of dimension ``size``
+    instead of the paper's 200."""
+    monkeypatch.setattr(quadsum.tables, "spectral_reference",
+                        lambda family, f: spectral_reference(family, f, size))
 
 
 def _outcome(capsys, argv):
@@ -935,10 +947,14 @@ class TestCommandLineStore:
         assert quadsum.cli._prepared.cache_info().currsize == 1
 
     def test_failing_table_is_run_every_time(self, capsys, monkeypatch):
+        def failing(which):
+            raise NumericalError("spectral sum overflows the float range")
+
+        monkeypatch.setattr(quadsum.cli, "run_table", failing)
         calls = _counted(monkeypatch, "run_table")
-        first = run_cli(capsys, "table", "3", "--oracle-k", "0")
-        assert first == (2, "", "error: table 3 requires oracle_size >= 1, got 0\n")
-        assert run_cli(capsys, "table", "3", "--oracle-k", "0") == first
+        first = run_cli(capsys, "table", "3")
+        assert first == (3, "", "numerical failure: spectral sum overflows the float range\n")
+        assert run_cli(capsys, "table", "3") == first
         assert len(calls) == 2
 
     @pytest.mark.parametrize("argv", _OUTPUT_CASES, ids=lambda argv: argv[0])
@@ -1089,21 +1105,30 @@ class TestOutputMatchesReferenceFormatter:
         }
         assert quadsum.cli._fmt_json(doc) == fmt_json_reference(doc)
 
-    @pytest.mark.parametrize("which", ["1", "2", "3", "3 --oracle-k 500"])
-    def test_table_json(self, capsys, monkeypatch, which):
-        output = run_cli(capsys, "table", *which.split())
+    # A table 3 graded against a 500-point reference, which fails on all
+    # 25 cells, prints each cell's error text.
+    @pytest.mark.usefixtures("empty_store")
+    @pytest.mark.parametrize("which, size", [("1", None), ("2", None), ("3", None), ("3", 500)],
+                             ids=["1", "2", "3", "3-500"])
+    def test_table_json(self, capsys, monkeypatch, which, size):
+        if size is not None:
+            _reference_of_size(monkeypatch, size)
+        output = run_cli(capsys, "table", which)
+        assert sum(cell["error"] is not None for cell in json.loads(output[1])["cells"]) == (
+            25 if size else 0)
         monkeypatch.setattr(quadsum.cli, "_fmt_json", fmt_json_reference)
         quadsum.cli._prepared.cache_clear()  # a stored table would not format again
-        assert run_cli(capsys, "table", *which.split()) == output
+        assert run_cli(capsys, "table", which) == output
 
-    @pytest.mark.parametrize("which, oracle_k", [(1, None), (2, None), (3, None), (3, 500)])
-    def test_table_csv(self, capsys, which, oracle_k):
-        extra = () if oracle_k is None else ("--oracle-k", str(oracle_k))
-        report = run_table(which) if oracle_k is None else run_table(which, oracle_size=oracle_k)
-        output = run_cli(capsys, "table", str(which), *extra, "--format", "csv")
+    @pytest.mark.usefixtures("empty_store")
+    @pytest.mark.parametrize("which, size", [(1, None), (2, None), (3, None), (3, 500)])
+    def test_table_csv(self, capsys, monkeypatch, which, size):
+        if size is not None:
+            _reference_of_size(monkeypatch, size)
+        report = run_table(which)
+        output = run_cli(capsys, "table", str(which), "--format", "csv")
         assert output == (0 if report.passed else 1, table_csv_reference(report), "")
-        # at K = 500 the reference fails on 25 cells, whose error text is printed
-        assert sum(c.error is not None for c in report.cells) == (25 if oracle_k else 0)
+        assert sum(c.error is not None for c in report.cells) == (25 if size else 0)
 
     @pytest.mark.usefixtures("empty_store")
     def test_table_csv_text_and_nulls(self, capsys, monkeypatch):
@@ -1111,7 +1136,7 @@ class TestOutputMatchesReferenceFormatter:
         cells = (TableCell("a,b", {"mu": 2.0}, 3, None, 1.5, None, 0.25, False, "bad, worse"),
                  TableCell("c", {}, 4, 0.1, 0.2, 0.3, 0.4, True))
         report = TableReport(1, "title", (3, 4), cells)
-        monkeypatch.setattr(quadsum.cli, "run_table", lambda which, oracle_size: report)
+        monkeypatch.setattr(quadsum.cli, "run_table", lambda which: report)
         assert run_cli(capsys, "table", "1", "--format", "csv") == (1, table_csv_reference(report), "")
         assert table_csv_reference(report).splitlines()[1] == "a;b,3,,1.5,,0.25,false,bad; worse"
 
@@ -1128,7 +1153,7 @@ _FRESH_PROCESS_CASES = (
      "--f", "(x+1)*3^(x+1)/gamma(x+5)"),
     ("sum", "--family", "charlier", "--mu", "2", "--n", "12", "--f", "x^3", "--mode", "weighted"),
     ("table", "1"),
-    ("table", "3", "--oracle-k", "0"),
+    ("rule", "--family", "krawtchouk", "--M", "3", "--gamma", "0.3", "--n", "5"),
     ("sum", "--family", "charlier", "--mu", "2", "--n", "180", "--f", "3^x/gamma(x+1)"),
     ("sum", "--family", "charlier", "--mu", "2", "--n", "40", "--f", "gamma(x+200)"),
 )
@@ -1326,8 +1351,7 @@ def _main_argv(draw):
     command = draw(st.sampled_from(["rule", "sum", "sum", "table"]))
     if command == "table":
         which = draw(st.sampled_from(["1", "2", "3"]))
-        extra = ["--oracle-k", str(draw(st.integers(-1, 12)))] if which == "3" else []
-        return ["table", which, "--format", draw(st.sampled_from(["json", "csv"])), *extra]
+        return ["table", which, "--format", draw(st.sampled_from(["json", "csv"]))]
     family = draw(st.sampled_from(sorted(_FAMILY_ARGV)))
     argv = [command, "--family", family]
     if family == "krawtchouk" and draw(st.integers(1, 4)) == 4:
@@ -1402,9 +1426,9 @@ class TestMainSweep:
 
 @pytest.mark.usefixtures("empty_store")
 class TestMaximumOrder:
-    """An order or table-3 oracle size above families.MAX_ORDER = 2**16
-    exits 2 with a message naming the bound, before any matrix or list is
-    made; nothing is stored."""
+    """An order above families.MAX_ORDER = 2**16 exits 2 with a message
+    naming the bound, before any matrix or list is made; nothing is
+    stored."""
 
     @pytest.mark.parametrize("argv, message", [
         (("rule", "--family", "charlier", "--mu", "2", "--n", "99999999999"),
@@ -1413,8 +1437,6 @@ class TestMaximumOrder:
           "--n", "65537", "--format", "csv"), "order must be <= 65536, got 65537"),
         (("sum", "--family", "charlier", "--mu", "2", "--n", "65537", "--f", "1"),
          "order must be <= 65536, got 65537"),
-        (("table", "3", "--oracle-k", "100000"),
-         "table 3 requires oracle_size <= 65536, got 100000"),
     ])
     def test_exits_2_naming_the_bound(self, capsys, argv, message):
         tracemalloc.start()

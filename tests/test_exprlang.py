@@ -89,6 +89,11 @@ class TestParseErrors:
         assert parse("1.7976931348623157e308") == Number(1.7976931348623157e308)
         assert parse("1e-999") == Number(0.0)
 
+    def test_unexpected_character_message(self):
+        with pytest.raises(ParseError) as info:
+            parse("1#2")
+        assert str(info.value) == "syntax error at offset 1: unexpected character '#'"
+
     def test_unknown_function(self):
         with pytest.raises(ParseError, match="unknown function"):
             parse("foo(1)")

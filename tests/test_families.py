@@ -39,6 +39,17 @@ from quadsum.rule import gauss_rule
 
 
 class TestValidation:
+    @pytest.mark.parametrize("read", [recurrence, measure])
+    def test_unknown_family_spec(self, read):
+        with pytest.raises(ValidationError) as exc:
+            read("charlier")
+        assert str(exc.value) == "unknown family spec 'charlier'"
+
+    def test_measure_needs_a_component(self):
+        with pytest.raises(ValidationError) as exc:
+            MeasureSpec()
+        assert str(exc.value) == "measure needs a continuous or discrete component"
+
     def test_charlier_needs_positive_mu(self):
         with pytest.raises(ValidationError, match="mu > 0"):
             Charlier(0.0)
@@ -1114,9 +1125,9 @@ class TestCustom:
         assert measure(spec) is ms
 
     def test_discrete_part_rejects_nonpositive_mass(self):
-        d = DiscretePart(point_at=float, mass_at=lambda k: float(k), size=3)
+        d = DiscretePart(point_at=float, mass_at=lambda k: k - 1.0, size=3)
         with pytest.raises(NumericalError, match="not positive"):
-            d.weighted_sum(lambda x: 1.0)  # mass 0 at k=0
+            d.weighted_sum(lambda x: 1.0)  # mass -1 at k=0
 
 
 
@@ -1169,8 +1180,10 @@ class TestFiniteSupportChecks:
         d = DiscretePart(point_at=_unreadable, mass_at=_unreadable, size=5)
         assert d.finite and d.size == 5
 
+    # A zero mass is a mass: the check passes xi_2 = 0.0 and stops at
+    # xi_3 = -0.5.
     @pytest.mark.parametrize("mass_at, message", [
-        (lambda k: 1.0 - k / 2.0, "discrete mass xi_2 = 0.0 is not positive"),
+        (lambda k: 1.0 - k / 2.0, "discrete mass xi_3 = -0.5 is not positive"),
         (lambda k: math.nan, "discrete mass xi_0 = nan is not positive"),
     ], ids=["zero", "nan"])
     def test_bad_mass_raises_before_f(self, mass_at, message):
@@ -1180,6 +1193,22 @@ class TestFiniteSupportChecks:
             d.weighted_sum(f)
         assert str(exc.value) == message
         assert calls == []
+
+    def test_non_finite_term_names_its_point(self):
+        d = DiscretePart(point_at=float, mass_at=lambda k: 0.5, size=2)
+        with pytest.raises(NumericalError) as exc:
+            d.weighted_sum(lambda x: math.inf)
+        assert str(exc.value) == "weighted sum term is not finite at point 0.0"
+
+    def test_zero_masses_are_masses(self):
+        # all four point masses underflow to 0.0, so the continuous part is
+        # the whole mixed value
+        spec = ContinuousDualHahn(-3.5, 2000.0, 2000.0)
+        discrete = measure(spec).discrete
+        assert [discrete.mass_at(k) for k in range(discrete.size)] == [0.0] * 4
+        mixed, continuous = (approximate(Functional(kind, lambda y: 1.0, spec, 8))
+                             for kind in ("mixed", "continuous_part"))
+        assert continuous == mixed == pytest.approx(1.0, abs=1e-14)
 
     def test_non_increasing_points_raise_before_f(self):
         points = (0.0, 1.0, 1.0, 2.0)

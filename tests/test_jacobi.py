@@ -41,6 +41,15 @@ class TestBuild:
         assert np.array_equal(small.diag, large.diag[:7])
         assert np.array_equal(small.offdiag, large.offdiag[:6])
 
+    @pytest.mark.parametrize("diag, offdiag, message", [
+        ([], [], "diagonal must be a nonempty 1-d array"),
+        ([1.0, 2.0], [1.0, 2.0], "off-diagonal must have length 1, got (2,)"),
+    ])
+    def test_shape_messages(self, diag, offdiag, message):
+        with pytest.raises(ValidationError) as exc:
+            JacobiMatrix(diag, offdiag)
+        assert str(exc.value) == message
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             JacobiMatrix(np.array([1.0, 2.0]), np.array([1.0, 1.0]))

@@ -164,6 +164,11 @@ class TestRuleCache:
 
 
 class TestQuadratureRuleValidation:
+    def test_rejects_unequal_sizes(self):
+        with pytest.raises(ValidationError) as exc:
+            QuadratureRule([0.0, 1.0], [1.0])
+        assert str(exc.value) == "nodes and weights must be 1-d arrays of equal size"
+
     def test_rejects_unsorted_nodes(self):
         with pytest.raises(NumericalError, match="increasing"):
             QuadratureRule(np.array([1.0, 1.0]), np.array([0.5, 0.5]))

@@ -75,23 +75,11 @@ class TestRunTable:
     def test_numpy_integer_table_number(self):
         assert run_table(np.int64(1)) == run_table(1)
 
-    @pytest.mark.parametrize("size", [0, -1])
-    def test_table_three_rejects_oracle_size_below_one(self, size):
-        with pytest.raises(ValidationError, match=f"oracle_size >= 1, got {size}"):
-            run_table(3, oracle_size=size)
-
-    @pytest.mark.parametrize("size", ["3", 2.5, None, True])
-    def test_table_three_rejects_non_integer_oracle_size(self, size):
-        with pytest.raises(ValidationError, match=re.escape(f"oracle_size >= 1, got {size!r}")):
-            run_table(3, oracle_size=size)
-
-    def test_oracle_size_ignored_by_tables_one_and_two(self):
-        assert run_table(1, oracle_size=0).passed
-        assert run_table(2, oracle_size=0).passed
-
-    def test_a_failing_reference_fails_its_whole_row(self):
+    def test_a_failing_reference_fails_its_whole_row(self, monkeypatch):
         # at 500 points each row's first eigenvector row has an exact zero
-        report = run_table(3, oracle_size=500)
+        monkeypatch.setattr(quadsum.tables, "spectral_reference",
+                            lambda family, f: spectral_reference(family, f, 500))
+        report = run_table(3)
         assert not report.passed
         assert len(report.cells) == 25
         for cell in report.cells:
