@@ -3,12 +3,14 @@
 Five built-in families are provided.  Charlier and Meixner carry infinite
 discrete measures on the nonnegative integers, Krawtchouk a finite one on
 0..M.  The continuous dual Hahn and Wilson families live in a squared
-spectral variable y = x^2: their measure has a continuous density on
-x in [0, inf) and, for mu < 0, finitely many point masses at y = -(k+mu)^2.
-One formula over the parameters builds both measures, and one over the sorted
-parameters, so that a large one never cancels in a_n, both recurrences.  Only
-Wilson's constants add lnGamma of the parameter sum, and only its recurrence
-has (2n+s) factors; the parameter rule makes every point mass positive.
+spectral variable y = x^2: their measure has a continuous part on [0, inf),
+given without a density, and, for mu < 0, finitely many point masses at y =
+-(k+mu)^2.  The handbook's density of that part is one in x, not in y, so a
+plain integral, the one kind that reads it, is refused.  One formula over
+the parameters builds both measures, and one over the sorted parameters, so
+that a large one never cancels in a_n, both recurrences.  Only Wilson's
+point masses add lnGamma of the parameter sum, and only its recurrence has
+(2n+s) factors; the parameter rule makes every point mass positive.
 A Custom family wraps an explicit recurrence stream and measure.  Each
 family class owns its ``recurrence()`` and ``measure()``, and ``FAMILIES``,
 which maps each built-in family's command-line name to its class, is the
@@ -35,7 +37,7 @@ from decimal import Decimal
 from typing import Callable
 
 from .errors import NumericalError, ValidationError
-from .special import ln_abs_gamma_sq, ln_gamma
+from .special import ln_gamma
 
 __all__ = [
     "MAX_ORDER",
@@ -97,9 +99,10 @@ class RecurrenceStream:
 
 @dataclass(frozen=True)
 class ContinuousPart:
-    """Continuous density with its support interval."""
+    """A continuous component on its support interval, with its density, or
+    None where the library does not give one (a plain integral needs it)."""
 
-    density: Callable[[float], float]
+    density: Callable[[float], float] | None
     support: tuple[float, float]
 
 
@@ -160,7 +163,7 @@ class DiscretePart:
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Continuous density and/or discrete point masses defining a measure."""
+    """A continuous part and/or discrete point masses defining a measure."""
 
     continuous: ContinuousPart | None = None
     discrete: DiscretePart | None = None
@@ -236,35 +239,22 @@ def _lattice_measure(ln_mass: Callable[[float], float], size: int | None) -> Mea
 def _squared_variable_measure(params: tuple[float, ...]) -> MeasureSpec:
     """The unit-mass measure of continuous dual Hahn, params (mu, alpha,
     beta), or Wilson, params (mu, nu, alpha, beta) (KLS 2010, sec. 9.3 and
-    9.1): density exp(ln_c) prod_p |Gamma(p+ix)|^2 / |Gamma(2ix)|^2 on x in
-    [0, inf), ln_c = -ln(2 pi) - sum lnGamma(p+q) over pairs p, q, and for
-    mu < 0 point masses at y_k = -(k+mu)^2 for the ceil(-mu) indices k with
-    k + mu < 0.  Each mass is assembled in log space, when summed, from a
-    constant prefactor, the -(mu+k) factor, the Pochhammer products
-    (mu+p)_k (2mu)_k / prod (mu-p+1)_k over the others p, and 1/k!; only
-    Wilson adds lnGamma(sum p).  The parameter rule (p + mu > 0) and k <
-    -mu make each factor of (mu+p)_k positive and each of (2mu)_k and
-    (mu-p+1)_k negative, so the handbook's sign, continuous dual Hahn's
-    (-1)^k times (-1)^k per negative product, is +1 for both families."""
+    9.1): a continuous part on [0, inf) with no density, and for mu < 0
+    point masses at y_k = -(k+mu)^2 for the ceil(-mu) indices k with k + mu
+    < 0.  The handbook's density is one in x, not in the rule's variable y =
+    x^2, so it is not given: a plain integral needs one, and the other kinds
+    read only the recurrence and the masses.  Each mass is assembled in log
+    space, when summed, from a constant prefactor, the -(mu+k) factor, the
+    Pochhammer products (mu+p)_k (2mu)_k / prod (mu-p+1)_k over the others
+    p, and 1/k!; only Wilson adds lnGamma(sum p).  The parameter rule (p +
+    mu > 0) and k < -mu make each factor of (mu+p)_k positive and each of
+    (2mu)_k and (mu-p+1)_k negative, so the handbook's sign, continuous dual
+    Hahn's (-1)^k times (-1)^k per negative product, is +1 for both
+    families."""
     mu, *others = params
-    wilson = len(params) == 4
-    ln_sum = ln_gamma(sum(params)) if wilson else 0.0
-    # this summation order fixes the table 3 measures' last bits, which tests pin
-    ln_c = -math.log(2.0 * math.pi) + ln_sum
-    for p, q in itertools.combinations(params, 2):
-        ln_c -= ln_gamma(p + q)
-
-    def sigma(x: float) -> float:
-        if x == 0.0:
-            return 0.0
-        ln = ln_c
-        for p in params:
-            ln += ln_abs_gamma_sq(p, x)
-        return math.exp(ln - ln_abs_gamma_sq(0.0, 2.0 * x))
-
     discrete = None
     if mu < 0.0:
-        ln_front = math.log(2.0) + ln_sum
+        ln_front = math.log(2.0) + (ln_gamma(sum(params)) if len(params) == 4 else 0.0)
         for p in others:
             ln_front += ln_gamma(p - mu)
         for p, q in itertools.combinations(others, 2):
@@ -285,7 +275,7 @@ def _squared_variable_measure(params: tuple[float, ...]) -> MeasureSpec:
 
         discrete = DiscretePart(point_at=lambda k: -((k + mu) ** 2), mass_at=mass_at,
                                 size=math.ceil(-mu))
-    continuous = ContinuousPart(density=sigma, support=(0.0, math.inf))
+    continuous = ContinuousPart(density=None, support=(0.0, math.inf))
     return MeasureSpec(continuous=continuous, discrete=discrete)
 
 
@@ -535,12 +525,13 @@ def recurrence(spec: FamilySpec) -> RecurrenceStream:
 
 
 def measure(spec: FamilySpec) -> MeasureSpec:
-    """Measure of a family: discrete masses, continuous density, or both.
+    """Measure of a family: discrete masses, a continuous part, or both.
 
-    For ContinuousDualHahn and Wilson the continuous density is a function
-    of x on [0, inf) while discrete points are given in the squared variable
-    y = x^2 (every k >= 0 with k + mu < 0 contributes y_k = -(k+mu)^2, which
-    is exactly the index range with positive masses).
+    For ContinuousDualHahn and Wilson the continuous part on [0, inf) has
+    density None, so a plain integral on them raises ValidationError, and
+    the discrete points are given in the squared variable y = x^2 (every k
+    >= 0 with k + mu < 0 contributes y_k = -(k+mu)^2, which is exactly the
+    index range with positive masses).
     """
     if not isinstance(spec, FamilySpec):
         raise ValidationError(f"unknown family spec {spec!r}")

@@ -10,9 +10,10 @@ spectral reference values over a grid of orders and family parameters:
   3. mixed integral-plus-sum of y^3 e^{-y/2} in the squared variable via
      continuous dual Hahn rules with mu = -3.5.  Its reference is the
      paper's spectral element [f(J)]_{0,0} of the 200-point matrix.  Against
-     adaptive quadrature of the density plus the exact point masses, that
-     reference is accurate to a relative 2e-15 at alpha+mu = 1 and 2, and
-     to 2e-14, 9e-13 and 2e-11 at alpha+mu = 3, 4 and 5.
+     adaptive quadrature of the handbook's density (which the tests carry;
+     the library gives none) plus the exact point masses, that reference
+     is accurate to a relative 2e-15 at alpha+mu = 1 and 2, and to 2e-14,
+     9e-13 and 2e-11 at alpha+mu = 3, 4 and 5.
 
 Each table is one record in ``_TABLES`` (see there), and ``run_table`` runs
 every record through one loop over its rows and orders.

@@ -12,7 +12,9 @@ must reproduce bit for bit,
 computes only the first row, and
 ``evaluate_reference`` is the expression tree walk that the compiled
 expression evaluators must reproduce bit for bit, with its own ``gamma``
-and power, ``fmt_json_reference``,
+and power, ``squared_variable_density`` is the continuous dual Hahn and
+Wilson weight function, on the complex log-gamma ``ln_abs_gamma_sq``,
+which the library's measure does not give, ``fmt_json_reference``,
 ``rule_csv_reference`` and ``table_csv_reference`` are the per-value JSON
 formatter and per-line CSV loops whose bytes the CLI's output must
 reproduce, and ``lanczos_recurrence`` recovers a recurrence from a discrete
@@ -22,7 +24,10 @@ them as ``from oracles import ...``.
 
 from __future__ import annotations
 
+import cmath
+import dataclasses
 import io
+import itertools
 import math
 from typing import Callable
 
@@ -31,7 +36,7 @@ import numpy as np
 from quadsum.eig import _EPS, _MAX_SWEEPS, ConvergenceError, eigenvalues
 from quadsum.errors import NumericalError, ValidationError
 from quadsum.exprlang import BinaryOp, Call, EvalError, Expr, Negate, Number, Variable
-from quadsum.families import DiscretePart, RecurrenceStream
+from quadsum.families import DiscretePart, FamilySpec, RecurrenceStream
 from quadsum.jacobi import JacobiMatrix, build
 from quadsum.rule import QuadratureRule
 from quadsum.special import ln_gamma
@@ -250,6 +255,91 @@ def gamma(x: float) -> float:
     except OverflowError:
         # Only near 0, where Gamma(x) ~ 1/x, and for x > 171.6.
         return math.copysign(math.inf, x)
+
+
+_LANCZOS_G = 7.0
+_LANCZOS_COEFFS = (
+    0.99999999999980993,
+    676.5203681218851,
+    -1259.1392167224028,
+    771.32342877765313,
+    -176.61502916214059,
+    12.507343278686905,
+    -0.13857109526572012,
+    9.9843695780195716e-6,
+    1.5056327351493116e-7,
+)
+
+_LN_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_LN_PI = math.log(math.pi)
+
+
+def _lanczos_sum(z: complex) -> complex:
+    s = complex(_LANCZOS_COEFFS[0])
+    for i in range(1, len(_LANCZOS_COEFFS)):
+        s += _LANCZOS_COEFFS[i] / (z + i)
+    return s
+
+
+def _ln_gamma_complex(re: float, im: float) -> complex:
+    """log Gamma(re + i*im) for re >= 0.5 (principal branch up to 2*pi*i*k)."""
+    z = complex(re - 1.0, im)
+    t = z + _LANCZOS_G + 0.5
+    return _LN_SQRT_TWO_PI + (z + 0.5) * cmath.log(t) - t + cmath.log(_lanczos_sum(z))
+
+
+def _ln_abs_sin_pi_sq(a: float, x: float) -> float:
+    """ln |sin(pi (a + i x))|^2 = ln (sin^2(pi a) + sinh^2(pi x)), overflow safe."""
+    t = math.pi * abs(x)
+    s2 = math.sin(math.pi * a) ** 2
+    if t > 20.0:
+        # sinh^2 t = e^{2t} (1 - e^{-2t})^2 / 4
+        q = math.exp(-2.0 * t)
+        return 2.0 * t - 2.0 * math.log(2.0) + math.log1p((4.0 * s2 - 2.0) * q + q * q)
+    return math.log(s2 + math.sinh(t) ** 2)
+
+
+def ln_abs_gamma_sq(a: float, x: float) -> float:
+    """ln |Gamma(a + i x)|^2, computed fully in log space by a Lanczos
+    rational approximation (g = 7, 9 coefficients).
+
+    Even in x by construction.  For a < 0.5 the reflection formula is used,
+    which keeps the Lanczos sum in its accurate region and stays finite for
+    large |x| where sinh(pi x) alone would overflow.
+    """
+    if x == 0.0 and a <= 0.0 and a == math.floor(a):
+        raise ValidationError(f"Gamma pole at a={a!r}, x=0")
+    x = abs(x)  # |Gamma(a+ix)| is even in x
+    if a >= 0.5:
+        return 2.0 * _ln_gamma_complex(a, x).real
+    # |Gamma(z)|^2 = pi^2 / (|sin(pi z)|^2 |Gamma(1 - z)|^2), and
+    # |Gamma((1-a) - ix)|^2 = |Gamma((1-a) + ix)|^2.
+    return 2.0 * _LN_PI - _ln_abs_sin_pi_sq(a, x) - ln_abs_gamma_sq(1.0 - a, x)
+
+
+def squared_variable_density(family: FamilySpec) -> Callable[[float], float]:
+    """The continuous dual Hahn, params (mu, alpha, beta), or Wilson, params
+    (mu, nu, alpha, beta), weight function of the unit-mass measure (KLS
+    2010, sec. 9.3 and 9.1), a density in x on [0, inf) whose nodes sit at y
+    = x^2: exp(ln_c) prod_p |Gamma(p+ix)|^2 / |Gamma(2ix)|^2, ln_c = -ln(2
+    pi) - sum lnGamma(p+q) over pairs p, q, plus lnGamma(sum p) for Wilson.
+    The library's measure gives its continuous part no density."""
+    params = dataclasses.astuple(family)
+    ln_sum = ln_gamma(sum(params)) if len(params) == 4 else 0.0
+    # this summation order fixes the last bits of table 3's measures
+    ln_c = -math.log(2.0 * math.pi) + ln_sum
+    for p, q in itertools.combinations(params, 2):
+        ln_c -= ln_gamma(p + q)
+
+    def sigma(x: float) -> float:
+        if x == 0.0:
+            return 0.0
+        ln = ln_c
+        for p in params:
+            ln += ln_abs_gamma_sq(p, x)
+        return math.exp(ln - ln_abs_gamma_sq(0.0, 2.0 * x))
+
+    return sigma
 
 
 def _power(e: Expr, base: float, exponent: float) -> float:

@@ -21,6 +21,7 @@ from oracles import (
     finite_support,
     gauss_rule_eigenvalue_only,
     power_element,
+    squared_variable_density,
     truncated_sum,
 )
 from quadsum.apply import matrix_function_element
@@ -211,7 +212,7 @@ def test_criterion_07_orthonormality():
     spec = ContinuousDualHahn(-3.5, 4.5, 4.5)
     st = recurrence(spec)
     ms = measure(spec)
-    sigma = ms.continuous.density
+    sigma = squared_variable_density(spec)
     for n in range(4):
         for m in range(n + 1):
             cont, _ = quad(

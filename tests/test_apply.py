@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 import quadsum.apply
 import quadsum.rule
-from oracles import eigenvector_matrix
+from oracles import eigenvector_matrix, squared_variable_density
 from quadsum.apply import (
     FUNCTIONAL_KINDS,
     Functional,
@@ -25,6 +25,7 @@ from quadsum.apply import (
 from quadsum.eig import EigenDecomposition
 from quadsum.errors import NumericalError, ValidationError
 from quadsum.families import (
+    FAMILIES,
     Charlier,
     ContinuousDualHahn,
     ContinuousPart,
@@ -35,6 +36,7 @@ from quadsum.families import (
     MeasureSpec,
     Meixner,
     RecurrenceStream,
+    Wilson,
     measure,
     recurrence,
 )
@@ -54,6 +56,15 @@ def _t3_f(y: float) -> float:
 
 
 CDH = ContinuousDualHahn(-3.5, 4.5, 4.5)
+
+# The orthonormal family of the uniform density 1/2 on [-1, 1]: no built-in
+# family gives a density for a plain integral.
+UNIFORM = Custom(
+    RecurrenceStream(a=lambda n: 0.0, b=lambda n: -(n + 1) / math.sqrt((2 * n + 1) * (2 * n + 3))),
+    MeasureSpec(continuous=ContinuousPart(lambda x: 0.5, (-1.0, 1.0))),
+)
+_HALF = RecurrenceStream(a=lambda n: 0.5, b=lambda n: -0.5)
+_NO_DENSITY = "plain_integral needs a continuous measure with a density"
 
 
 class TestFunctionalValidation:
@@ -99,18 +110,20 @@ class TestFunctionalValidation:
         with pytest.raises(ValidationError, match="purely continuous"):
             approximate(Functional("plain_integral", lambda x: 1.0, CDH, 3))
 
-    @pytest.mark.parametrize("kind, ms, message", [
-        ("plain_integral", MeasureSpec(continuous=ContinuousPart(None, (0.0, 1.0))),
-         "plain_integral needs a continuous measure with a density"),
-        ("plain_sum", MeasureSpec(discrete=DiscretePart(float, lambda k: 0.5, 2)),
+    @pytest.mark.parametrize("kind, family, message", [
+        ("plain_integral", Custom(_HALF, MeasureSpec(continuous=ContinuousPart(None, (0.0, 1.0)))),
+         _NO_DENSITY),
+        ("plain_integral", ContinuousDualHahn(2.0, 1.0, 3.0), _NO_DENSITY),
+        ("plain_integral", Wilson(0.5, 1.0, 1.5, 2.0), _NO_DENSITY),
+        ("plain_sum", Custom(_HALF, MeasureSpec(discrete=DiscretePart(float, lambda k: 0.5, 2))),
          "plain_sum needs a discrete measure with a smooth mass continuation"),
-    ], ids=["plain_integral", "plain_sum"])
-    def test_missing_density_names_its_component(self, kind, ms, message):
+    ], ids=["plain_integral", "cdh", "wilson", "plain_sum"])
+    def test_missing_density_names_its_component(self, kind, family, message):
         # the kind's one component lacks the density that turns the weights
-        # into derivative weights
-        spec = Custom(RecurrenceStream(a=lambda n: 0.5, b=lambda n: -0.5), ms)
+        # into derivative weights; continuous dual Hahn and Wilson give none,
+        # since the handbook's is a density in x and their nodes are y = x^2
         with pytest.raises(ValidationError) as info:
-            approximate(Functional(kind, lambda x: 1.0, spec, 2))
+            approximate(Functional(kind, lambda x: 1.0, family, 2))
         assert str(info.value) == message
 
     def test_missing_density_is_checked_before_the_rule(self):
@@ -180,17 +193,8 @@ class TestApproximate:
                 assert abs(lhs - rhs) <= 1e-9 * abs(rhs), f"N={n} k={k}"
 
     def test_plain_integral_via_custom_uniform_family(self):
-        # orthonormal family of the uniform density 1/2 on [-1, 1]; the plain
-        # integral of x^2 over [-1, 1] is 2/3
-        from quadsum.families import RecurrenceStream
-
-        stream = RecurrenceStream(
-            a=lambda n: 0.0,
-            b=lambda n: -(n + 1) / math.sqrt((2 * n + 1) * (2 * n + 3)),
-        )
-        ms = MeasureSpec(continuous=ContinuousPart(lambda x: 0.5, (-1.0, 1.0)))
-        spec = Custom(stream, ms)
-        v = approximate(Functional("plain_integral", lambda x: x * x, spec, 6))
+        # the plain integral of x^2 over [-1, 1] is 2/3
+        v = approximate(Functional("plain_integral", lambda x: x * x, UNIFORM, 6))
         assert v == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
@@ -201,7 +205,7 @@ def _t2_f(x: float) -> float:
 # One functional per kind; the first call of each is a miss, the second a hit.
 _EVERY_KIND = (
     Functional("weighted_integral", lambda y: math.exp(-0.1 * y), ContinuousDualHahn(2.0, 1.0, 3.0), 9),
-    Functional("plain_integral", lambda y: math.exp(-y), ContinuousDualHahn(2.0, 1.0, 3.0), 7),
+    Functional("plain_integral", lambda x: math.exp(-x), UNIFORM, 7),
     Functional("weighted_sum", lambda x: x**3, Meixner(2.0, 0.4), 6),
     Functional("plain_sum", _t2_f, Krawtchouk(100, 0.3), 20),
     Functional("mixed", _t3_f, CDH, 30),
@@ -274,7 +278,11 @@ class TestApproximateCache:
         return [call[1] for call in calls if isinstance(call, tuple)]
 
     @pytest.mark.parametrize("fn", _EVERY_KIND, ids=[fn.kind for fn in _EVERY_KIND])
-    def test_hit_equals_computation_with_empty_caches(self, fn, calls):
+    def test_hit_equals_computation_with_empty_caches(self, fn, calls, monkeypatch):
+        # no built-in family takes a plain integral, so the uniform Custom
+        # family is let into the store as if it were one
+        if type(fn.family) is Custom:
+            monkeypatch.setattr(quadsum.apply, "FAMILIES", {**FAMILIES, "custom": Custom})
         fresh = approximate(fn)
         assert len(calls) == (5 if fn.kind.startswith("plain") else 4)
         calls.clear()
@@ -487,7 +495,7 @@ class TestContinuousPartEstimate:
     def test_matches_adaptive_integration(self):
         fn = Functional("continuous_part", _t3_f, CDH, 100)
         est = approximate(fn)
-        sigma = measure(CDH).continuous.density
+        sigma = squared_variable_density(CDH)
         ref, _ = quad(lambda x: sigma(x) * _t3_f(x * x), 0.0, math.inf)
         assert relative_error(ref, est) < 1e-6
 

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, quad_vec
 
 import quadsum.apply
-from oracles import eval_poly, finite_support, lanczos_recurrence, truncated_sum
+from oracles import (
+    eval_poly, finite_support, lanczos_recurrence, squared_variable_density, truncated_sum,
+)
 from quadsum import families
 from quadsum.apply import Functional, approximate
 from quadsum.errors import NumericalError, ValidationError
@@ -390,13 +392,11 @@ class TestMeasures:
         assert masses == pytest.approx(
             (7.0 / 8.0, 5.0 / 56.0, 1.0 / 56.0, 1.0 / 280.0), rel=1e-12
         )
-        assert ms.continuous.support == (0.0, math.inf)
-        assert ms.continuous.density(0.0) == 0.0
-        assert ms.continuous.density(1.0) > 0.0
+        assert ms.continuous == ContinuousPart(density=None, support=(0.0, math.inf))
 
     def test_cdh_continuous_mass(self):
-        # the continuous part carries 1 - sum(xi) = 1/70 of the mass
-        sigma = measure(ContinuousDualHahn(-3.5, 4.5, 4.5)).continuous.density
+        # the oracle's continuous part carries 1 - sum(xi) = 1/70 of the mass
+        sigma = squared_variable_density(ContinuousDualHahn(-3.5, 4.5, 4.5))
         got, _ = quad(sigma, 0.0, math.inf)
         assert got == pytest.approx(1.0 / 70.0, rel=1e-9)
 
@@ -411,8 +411,8 @@ class TestMeasures:
         assert all(xi > 0.0 for xi in finite_support(d)[1])
 
     @pytest.mark.parametrize("spec, constants", [
-        (ContinuousDualHahn(-3.5, 4.5, 4.5), 7),
-        (Wilson(-3.5, 4.5, 5.5, 6.5), 14),
+        (ContinuousDualHahn(-3.5, 4.5, 4.5), 4),
+        (Wilson(-3.5, 4.5, 5.5, 6.5), 8),
     ], ids=["cdh", "wilson"])
     def test_squared_variable_masses_are_evaluated_only_when_summed(
         self, monkeypatch, spec, constants
@@ -441,7 +441,8 @@ class TestMeasures:
         assert d.point_at(size - 1) == -((size - 1 + mu) ** 2) < 0.0
 
     def test_density_decays_at_large_argument(self):
-        sigma = measure(ContinuousDualHahn(-3.5, 4.5, 4.5)).continuous.density
+        # the oracle's density, which the recurrence sweep cuts where it decays
+        sigma = squared_variable_density(ContinuousDualHahn(-3.5, 4.5, 4.5))
         assert sigma(50.0) < sigma(5.0)
         assert sigma(400.0) == 0.0  # underflows cleanly instead of raising
 
@@ -551,14 +552,14 @@ _GRAM_SETS = [
 
 def _gram(spec, terms=None, degree=5) -> np.ndarray:
     """G_{nm} = integral of p_n p_m against the family's measure, n, m <=
-    degree: scipy ``quad_vec`` of the continuous density in the squared
-    variable, plus ``weighted_sum`` over a finite discrete part or
+    degree: scipy ``quad_vec`` of the oracle's continuous density in the
+    squared variable, plus ``weighted_sum`` over a finite discrete part or
     ``truncated_sum`` of ``terms`` terms over an infinite one."""
     stream = recurrence(spec)
     ms = measure(spec)
     g = np.zeros((degree + 1, degree + 1))
     if ms.continuous is not None:
-        sigma = ms.continuous.density
+        sigma = squared_variable_density(spec)
 
         def integrand(x):
             p = np.array([eval_poly(stream, n, x * x) for n in range(degree + 1)])
@@ -604,9 +605,9 @@ class TestGramMatrix:
         "spec", [spec for spec, _ in _GRAM_SETS if spec.kind == "wilson"], ids=repr
     )
     def test_wilson_density_matches_mpmath(self, spec):
-        # relative error grows with x as the log-space density's terms do:
-        # measured at most 1.3e-12 at x = 40
-        sigma = measure(spec).continuous.density
+        # the oracle's density; relative error grows with x as its log-space
+        # terms do: measured at most 1.3e-12 at x = 40
+        sigma = squared_variable_density(spec)
         with mpmath.workdps(30):
             for x in (0.01, 0.1, 0.5, 1.0, 2.0, 3.7, 5.0, 10.0, 20.0, 40.0):
                 ref = _wilson_density_mp(spec, x)
@@ -677,8 +678,8 @@ def _lattice(spec, size: int) -> tuple[list, list]:
 
 def _squared_variable(spec, upper: float = 120.0, panels: int = 100,
                       graded: int = 0) -> tuple[list, list]:
-    """A squared-variable family's measure made discrete: its density on x
-    in [0, upper] by a composite 60-point Gauss-Legendre rule on ``panels``
+    """A squared-variable family's measure made discrete: the oracle's
+    density on x in [0, upper] by a composite 60-point Gauss-Legendre rule on ``panels``
     equal panels (6000 points by default), placed at y = x^2, plus its exact
     point masses.  ``graded`` > 0 splits the first panel at h 2^-graded, ...,
     h/4, h/2 (h its width), for a density that changes within far less than
@@ -693,7 +694,8 @@ def _squared_variable(spec, upper: float = 120.0, panels: int = 100,
     x = (lo[:, None] + (t + 1.0) * width[:, None] / 2.0).ravel()
     w = (w * width[:, None] / 2.0).ravel()
     points = (x * x).tolist()
-    masses = [wk * ms.continuous.density(xk) for xk, wk in zip(x.tolist(), w.tolist())]
+    sigma = squared_variable_density(spec)
+    masses = [wk * sigma(xk) for xk, wk in zip(x.tolist(), w.tolist())]
     if ms.discrete is not None:
         more_points, more_masses = finite_support(ms.discrete)
         points += more_points
@@ -771,7 +773,7 @@ class TestRecurrenceFromMeasure:
     def test_cdh_density_matches_mpmath(self, spec):
         # the oracle's continuous input, up to the discretization's x = 120:
         # measured at most 1.25e-12
-        sigma = measure(spec).continuous.density
+        sigma = squared_variable_density(spec)
         with mpmath.workdps(30):
             for x in (0.01, 0.1, 0.5, 1.0, 2.0, 3.7, 5.0, 10.0, 20.0, 40.0, 80.0, 120.0):
                 ref = _cdh_density_mp(spec, x)
@@ -884,7 +886,7 @@ def _resolved_squared_variable(spec, n: int) -> tuple[list, list]:
     cut reads 1e-9 in a_n); and the first panel graded down to 2^-6 of the
     distance d of the parameter nearest a pole of its Gamma(p + ix) at x =
     0, whose density changes within d of x = 0."""
-    sigma = measure(spec).continuous.density
+    sigma = squared_variable_density(spec)
     peak, x = -math.inf, 0.05
     while True:
         density = sigma(x)
@@ -945,8 +947,9 @@ def _squared_variable_family(draw):
 
 
 # Relative error bands against mpmath (30 digits), about twice the worst
-# measured over the sweep's 80 draws: the density within 3.1e-14 for
-# x <= 2.5, 2.3e-13 at x = 7 and 6.1e-13 at x = 20, every mass within 1.8e-14.
+# measured over the sweep's 80 draws: the oracle's density within 3.1e-14
+# for x <= 2.5, 2.3e-13 at x = 7 and 6.1e-13 at x = 20, every mass within
+# 1.8e-14.
 _SWEEP_DENSITY_BANDS = {0.3: 6e-14, 1.0: 6e-14, 2.5: 6e-14, 7.0: 5e-13, 20.0: 1.2e-12}
 _SWEEP_MASS_BAND = 3.5e-14
 
@@ -983,21 +986,22 @@ _MANY_MASS_BAND = 8e-13
 
 
 class TestHandbookSweep:
-    """Both squared-variable measures against the handbook's formulas over
-    their whole parameter region, not only at fixed sets."""
+    """Both squared-variable measures, the library's point masses and the
+    oracle's density, against the handbook's formulas over their whole
+    parameter region, not only at fixed sets."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(spec=_squared_variable_family())
     def test_measure_matches_handbook(self, spec):
         density_mp, mass_mp = ((_wilson_density_mp, _wilson_mass_mp) if spec.kind == "wilson"
                                else (_cdh_density_mp, _cdh_mass_mp))
-        ms = measure(spec)
+        ms, sigma = measure(spec), squared_variable_density(spec)
         size = 0 if ms.discrete is None else ms.discrete.size
         with mpmath.workdps(30):
             assert size == sum(1 for k in range(5) if mpmath.mpf(spec.mu) + k < 0)
             for x, band in _SWEEP_DENSITY_BANDS.items():
                 ref = density_mp(spec, x)
-                err = float(abs(ms.continuous.density(x) - ref) / ref)
+                err = float(abs(sigma(x) - ref) / ref)
                 assert err <= band, (x, err)
             for k in range(size):
                 ref = mass_mp(spec, k)

@@ -1,4 +1,5 @@
-"""Tests for the scalar special functions."""
+"""Tests for the scalar special functions, and for the test oracles' complex
+log-gamma and Gamma against mpmath."""
 
 import math
 
@@ -6,9 +7,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import gamma
+from oracles import gamma, ln_abs_gamma_sq
 from quadsum.errors import ValidationError
-from quadsum.special import ln_abs_gamma_sq, ln_gamma
+from quadsum.special import ln_gamma
 
 
 class TestLnGamma:
@@ -61,6 +62,9 @@ class TestLnGamma:
 
 
 class TestLnAbsGammaSq:
+    """The oracle ln |Gamma(a+ix)|^2 under the squared-variable density that
+    the measure tests integrate against."""
+
     def test_at_one(self):
         assert abs(ln_abs_gamma_sq(1.0, 0.0)) < 1e-14
 

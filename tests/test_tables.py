@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 import quadsum.tables
+from oracles import squared_variable_density
 from quadsum.apply import relative_error, spectral_reference
 from quadsum.errors import NumericalError, ValidationError
 from quadsum.families import ContinuousDualHahn, Meixner, measure
@@ -134,11 +135,11 @@ class TestExactValues:
 
 class TestTableThreeReference:
     """Table 3's reference, the spectral element, against an independent
-    value: scipy ``quad`` of the continuous density plus the exact sum over
-    the point masses.  At the default 200 points the errors measured on the
-    five rows are 2.1e-15, 1.2e-15, 1.9e-14, 9.3e-13 and 2.0e-11, so the
-    reference loses accuracy as alpha grows; the first two are at the
-    independent value's own rounding.  At 400 points, past the size where
+    value: scipy ``quad`` of the oracle's continuous density plus the exact
+    sum over the point masses.  At the default 200 points the errors
+    measured on the five rows are 2.1e-15, 1.2e-15, 1.9e-14, 9.3e-13 and
+    2.0e-11, so the reference loses accuracy as alpha grows; the first two
+    are at the independent value's own rounding.  At 400 points, past the size where
     an unscaled first row underflows to an exact zero, all five are at that
     rounding: 4.1e-15, 2.2e-16, 9.0e-16, 1.3e-15 and 8.1e-16.  Each row is
     pinned within about a factor of two."""
@@ -149,7 +150,7 @@ class TestTableThreeReference:
         alpha = alpha_plus_mu - mu
         family = ContinuousDualHahn(mu, alpha, alpha)
         spec = measure(family)
-        sigma = spec.continuous.density
+        sigma = squared_variable_density(family)
         integral, _ = quad(lambda x: sigma(x) * _t3_integrand(x * x), 0.0, math.inf,
                            epsrel=1e-13, limit=200)
         independent = integral + spec.discrete.weighted_sum(_t3_integrand)
