@@ -12,7 +12,6 @@ from .apply import (
     relative_error,
     spectral_reference,
 )
-from .eig import ConvergenceError, EigenDecomposition, decompose, eigenvalues
 from .errors import NumericalError, ValidationError
 from .families import (
     Charlier,
@@ -34,9 +33,7 @@ from .tables import TableReport, run_table
 __all__ = [
     "Charlier",
     "ContinuousDualHahn",
-    "ConvergenceError",
     "Custom",
-    "EigenDecomposition",
     "FamilySpec",
     "Functional",
     "JacobiMatrix",
@@ -51,9 +48,7 @@ __all__ = [
     "Wilson",
     "approximate",
     "build",
-    "decompose",
     "derivative_weights",
-    "eigenvalues",
     "gauss_rule",
     "measure",
     "recurrence",

@@ -165,7 +165,7 @@ def relative_error(exact: float, approx: float) -> float:
     return abs(exact - approx) / den
 
 
-SPECTRAL_REFERENCE_SIZE = 200  # default truncation, table 3's oracle size
+SPECTRAL_REFERENCE_SIZE = 200  # the paper's reference truncation of J
 
 
 # perfbench/tracing.py wraps this function by this name in this module.
@@ -184,13 +184,12 @@ def matrix_function_element(j: JacobiMatrix, f: Callable[[float], float]) -> flo
     return finite_fsum(values, "spectral sum")
 
 
-def spectral_reference(
-    family: FamilySpec, f: Callable[[float], float], size: int = SPECTRAL_REFERENCE_SIZE
-) -> float:
-    """Reference value [f(J)]_{0,0} on a truncation of dimension ``size``;
-    the exact value of the mixed integral-plus-sum functional in the squared
-    spectral variable.  It is not cached: each call decomposes J afresh.
+def spectral_reference(family: FamilySpec, f: Callable[[float], float]) -> float:
+    """Reference value [f(J)]_{0,0} on the truncation of dimension
+    SPECTRAL_REFERENCE_SIZE (200); the exact value of the mixed
+    integral-plus-sum functional in the squared spectral variable.  It is
+    not cached: each call decomposes J afresh.  Another truncation K is
+    ``matrix_function_element(build(recurrence(family), K), f)``.
     """
-    require_count("size", size)
-    return matrix_function_element(build(recurrence(family), size), f)
+    return matrix_function_element(build(recurrence(family), SPECTRAL_REFERENCE_SIZE), f)
 

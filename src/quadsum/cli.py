@@ -55,7 +55,7 @@ from .jacobi import build
 from .rule import gauss_rule
 from .tables import TABLE_NUMBERS, TableCell, run_table
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 _EXIT_OK = 0
 _EXIT_TOLERANCE = 1
@@ -155,10 +155,6 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     table_cmd.add_argument("which", type=int, choices=TABLE_NUMBERS)
     table_cmd.add_argument("--format", choices=("json", "csv"), default="json")
     return parser, {"rule": rule_cmd, "sum": sum_cmd, "table": table_cmd}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
 
 
 _PARSER, _COMMANDS = _build_parsers()

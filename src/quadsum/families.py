@@ -12,7 +12,8 @@ that a large one never cancels in a_n, both recurrences.  Only Wilson's
 point masses add lnGamma of the parameter sum, and only its recurrence has
 (2n+s) factors; the parameter rule makes every point mass positive.
 A Custom family wraps an explicit recurrence stream and measure.  Each
-family class owns its ``recurrence()`` and ``measure()``, and ``FAMILIES``,
+family class owns its ``recurrence()`` and ``measure()``, continuous dual
+Hahn and Wilson through one shared base class, and ``FAMILIES``,
 which maps each built-in family's command-line name to its class, is the
 list the CLI builds its family options from.  A built-in family stores each
 parameter as a Python float (M as an int) before its range checks read it,
@@ -60,14 +61,14 @@ __all__ = [
 ]
 
 
-# The largest order or size: values-only QL takes about 0.69 s * (N/1600)^2,
+# The largest order: values-only QL takes about 0.69 s * (N/1600)^2,
 # at least 19 minutes above it, and a far larger order exhausts memory.
 MAX_ORDER = 2**16
 
 
 def require_count(name: str, n: int) -> None:
-    """Validate an order or size: an integer (numpy's included, bool not)
-    from 1 to MAX_ORDER."""
+    """Validate an order: an integer (numpy's included, bool not) from 1 to
+    MAX_ORDER."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {n!r}")
     if n < 1:
@@ -99,11 +100,10 @@ class RecurrenceStream:
 
 @dataclass(frozen=True)
 class ContinuousPart:
-    """A continuous component on its support interval, with its density, or
-    None where the library does not give one (a plain integral needs it)."""
+    """A continuous component: its density, or None where the library does
+    not give one (a plain integral needs it)."""
 
     density: Callable[[float], float] | None
-    support: tuple[float, float]
 
 
 def _finite_term(term: float, x: float) -> float:
@@ -275,8 +275,7 @@ def _squared_variable_measure(params: tuple[float, ...]) -> MeasureSpec:
 
         discrete = DiscretePart(point_at=lambda k: -((k + mu) ** 2), mass_at=mass_at,
                                 size=math.ceil(-mu))
-    continuous = ContinuousPart(density=None, support=(0.0, math.inf))
-    return MeasureSpec(continuous=continuous, discrete=discrete)
+    return MeasureSpec(continuous=ContinuousPart(density=None), discrete=discrete)
 
 
 def _squared_variable_recurrence(params: tuple[float, ...]) -> RecurrenceStream:
@@ -331,23 +330,39 @@ def _squared_variable_recurrence(params: tuple[float, ...]) -> RecurrenceStream:
     return RecurrenceStream(a=a, b=b)
 
 
-def _require_squared_variable_params(family: FamilySpec, name: str) -> None:
-    """The parameter rule of the squared-variable families, checked on their
-    canonical floats: mu != 0, and every other parameter p has p > 0 if
-    mu > 0, or p + mu > 0 if mu < 0."""
-    mu = family.mu
-    others = {p: getattr(family, p) for p, _ in parameters(type(family))[1:]}
-    if mu == 0.0:
-        raise ValidationError(f"{name} requires mu != 0")
-    if mu > 0.0:
-        bad = {k: v for k, v in others.items() if not v > 0.0}
-        rule, tail = f"mu > 0 requires {', '.join(others)} > 0", ""
-    else:
-        bad = {k: v for k, v in others.items() if not v + mu > 0.0}
-        rule = f"mu < 0 requires {', '.join(k + ' + mu' for k in others)} > 0"
-        tail = f" with mu={mu!r}"
-    if bad:
-        raise ValidationError(f"{name} with {rule}; violated by {bad!r}{tail}")
+class _SquaredVariableFamily(FamilySpec):
+    """The body shared by continuous dual Hahn and Wilson, whose parameters,
+    mu first, are their dataclass fields in order; ``_name`` names the
+    family in its messages."""
+
+    def __post_init__(self):
+        """Canonicalize, then check the parameter rule on the canonical
+        floats: mu != 0, and every other parameter p has p > 0 if mu > 0,
+        or p + mu > 0 if mu < 0."""
+        name = self._name
+        _canonicalize(self, name)
+        mu = self.mu
+        others = {p: getattr(self, p) for p, _ in parameters(type(self))[1:]}
+        if mu == 0.0:
+            raise ValidationError(f"{name} requires mu != 0")
+        if mu > 0.0:
+            bad = {k: v for k, v in others.items() if not v > 0.0}
+            rule, tail = f"mu > 0 requires {', '.join(others)} > 0", ""
+        else:
+            bad = {k: v for k, v in others.items() if not v + mu > 0.0}
+            rule = f"mu < 0 requires {', '.join(k + ' + mu' for k in others)} > 0"
+            tail = f" with mu={mu!r}"
+        if bad:
+            raise ValidationError(f"{name} with {rule}; violated by {bad!r}{tail}")
+
+    def _params(self) -> tuple[float, ...]:
+        return tuple(getattr(self, p) for p, _ in parameters(type(self)))
+
+    def recurrence(self) -> RecurrenceStream:
+        return _squared_variable_recurrence(self._params())
+
+    def measure(self) -> MeasureSpec:
+        return _squared_variable_measure(self._params())
 
 
 @dataclass(frozen=True)
@@ -459,40 +474,22 @@ class Krawtchouk(FamilySpec):
 
 
 @dataclass(frozen=True)
-class ContinuousDualHahn(FamilySpec):
+class ContinuousDualHahn(_SquaredVariableFamily):
     mu: float
     alpha: float
     beta: float
     kind = "cdh"
-
-    def __post_init__(self):
-        _canonicalize(self, "continuous dual Hahn")
-        _require_squared_variable_params(self, "continuous dual Hahn")
-
-    def recurrence(self) -> RecurrenceStream:
-        return _squared_variable_recurrence((self.mu, self.alpha, self.beta))
-
-    def measure(self) -> MeasureSpec:
-        return _squared_variable_measure((self.mu, self.alpha, self.beta))
+    _name = "continuous dual Hahn"
 
 
 @dataclass(frozen=True)
-class Wilson(FamilySpec):
+class Wilson(_SquaredVariableFamily):
     mu: float
     nu: float
     alpha: float
     beta: float
     kind = "wilson"
-
-    def __post_init__(self):
-        _canonicalize(self, "wilson")
-        _require_squared_variable_params(self, "wilson")
-
-    def recurrence(self) -> RecurrenceStream:
-        return _squared_variable_recurrence((self.mu, self.nu, self.alpha, self.beta))
-
-    def measure(self) -> MeasureSpec:
-        return _squared_variable_measure((self.mu, self.nu, self.alpha, self.beta))
+    _name = "wilson"
 
 
 @dataclass(frozen=True)

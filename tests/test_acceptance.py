@@ -261,7 +261,7 @@ def _uniform_custom():
         b=lambda n: -(n + 1) / math.sqrt((2 * n + 1) * (2 * n + 3)),
     )
     return Custom(
-        stream, MeasureSpec(continuous=ContinuousPart(lambda x: 0.5, (-1.0, 1.0)))
+        stream, MeasureSpec(continuous=ContinuousPart(lambda x: 0.5))
     )
 
 

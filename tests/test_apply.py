@@ -61,7 +61,7 @@ CDH = ContinuousDualHahn(-3.5, 4.5, 4.5)
 # family gives a density for a plain integral.
 UNIFORM = Custom(
     RecurrenceStream(a=lambda n: 0.0, b=lambda n: -(n + 1) / math.sqrt((2 * n + 1) * (2 * n + 3))),
-    MeasureSpec(continuous=ContinuousPart(lambda x: 0.5, (-1.0, 1.0))),
+    MeasureSpec(continuous=ContinuousPart(lambda x: 0.5)),
 )
 _HALF = RecurrenceStream(a=lambda n: 0.5, b=lambda n: -0.5)
 _NO_DENSITY = "plain_integral needs a continuous measure with a density"
@@ -111,7 +111,7 @@ class TestFunctionalValidation:
             approximate(Functional("plain_integral", lambda x: 1.0, CDH, 3))
 
     @pytest.mark.parametrize("kind, family, message", [
-        ("plain_integral", Custom(_HALF, MeasureSpec(continuous=ContinuousPart(None, (0.0, 1.0)))),
+        ("plain_integral", Custom(_HALF, MeasureSpec(continuous=ContinuousPart(None))),
          _NO_DENSITY),
         ("plain_integral", ContinuousDualHahn(2.0, 1.0, 3.0), _NO_DENSITY),
         ("plain_integral", Wilson(0.5, 1.0, 1.5, 2.0), _NO_DENSITY),
@@ -510,7 +510,7 @@ class TestContinuousPartEstimate:
         hybrid = Custom(
             recurrence(Charlier(2.0)),
             MeasureSpec(
-                continuous=ContinuousPart(lambda x: 0.0, (0.0, 1.0)),
+                continuous=ContinuousPart(lambda x: 0.0),
                 discrete=charlier_measure.discrete,
             ),
         )
@@ -542,7 +542,7 @@ class TestMatrixElement:
         # approximate's node sum does for the same integrand
         f = lambda y: 1.7976931348623157e308
         with pytest.raises(NumericalError) as exc:
-            spectral_reference(family, f, 10)
+            matrix_function_element(build(recurrence(family), 10), f)
         assert str(exc.value) == "spectral sum overflows the float range"
         with pytest.raises(NumericalError, match="quadrature sum overflows"):
             approximate(Functional(kind, f, family, 10))
@@ -571,7 +571,7 @@ class TestOracles:
         full_sum = math.fsum(
             l * _t3_f(float(eps)) * l for eps, l in zip(values, vectors[0])
         )
-        assert spectral_reference(spec, _t3_f, 60) == full_sum
+        assert matrix_function_element(build(recurrence(spec), 60), _t3_f) == full_sum
 
     @pytest.mark.parametrize("alpha_plus_mu, pinned", [
         (1.0, "-0x1.6747bd697486bp+19"),
@@ -587,14 +587,7 @@ class TestOracles:
         assert value.hex() == pinned
 
     def test_spectral_reference_trivials(self):
-        assert spectral_reference(CDH, lambda t: 1.0, 40) == pytest.approx(1.0, abs=1e-12)
-        assert spectral_reference(CDH, lambda t: t, 40) == pytest.approx(-11.25, rel=1e-12)
-        with pytest.raises(ValidationError):
-            spectral_reference(CDH, lambda t: t, 0)
-
-    @pytest.mark.parametrize("size", [2.5, "40"])
-    def test_spectral_reference_non_integral_size(self, size):
-        with pytest.raises(ValidationError) as exc:
-            spectral_reference(CDH, lambda t: t, size)
-        assert str(exc.value) == f"size must be an integer, got {size!r}"
+        j = build(recurrence(CDH), 40)
+        assert matrix_function_element(j, lambda t: 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert matrix_function_element(j, lambda t: t) == pytest.approx(-11.25, rel=1e-12)
 

@@ -24,7 +24,7 @@ import quadsum.apply
 import quadsum.cli
 import quadsum.rule
 import quadsum.tables
-from quadsum.apply import spectral_reference
+from quadsum.apply import matrix_function_element
 from quadsum.cli import main
 from quadsum.errors import NumericalError, ValidationError
 from quadsum.families import Charlier, ContinuousDualHahn, Krawtchouk, Meixner, Wilson, recurrence
@@ -600,21 +600,18 @@ class TestParserReuse:
     """main parses every call with the one parser built at import."""
 
     def test_parser_is_built_once(self, capsys, monkeypatch):
-        build_parser = quadsum.cli.build_parser
+        build_parsers = quadsum.cli._build_parsers
         calls = []
 
-        def counting_build_parser():
+        def counting_build_parsers():
             calls.append(1)
-            return build_parser()
+            return build_parsers()
 
-        monkeypatch.setattr(quadsum.cli, "build_parser", counting_build_parser)
+        monkeypatch.setattr(quadsum.cli, "_build_parsers", counting_build_parsers)
         for i in range(50):
             assert main(["rule", "--family", "charlier", "--mu", "2", "--n", str(1 + i % 5)]) == 0
         capsys.readouterr()
         assert calls == []
-
-    def test_build_parser_returns_a_fresh_parser(self):
-        assert quadsum.cli.build_parser() is not quadsum.cli.build_parser()
 
     def test_define_does_not_leak_into_the_next_call(self, capsys):
         code, out, _ = run_cli(capsys, *_EXP_SUM, "--define", "r=3")
@@ -662,8 +659,9 @@ def _ci_commands() -> list[tuple[list[str], int | None]]:
 def _reference_of_size(monkeypatch, size: int) -> None:
     """Grade table 3 against the spectral reference of dimension ``size``
     instead of the paper's 200."""
-    monkeypatch.setattr(quadsum.tables, "spectral_reference",
-                        lambda family, f: spectral_reference(family, f, size))
+    monkeypatch.setattr(
+        quadsum.tables, "spectral_reference",
+        lambda family, f: matrix_function_element(build(recurrence(family), size), f))
 
 
 def _outcome(capsys, argv):
@@ -1024,7 +1022,7 @@ class TestParseRoute:
     @pytest.mark.parametrize("argv", _PARSE_CASES, ids=lambda argv: " ".join(argv) or "<empty>")
     def test_equals_the_nested_parse(self, capsys, argv):
         # of the argv whose dash-led values are joined to their flags
-        expected = _parse_outcome(capsys, quadsum.cli.build_parser().parse_args, _joined(*argv))
+        expected = _parse_outcome(capsys, quadsum.cli._build_parsers()[0].parse_args, _joined(*argv))
         assert _parse_outcome(capsys, quadsum.cli._parse_argv, argv) == expected
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):

@@ -2,19 +2,19 @@
 
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import quadsum
+import quadsum.eig
 
 # Changing this list is a deliberate change of the public API.
 _PUBLIC_NAMES = [
     "Charlier",
     "ContinuousDualHahn",
-    "ConvergenceError",
     "Custom",
-    "EigenDecomposition",
     "FamilySpec",
     "Functional",
     "JacobiMatrix",
@@ -29,9 +29,7 @@ _PUBLIC_NAMES = [
     "Wilson",
     "approximate",
     "build",
-    "decompose",
     "derivative_weights",
-    "eigenvalues",
     "gauss_rule",
     "measure",
     "recurrence",
@@ -45,6 +43,19 @@ def test_public_names_are_pinned():
     assert quadsum.__all__ == _PUBLIC_NAMES
     for name in _PUBLIC_NAMES:
         assert hasattr(quadsum, name), name
+
+
+def test_submodule_public_names_are_bound():
+    # a stale entry of a submodule's __all__ would otherwise go unnoticed;
+    # importing quadsum.__main__ would run the command line
+    for info in pkgutil.iter_modules(quadsum.__path__, "quadsum."):
+        if info.name == "quadsum.__main__":
+            continue
+        module = importlib.import_module(info.name)
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], info.name
+    assert quadsum.eig.__all__ == ["ConvergenceError", "EigenDecomposition", "decompose",
+                                   "eigenvalues"]
 
 
 def test_library_imports_neither_scipy_nor_mpmath():

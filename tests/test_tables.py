@@ -12,9 +12,10 @@ from scipy.integrate import quad
 
 import quadsum.tables
 from oracles import squared_variable_density
-from quadsum.apply import relative_error, spectral_reference
+from quadsum.apply import matrix_function_element, relative_error
 from quadsum.errors import NumericalError, ValidationError
-from quadsum.families import ContinuousDualHahn, Meixner, measure
+from quadsum.families import ContinuousDualHahn, Meixner, measure, recurrence
+from quadsum.jacobi import build
 from quadsum.special import ln_gamma
 from quadsum.tables import _T1_EXACT, _T2_EXACT, _t3_integrand, cell_passes, run_table
 
@@ -78,8 +79,9 @@ class TestRunTable:
 
     def test_a_failing_reference_fails_its_whole_row(self, monkeypatch):
         # at 500 points each row's first eigenvector row has an exact zero
-        monkeypatch.setattr(quadsum.tables, "spectral_reference",
-                            lambda family, f: spectral_reference(family, f, 500))
+        monkeypatch.setattr(
+            quadsum.tables, "spectral_reference",
+            lambda family, f: matrix_function_element(build(recurrence(family), 500), f))
         report = run_table(3)
         assert not report.passed
         assert len(report.cells) == 25
@@ -154,7 +156,7 @@ class TestTableThreeReference:
         integral, _ = quad(lambda x: sigma(x) * _t3_integrand(x * x), 0.0, math.inf,
                            epsrel=1e-13, limit=200)
         independent = integral + spec.discrete.weighted_sum(_t3_integrand)
-        reference = spectral_reference(family, _t3_integrand, size)
+        reference = matrix_function_element(build(recurrence(family), size), _t3_integrand)
         return abs(reference - independent) / abs(independent)
 
     @pytest.mark.parametrize("alpha_plus_mu, low, high", [
